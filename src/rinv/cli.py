@@ -19,7 +19,7 @@ from scipy.io import mmread, mmwrite
 
 from .certificate import verify
 from .decomposition import Decomposition, Mode, random_tight_frame, validate
-from .errors import RinvError
+from .errors import CertificateFormatError, RinvError
 from .oracle import compare_to_guarantee
 from .selector import PIVOT_FIRST, PIVOT_GREEDY, run_selection
 from .tolerances import default_tolerances
@@ -86,15 +86,31 @@ def _cmd_select(parser, args):
     return EXIT_OK if cert.passes else EXIT_CERT_FAIL
 
 
-def _cmd_verify(parser, args):
-    dec = _load_decomposition(args)
+def _read_certificate(path):
+    """The stored JSON object, its epsilon and its 0-based sigma."""
     try:
-        with open(args.certificate, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             stored = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise RinvError(f"cannot read certificate {args.certificate}: {exc}") from exc
-    sigma = [int(i) - 1 for i in stored.get("sigma", [])]
-    cert = verify(dec, float(stored["epsilon"]), sigma)
+        raise RinvError(f"cannot read certificate {path}: {exc}") from exc
+    if not isinstance(stored, dict):
+        raise CertificateFormatError(f"certificate {path} is not a JSON object")
+    epsilon, sigma = stored.get("epsilon"), stored.get("sigma", [])
+    if type(epsilon) not in (int, float) or not 0.0 < epsilon < 1.0:
+        raise CertificateFormatError(
+            f"certificate {path}: epsilon must be a number in (0, 1), got {epsilon!r}"
+        )
+    if type(sigma) is not list or any(type(i) is not int for i in sigma):
+        raise CertificateFormatError(
+            f"certificate {path}: sigma must be a list of 1-based integer indices"
+        )
+    return stored, float(epsilon), [i - 1 for i in sigma]
+
+
+def _cmd_verify(parser, args):
+    dec = _load_decomposition(args)
+    stored, epsilon, sigma = _read_certificate(args.certificate)
+    cert = verify(dec, epsilon, sigma)
     match = bool(stored.get("passes")) == cert.passes
     _emit(
         {

@@ -78,5 +78,9 @@ class InfeasibilityError(RinvError):
         self.best_potential_margin = best_potential_margin
 
 
+class CertificateFormatError(RinvError):
+    """A stored certificate is not a JSON object with a valid epsilon and sigma."""
+
+
 class InvariantViolation(RinvError):
     """A runtime invariant of the selection process failed."""

@@ -59,20 +59,29 @@ def sym_eigendecomposition(S, tol: Tolerances | None = None) -> SymEigen:
     return SymEigen(lam[::-1].copy(), U[:, ::-1].copy())
 
 
-def shifted_inverse(S, shift: float, tol: Tolerances | None = None) -> np.ndarray:
-    """Inverse of S - shift*I, computed spectrally.
+def shifted_spectrum(lam, shift: float, tol: Tolerances | None = None) -> np.ndarray:
+    """Eigenvalues 1 / (lam - shift) of (S - shift*I)^{-1}, given those of S.
 
     Raises SingularShiftError when the shift sits on an eigenvalue of S.
     """
     tol = tol or default_tolerances()
-    lam, U = sym_eigendecomposition(S, tol)
+    lam = np.asarray(lam, dtype=float)
     scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
     gap = float(np.abs(lam - shift).min())
     if gap <= tol.shift_gap * scale:
         raise SingularShiftError(
             f"shift {shift} is within {gap:.3e} of an eigenvalue"
         )
-    return (U / (lam - shift)) @ U.T
+    return 1.0 / (lam - shift)
+
+
+def shifted_inverse(S, shift: float, tol: Tolerances | None = None) -> np.ndarray:
+    """Inverse of S - shift*I, computed spectrally.
+
+    Raises SingularShiftError when the shift sits on an eigenvalue of S.
+    """
+    lam, U = sym_eigendecomposition(S, tol)
+    return (U * shifted_spectrum(lam, shift, tol)) @ U.T
 
 
 def sherman_morrison_inverse(M_inv, w, tol: Tolerances | None = None) -> np.ndarray:

@@ -5,11 +5,15 @@ update at a time while sliding a barrier b downward by a fixed delta per
 step. The potential tr(L^T (A - bI)^{-1} L) never increases; every nonzero
 eigenvalue of A stays above the barrier, which at the end sits above
 (1 - eps)^2 ||L||_F^2 / m.
+
+Each step takes one eigh of A, kept with L^T U as a Spectrum: every
+potential, candidate test, diagnostic and trace value is read from it, and
+the eigh of A + w w^T taken after the step is the next step's spectrum.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -18,19 +22,23 @@ from .errors import (
     InfeasibilityError,
     InvariantViolation,
     ParameterError,
-    SingularShiftError,
     ZeroOperatorError,
 )
 from .matrix_core import (
     check_interlacing,
     frobenius_norm_sq,
-    shifted_inverse,
+    shifted_inverse,  # noqa: F401  (perfbench/tracing.py wraps this module name)
+    shifted_spectrum,
     spectral_norm,
+    sym_eigendecomposition,
 )
 from .tolerances import Tolerances, default_tolerances
 
 PIVOT_FIRST = "first"
 PIVOT_GREEDY = "greedy"
+# Candidates tested per block of the scan: bounds its (block x n) temporaries,
+# and a first-feasible scan stops after the first block holding a hit.
+_SCAN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -55,14 +63,58 @@ class Schedule:
         return self.steps_t == 0
 
 
+class AtShift(NamedTuple):
+    """The potential and its image/kernel split at one shift of A."""
+
+    d: np.ndarray  # 1 / (lam - shift), the spectrum of (A - shift I)^{-1}
+    phi: float
+    phi_image: float
+    phi_kernel: float  # -kernel_mass / shift
+    kernel_mass: float  # ||L^T Q||_F^2, Q the projection on the kernel band of A
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """A = U diag(lam) U^T (lam descending), seen through L as LtU = L^T U,
+    with column masses mass_j = ||L^T u_j||^2 and the kernel-band mask."""
+
+    lam: np.ndarray
+    LtU: np.ndarray
+    mass: np.ndarray
+    kernel: np.ndarray  # lam <= kernel_threshold * max(1, ||A||)
+
+    @classmethod
+    def of(cls, A, L, tol: Tolerances) -> "Spectrum":
+        lam, U = sym_eigendecomposition(A, tol)
+        LtU = np.asarray(L, dtype=float).T @ U
+        thresh = tol.kernel_threshold * max(1.0, float(np.abs(lam).max(initial=0.0)))
+        return cls(lam, LtU, np.sum(LtU * LtU, axis=0), lam <= thresh)
+
+    def at(self, shift: float, tol: Tolerances) -> AtShift:
+        """Phi = sum_j mass_j / (lam_j - shift) and its split; SingularShiftError on a lam_j."""
+        d = shifted_spectrum(self.lam, shift, tol)
+        terms = self.mass * d
+        kernel_mass = float(np.sum(self.mass[self.kernel]))
+        return AtShift(d, float(np.sum(terms)), float(np.sum(terms[~self.kernel])),
+                       -kernel_mass / shift, kernel_mass)
+
+
 @dataclass
 class SelectionState:
-    """Running state: accumulated A, chosen indices, current barrier."""
+    """Running state: accumulated A, chosen indices, current barrier, and
+    the spectrum of A (computed on first use when left out)."""
 
     A: np.ndarray
     sigma: List[int]
     barrier_b: float
     step_k: int
+    spectrum: Optional[Spectrum] = None
+
+
+def _spectrum(state: SelectionState, L, tol: Tolerances) -> Spectrum:
+    if state.spectrum is None:
+        state.spectrum = Spectrum.of(state.A, L, tol)
+    return state.spectrum
 
 
 @dataclass(frozen=True)
@@ -108,26 +160,8 @@ class StepTrace:
     preconditions: PreconditionDiagnostics
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "chosen_index": self.chosen_index + 1,  # 1-based for output
-            "barrier_before": self.barrier_before,
-            "barrier_after": self.barrier_after,
-            "phi_before": self.phi_before,
-            "phi_after": self.phi_after,
-            "phi_image": self.phi_image,
-            "phi_kernel": self.phi_kernel,
-            "kernel_frob_sq": self.kernel_frob_sq,
-            "candidates_scanned": self.candidates_scanned,
-            "quadform_margin": self.quadform_margin,
-            "potential_margin": self.potential_margin,
-            "preconditions": {
-                "potential_ok": self.preconditions.potential_ok,
-                "barrier_window_ok": self.preconditions.barrier_window_ok,
-                "kernel_mass_ok": self.preconditions.kernel_mass_ok,
-                "averaging_ok": self.preconditions.averaging_ok,
-            },
-        }
+        """The fields in declaration order, chosen_index 1-based for output."""
+        return dict(asdict(self), chosen_index=self.chosen_index + 1)
 
 
 @dataclass(frozen=True)
@@ -155,8 +189,6 @@ def compute_schedule(L, m: int, epsilon: float, tol: Tolerances | None = None) -
     spec_sq = spec * spec
     srank = frob_sq / spec_sq
     t = int(math.floor(epsilon * epsilon * srank))
-    if epsilon * epsilon * srank < 1.0:
-        t = 0
     b0 = (1.0 - epsilon) * frob_sq / m
     delta = (1.0 - epsilon) * spec_sq / (epsilon * m)
     if t >= 1 and not t * delta < b0:
@@ -171,9 +203,8 @@ def compute_schedule(L, m: int, epsilon: float, tol: Tolerances | None = None) -
 
 def potential(A, b: float, L, tol: Tolerances | None = None) -> float:
     """Barrier potential tr(L^T (A - bI)^{-1} L)."""
-    M = shifted_inverse(A, b, tol)
-    L = np.asarray(L, dtype=float)
-    return float(np.sum(L * (M @ L)))
+    tol = tol or default_tolerances()
+    return Spectrum.of(A, L, tol).at(b, tol).phi
 
 
 def potential_split(A, b_prime: float, L, tol: Tolerances | None = None):
@@ -184,21 +215,8 @@ def potential_split(A, b_prime: float, L, tol: Tolerances | None = None):
     projection of A.
     """
     tol = tol or default_tolerances()
-    A = np.asarray(A, dtype=float)
-    L = np.asarray(L, dtype=float)
-    lam, U = np.linalg.eigh(A)
-    thresh = tol.kernel_threshold * max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if np.abs(lam[lam > thresh] - b_prime).min(initial=np.inf) <= tol.shift_gap * max(
-        1.0, float(np.abs(lam).max(initial=0.0))
-    ):
-        raise SingularShiftError(f"barrier {b_prime} sits on an eigenvalue of A")
-    LtU = L.T @ U
-    col_sq = np.sum(LtU * LtU, axis=0)
-    kernel = lam <= thresh
-    phi_P = float(np.sum(col_sq[~kernel] / (lam[~kernel] - b_prime)))
-    qL_frob_sq = float(np.sum(col_sq[kernel]))
-    phi_Q = -qL_frob_sq / b_prime
-    return phi_P, phi_Q, qL_frob_sq
+    split = Spectrum.of(A, L, tol).at(b_prime, tol)
+    return split.phi_image, split.phi_kernel, split.kernel_mass
 
 
 def candidate_feasible(
@@ -218,7 +236,7 @@ def candidate_feasible(
     num = || L^T (A - b'I)^{-1} w ||^2.
 
     `slack` is a relative acceptance slack applied to both comparisons
-    (used only on the retry pass of a scan).
+    (used only on the retry pass). Scalar reference for select_next's scan.
     """
     w = np.asarray(w, dtype=float)
     if float(w @ w) == 0.0:
@@ -250,59 +268,36 @@ def check_step_preconditions(
     Failures surface as flags, never exceptions.
     """
     tol = tol or default_tolerances()
-    L = np.asarray(L, dtype=float)
+    spec = _spectrum(state, L, tol)
     b = state.barrier_b
-    b_prime = b - schedule.delta
+    at_b, at_bp = spec.at(b, tol), spec.at(b - schedule.delta, tol)
     slack = tol.precondition_slack
 
-    phi_b = potential(state.A, b, L, tol)
-    phi_bp = potential(state.A, b_prime, L, tol)
     target = -schedule.m - schedule.spec_sq / schedule.delta
-    potential_ok = phi_b <= target + slack * abs(target)
+    potential_ok = at_b.phi <= target + slack * abs(target)
 
     barrier_window_ok = 0.0 < schedule.delta < b
 
-    _, _, qL = potential_split(state.A, b_prime, L, tol)
-    rhs_kernel = schedule.delta * qL / schedule.spec_sq
+    rhs_kernel = schedule.delta * at_bp.kernel_mass / schedule.spec_sq
     kernel_mass_ok = b <= rhs_kernel + slack * abs(rhs_kernel)
 
-    M = shifted_inverse(state.A, b_prime, tol)
-    T = L.T @ (M @ L)
+    T = (spec.LtU * at_bp.d) @ spec.LtU.T  # L^T (A - b'I)^{-1} L
     lhs = float(np.sum(T * T))
-    rhs = (phi_b - phi_bp) * (-schedule.m - phi_bp)
+    rhs = (at_b.phi - at_bp.phi) * (-schedule.m - at_bp.phi)
     averaging_ok = lhs <= rhs + slack * abs(rhs)
 
     return PreconditionDiagnostics(potential_ok, barrier_window_ok, kernel_mass_ok, averaging_ok)
 
 
-def _scan_candidates(order, taken, W, M, L, phi_before, phi_after_shift, pivot_rule, slack):
-    """One pass over the candidates; returns (index, record, scanned) or None."""
-    scanned = 0
-    best = None  # greedy: (potential_after_add, position) minimization
-    best_rec = None
-    best_idx = None
-    best_margins = (-math.inf, -math.inf)
-    for pos, j in enumerate(order):
-        if j in taken:
-            continue
-        scanned += 1
-        rec = candidate_feasible(None, M, L, W[j], phi_before, phi_after_shift, slack)
-        if rec.reason != "zero-vector":
-            qm = -1.0 - rec.quadform
-            pm = phi_before - rec.potential_after_add
-            if min(qm, pm) > min(best_margins):
-                best_margins = (qm, pm)
-        if rec.feasible:
-            if pivot_rule == PIVOT_FIRST:
-                return j, rec, scanned, best_margins
-            key = (rec.potential_after_add, pos)
-            if best is None or key < best:
-                best = key
-                best_rec = rec
-                best_idx = j
-    if best_idx is not None:
-        return best_idx, best_rec, scanned, best_margins
-    return None, None, scanned, best_margins
+def _pick(quad, after, phi_before: float, slack: float, first: bool):
+    """Scan position of the chosen candidate (None if none passes), candidates scanned."""
+    ok = (quad < -1.0 + slack) & (after <= phi_before + slack * abs(phi_before))
+    hits = np.flatnonzero(ok)
+    if hits.size == 0:
+        return None, len(quad)
+    if first:
+        return int(hits[0]), int(hits[0]) + 1
+    return int(hits[np.argmin(after[hits])]), len(quad)
 
 
 def select_next(
@@ -319,47 +314,59 @@ def select_next(
     GreedyMinPotential the feasible index with smallest updated potential,
     ties broken by scan order. Raises InfeasibilityError when nothing
     passes even with the retry slack.
+
+    Blocks of candidates are tested at once: with w = L v and W U = V L^T U,
+    quadform = sum (W U)^2 / (lam - b') and L^T (A - b'I)^{-1} w is a row of
+    (W U / (lam - b')) (L^T U)^T. The retry pass re-reads them with slack.
     """
     tol = tol or default_tolerances()
     if pivot_rule not in (PIVOT_FIRST, PIVOT_GREEDY):
         raise ParameterError(f"unknown pivot rule {pivot_rule!r}")
-    L = dec.L
-    W = dec.mapped_vectors()
+    first = pivot_rule == PIVOT_FIRST
+    spec = _spectrum(state, dec.L, tol)
     b_prime = state.barrier_b - schedule.delta
-    M = shifted_inverse(state.A, b_prime, tol)
-    phi_before = potential(state.A, state.barrier_b, L, tol)
-    phi_after_shift = float(np.sum(L * (M @ L)))
-    order = range(dec.m) if scan_order is None else scan_order
-    taken = set(state.sigma)
+    phi_before = spec.at(state.barrier_b, tol).phi
+    at_bp = spec.at(b_prime, tol)
+    order = np.arange(dec.m) if scan_order is None else np.asarray(scan_order, dtype=int)
+    order = order[~np.isin(order, state.sigma)]
 
-    chosen, rec, scanned, margins = _scan_candidates(
-        order, taken, W, M, L, phi_before, phi_after_shift, pivot_rule, 0.0
-    )
-    if chosen is None:
-        chosen, rec, scanned2, margins = _scan_candidates(
-            order, taken, W, M, L, phi_before, phi_after_shift,
-            pivot_rule, tol.feasibility_retry,
-        )
-        scanned += scanned2
-    if chosen is None:
+    # NaN marks a candidate not reached, or a zero vector: it passes no test.
+    quad = np.full(len(order), np.nan)
+    after = np.full(len(order), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(order), _SCAN_BLOCK):
+            block = slice(start, start + _SCAN_BLOCK)
+            WU = dec.V[order[block]] @ spec.LtU
+            Y = (WU * at_bp.d) @ spec.LtU.T
+            quad[block] = q = np.where(WU.any(axis=1), (WU * WU) @ at_bp.d, np.nan)
+            after[block] = at_bp.phi - np.sum(Y * Y, axis=1) / (1.0 + q)
+            if first and _pick(q, after[block], phi_before, 0.0, first)[0] is not None:
+                break
+
+    pos, scanned = _pick(quad, after, phi_before, 0.0, first)
+    if pos is None:
+        pos, retried = _pick(quad, after, phi_before, tol.feasibility_retry, first)
+        scanned += retried
+    if pos is None:
+        qm, pm = -1.0 - quad, phi_before - after
+        score = np.nan_to_num(np.minimum(qm, pm), nan=-np.inf, neginf=-np.inf)
+        j = int(np.argmax(score)) if score.max(initial=-np.inf) > -np.inf else None
+        margins = (-math.inf, -math.inf) if j is None else (float(qm[j]), float(pm[j]))
         raise InfeasibilityError(
-            "no feasible candidate at step "
-            f"{state.step_k} (best quadform margin {margins[0]:.3e}, "
-            f"best potential margin {margins[1]:.3e})",
-            best_quadform_margin=margins[0],
-            best_potential_margin=margins[1],
+            f"no feasible candidate at step {state.step_k} (best quadform margin "
+            f"{margins[0]:.3e}, best potential margin {margins[1]:.3e})",
+            best_quadform_margin=margins[0], best_potential_margin=margins[1],
         )
-    return chosen, rec, scanned, phi_before, phi_after_shift, b_prime
+    rec = FeasibilityRecord(float(quad[pos]), float(after[pos]), True)
+    return int(order[pos]), rec, scanned, phi_before, at_bp.phi, b_prime
 
 
-def _check_post_step(A_new, k_next, b_prime, rec, phi_before, L, lam_old, tol):
-    """Runtime invariant checks after a rank-one acceptance."""
-    lam_new = np.linalg.eigvalsh(A_new)
-    check_interlacing(lam_old[::-1], lam_new[::-1], tol.interlacing_slack)
-    thresh = tol.kernel_threshold * max(1.0, float(lam_new.max(initial=0.0)))
-    above = int(np.sum(lam_new > b_prime))
-    below = int(np.sum(lam_new <= thresh))
-    n = A_new.shape[0]
+def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):
+    """Runtime invariant checks after a rank-one acceptance, on the spectra of A and A + w w^T."""
+    check_interlacing(old.lam, new.lam, tol.interlacing_slack)
+    above = int(np.sum(new.lam > b_prime))
+    below = int(np.sum(new.kernel))
+    n = len(new.lam)
     if above != k_next or below != n - k_next:
         raise InvariantViolation(
             f"barrier invariant failed at step {k_next}: {above} eigenvalues above "
@@ -370,7 +377,7 @@ def _check_post_step(A_new, k_next, b_prime, rec, phi_before, L, lam_old, tol):
             f"potential increased at step {k_next}: "
             f"{rec.potential_after_add} > {phi_before}"
         )
-    phi_fresh = potential(A_new, b_prime, L, tol)
+    phi_fresh = new.at(b_prime, tol).phi
     denom = max(abs(phi_fresh), 1.0)
     if abs(phi_fresh - rec.potential_after_add) > tol.sm_consistency * denom:
         raise InvariantViolation(
@@ -403,23 +410,21 @@ def run_selection(
 
     L = dec.L
     W = dec.mapped_vectors()
-    n = dec.n
-    state = SelectionState(A=np.zeros((n, n)), sigma=[], barrier_b=schedule.b0, step_k=0)
+    state = SelectionState(A=np.zeros((dec.n, dec.n)), sigma=[], barrier_b=schedule.b0, step_k=0)
     traces: List[StepTrace] = []
 
     for _ in range(schedule.steps_t):
+        spec = _spectrum(state, L, tol)
         diag = check_step_preconditions(state, schedule, L, tol)
-        lam_old = np.linalg.eigvalsh(state.A)
         chosen, rec, scanned, phi_before, _, b_prime = select_next(
             state, schedule, dec, pivot_rule, tol, scan_order
         )
         w = W[chosen]
         A_new = state.A + np.outer(w, w)
+        spec_new = Spectrum.of(A_new, L, tol)
         if check_invariants:
-            _check_post_step(
-                A_new, state.step_k + 1, b_prime, rec, phi_before, L, lam_old, tol
-            )
-        phi_P, phi_Q, qL = potential_split(state.A, b_prime, L, tol)
+            _check_post_step(spec, spec_new, state.step_k + 1, b_prime, rec, phi_before, tol)
+        split = spec.at(b_prime, tol)
         traces.append(
             StepTrace(
                 step=state.step_k + 1,
@@ -428,21 +433,16 @@ def run_selection(
                 barrier_after=b_prime,
                 phi_before=phi_before,
                 phi_after=rec.potential_after_add,
-                phi_image=phi_P,
-                phi_kernel=phi_Q,
-                kernel_frob_sq=qL,
+                phi_image=split.phi_image,
+                phi_kernel=split.phi_kernel,
+                kernel_frob_sq=split.kernel_mass,
                 candidates_scanned=scanned,
                 quadform_margin=-1.0 - rec.quadform,
                 potential_margin=phi_before - rec.potential_after_add,
                 preconditions=diag,
             )
         )
-        state = SelectionState(
-            A=A_new,
-            sigma=state.sigma + [chosen],
-            barrier_b=b_prime,
-            step_k=state.step_k + 1,
-        )
+        state = SelectionState(A_new, state.sigma + [chosen], b_prime, state.step_k + 1, spec_new)
 
     if check_invariants:
         final_b = schedule.b0 - schedule.delta * schedule.steps_t

@@ -1,11 +1,16 @@
 """CLI round trips, exit codes, and output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import mmread, mmwrite
 
+import rinv
 from rinv.cli import main
 
 
@@ -84,6 +89,22 @@ class TestGen:
     def test_infeasible(self, tmp_path):
         assert main(["gen", "--n", "4", "--m", "3", "--output", str(tmp_path / "v.mtx")]) == 1
 
+    def test_python_dash_m(self, tmp_path):
+        from rinv import random_tight_frame
+
+        vpath = tmp_path / "V.mtx"
+        env = dict(os.environ)
+        src = str(Path(rinv.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rinv", "gen", "--n", "3", "--m", "6", "--seed", "7",
+             "--output", str(vpath)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        V = np.asarray(mmread(str(vpath)), dtype=float)
+        assert np.array_equal(V, random_tight_frame(3, 6, 7))
+
 
 class TestVerify:
     def test_reverify_matches(self, id4, tmp_path, capsys):
@@ -107,6 +128,26 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["recomputed_passes"] is False
         assert report["match"] is False
+
+
+    @pytest.mark.parametrize(
+        "stored, message",
+        [
+            ({"sigma": [1], "passes": True}, "epsilon"),
+            ({"sigma": ["x"], "epsilon": 0.5, "passes": True}, "sigma"),
+            ([1, 2], "JSON object"),
+            ({"sigma": [1], "epsilon": 3, "passes": True}, "epsilon"),
+        ],
+        ids=["missing-epsilon", "non-integer-sigma", "top-level-list", "epsilon-out-of-range"],
+    )
+    def test_malformed_certificate_exits_1(self, id4, tmp_path, capsys, stored, message):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(stored))
+        assert main(["verify", "--L", id4, "--certificate", str(cert_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rinv: error: certificate ")
+        assert message in captured.err
 
 
 class TestOracleAndBench:
