@@ -14,7 +14,8 @@ import numpy as np
 
 from .decomposition import Decomposition, from_standard_basis
 from .errors import IndexRangeError, ModeError
-from .matrix_core import frobenius_norm_sq, gram_min_eigenvalue, spectral_norm
+from .matrix_core import gram_min_eigenvalue
+from .selector import compute_schedule
 from .tolerances import Tolerances, default_tolerances
 
 
@@ -72,22 +73,16 @@ def verify(
     are linearly independent, and the Gram lambda_min strictly exceeds
     (1 - eps)^2 ||L||_F^2 / m. Strictness carries no added slack: the
     guarantee holds with margin, so a borderline value signals genuine
-    numerical trouble.
+    numerical trouble. t, the bound, b0 and delta come from compute_schedule,
+    so an all-zero L raises ZeroOperatorError and an epsilon outside (0, 1)
+    ParameterError.
     """
     tol = tol or default_tolerances()
-    L = np.asarray(dec.L, dtype=float)
-    m = dec.m
-    sigma = _checked_sigma(sigma, m)
-    frob_sq = frobenius_norm_sq(L)
-    spec_sq = spectral_norm(L) ** 2
-    srank = frob_sq / spec_sq
-    t_bound = int(math.floor(epsilon * epsilon * srank))
-    bound = (1.0 - epsilon) ** 2 * frob_sq / m
-    b0 = (1.0 - epsilon) * frob_sq / m
-    delta = (1.0 - epsilon) * spec_sq / (epsilon * m)
+    sigma = _checked_sigma(sigma, dec.m)
+    schedule = compute_schedule(dec.L, dec.m, epsilon, tol)
 
     if sigma:
-        W = dec.mapped_vectors()[sigma]
+        W = dec.V[sigma] @ np.asarray(dec.L, dtype=float).T
         lam_min = gram_min_eigenvalue(W)
         row_sq = float(np.max(np.sum(W * W, axis=1)))
         independent = lam_min > tol.independence * row_sq
@@ -95,19 +90,20 @@ def verify(
         lam_min = math.inf
         independent = True
 
-    passes = len(sigma) >= t_bound and independent and lam_min > bound
+    bound = schedule.guarantee_bound
+    passes = len(sigma) >= schedule.steps_t and independent and lam_min > bound
     return Certificate(
         sigma=sigma,
         epsilon=epsilon,
-        subset_size_bound=t_bound,
+        subset_size_bound=schedule.steps_t,
         lambda_min=lam_min,
         guarantee_bound=bound,
-        stable_rank=srank,
-        b0=b0,
-        delta=delta,
+        stable_rank=schedule.frob_sq / schedule.spec_sq,
+        b0=schedule.b0,
+        delta=schedule.delta,
         independent=independent,
         passes=passes,
-        vacuous=t_bound == 0,
+        vacuous=schedule.vacuous,
         independence_tolerance=tol.independence,
     )
 

@@ -6,9 +6,11 @@ step. The potential tr(L^T (A - bI)^{-1} L) never increases; every nonzero
 eigenvalue of A stays above the barrier, which at the end sits above
 (1 - eps)^2 ||L||_F^2 / m.
 
-Each step takes one eigh of A, kept with L^T U as a Spectrum: every
-potential, candidate test, diagnostic and trace value is read from it, and
-the eigh of A + w w^T taken after the step is the next step's spectrum.
+A has rank k <= t after k steps, so a step's Spectrum holds only the k
+nonzero eigenpairs, from a thin SVD of the k chosen rows L v_i, plus an
+implicit zero block on the other n - k directions. Every potential,
+candidate test, diagnostic and trace value is read from it, and the
+spectrum of the k + 1 rows taken after the step is the next step's.
 """
 
 import math
@@ -66,7 +68,8 @@ class Schedule:
 class AtShift(NamedTuple):
     """The potential and its image/kernel split at one shift of A."""
 
-    d: np.ndarray  # 1 / (lam - shift), the spectrum of (A - shift I)^{-1}
+    d: np.ndarray  # 1 / (lam - shift), (A - shift I)^{-1} on the explicit eigenpairs
+    d0: float  # -1 / shift, (A - shift I)^{-1} on the implicit zero block (0 if it is empty)
     phi: float
     phi_image: float
     phi_kernel: float  # -kernel_mass / shift
@@ -75,34 +78,64 @@ class AtShift(NamedTuple):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A = U diag(lam) U^T (lam descending), seen through L as LtU = L^T U,
-    with column masses mass_j = ||L^T u_j||^2 and the kernel-band mask."""
+    """A = U diag(lam) U^T on k explicit eigenpairs (lam descending) plus an
+    implicit zero block on the n0 = n - k directions orthogonal to U, seen
+    through L: LtU = L^T U, column masses mass_j = ||L^T u_j||^2, the block's
+    mass mass0 = ||L||_F^2 - sum(mass), and LtL = L^T L. The kernel band is
+    the block together with every lam_j <= kernel_threshold * max(1, ||A||)."""
 
     lam: np.ndarray
     LtU: np.ndarray
     mass: np.ndarray
-    kernel: np.ndarray  # lam <= kernel_threshold * max(1, ||A||)
+    kernel: np.ndarray
+    n0: int
+    mass0: float
+    LtL: np.ndarray
 
     @classmethod
     def of(cls, A, L, tol: Tolerances) -> "Spectrum":
+        """All n eigenpairs of A from eigh; the zero block is empty."""
+        L = np.asarray(L, dtype=float)
         lam, U = sym_eigendecomposition(A, tol)
-        LtU = np.asarray(L, dtype=float).T @ U
+        return cls._seen(lam, U, L, L.T @ L, tol)
+
+    @classmethod
+    def of_rows(cls, W, L, LtL, tol: Tolerances) -> "Spectrum":
+        """A = W^T W from a thin SVD W^T = U diag(s) P^T of its k x n rows W:
+        lam = s^2, and U is orthonormal by construction."""
+        U, s, _ = np.linalg.svd(W.T, full_matrices=False)
+        return cls._seen(s * s, U, L, LtL, tol)
+
+    @classmethod
+    def _seen(cls, lam, U, L, LtL, tol: Tolerances) -> "Spectrum":
+        LtU = L.T @ U
+        mass = np.sum(LtU * LtU, axis=0)
+        n0 = U.shape[0] - U.shape[1]
+        mass0 = float(np.trace(LtL) - np.sum(mass)) if n0 else 0.0
         thresh = tol.kernel_threshold * max(1.0, float(np.abs(lam).max(initial=0.0)))
-        return cls(lam, LtU, np.sum(LtU * LtU, axis=0), lam <= thresh)
+        return cls(lam, LtU, mass, lam <= thresh, n0, mass0, LtL)
+
+    def padded(self) -> np.ndarray:
+        """All n eigenvalues: lam followed by the block's n0 zeros."""
+        return np.concatenate([self.lam, np.zeros(self.n0)])
 
     def at(self, shift: float, tol: Tolerances) -> AtShift:
-        """Phi = sum_j mass_j / (lam_j - shift) and its split; SingularShiftError on a lam_j."""
-        d = shifted_spectrum(self.lam, shift, tol)
+        """Phi = sum_j mass_j / (lam_j - shift) - mass0 / shift and its split;
+        SingularShiftError when the shift sits on an eigenvalue, the block's 0 included."""
+        k = len(self.lam)
+        # A nonempty block adds the one eigenvalue 0 to the shift-gap check.
+        d = shifted_spectrum(np.append(self.lam, np.zeros(min(self.n0, 1))), shift, tol)
+        d, d0 = d[:k], float(np.sum(d[k:]))
         terms = self.mass * d
-        kernel_mass = float(np.sum(self.mass[self.kernel]))
-        return AtShift(d, float(np.sum(terms)), float(np.sum(terms[~self.kernel])),
-                       -kernel_mass / shift, kernel_mass)
+        kernel_mass = float(np.sum(self.mass[self.kernel])) + self.mass0
+        return AtShift(d, d0, float(np.sum(terms)) + self.mass0 * d0,
+                       float(np.sum(terms[~self.kernel])), -kernel_mass / shift, kernel_mass)
 
 
 @dataclass
 class SelectionState:
     """Running state: accumulated A, chosen indices, current barrier, and
-    the spectrum of A (computed on first use when left out)."""
+    the spectrum of A (an eigh of A on first use when left out)."""
 
     A: np.ndarray
     sigma: List[int]
@@ -281,7 +314,8 @@ def check_step_preconditions(
     rhs_kernel = schedule.delta * at_bp.kernel_mass / schedule.spec_sq
     kernel_mass_ok = b <= rhs_kernel + slack * abs(rhs_kernel)
 
-    T = (spec.LtU * at_bp.d) @ spec.LtU.T  # L^T (A - b'I)^{-1} L
+    # L^T (A - b'I)^{-1} L, with (A - b'I)^{-1} = U diag(d - d0) U^T + d0 I
+    T = (spec.LtU * (at_bp.d - at_bp.d0)) @ spec.LtU.T + at_bp.d0 * spec.LtL
     lhs = float(np.sum(T * T))
     rhs = (at_b.phi - at_bp.phi) * (-schedule.m - at_bp.phi)
     averaging_ok = lhs <= rhs + slack * abs(rhs)
@@ -315,9 +349,11 @@ def select_next(
     ties broken by scan order. Raises InfeasibilityError when nothing
     passes even with the retry slack.
 
-    Blocks of candidates are tested at once: with w = L v and W U = V L^T U,
-    quadform = sum (W U)^2 / (lam - b') and L^T (A - b'I)^{-1} w is a row of
-    (W U / (lam - b')) (L^T U)^T. The retry pass re-reads them with slack.
+    Blocks of candidates are tested at once. With w = L v, W U = V L^T U and
+    (A - b'I)^{-1} = U diag(d - d0) U^T + d0 I:
+    quadform = sum (W U)^2 (d - d0) + d0 ||w||^2, and L^T (A - b'I)^{-1} w is
+    a row of (W U (d - d0)) (L^T U)^T + d0 V L^T L. The retry pass re-reads
+    them with slack.
     """
     tol = tol or default_tolerances()
     if pivot_rule not in (PIVOT_FIRST, PIVOT_GREEDY):
@@ -327,6 +363,7 @@ def select_next(
     b_prime = state.barrier_b - schedule.delta
     phi_before = spec.at(state.barrier_b, tol).phi
     at_bp = spec.at(b_prime, tol)
+    d_image = at_bp.d - at_bp.d0
     order = np.arange(dec.m) if scan_order is None else np.asarray(scan_order, dtype=int)
     order = order[~np.isin(order, state.sigma)]
 
@@ -336,9 +373,11 @@ def select_next(
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, len(order), _SCAN_BLOCK):
             block = slice(start, start + _SCAN_BLOCK)
-            WU = dec.V[order[block]] @ spec.LtU
-            Y = (WU * at_bp.d) @ spec.LtU.T
-            quad[block] = q = np.where(WU.any(axis=1), (WU * WU) @ at_bp.d, np.nan)
+            V = dec.V[order[block]]
+            WU, VG = V @ spec.LtU, V @ spec.LtL
+            w_sq = np.sum(V * VG, axis=1)
+            Y = (WU * d_image) @ spec.LtU.T + at_bp.d0 * VG
+            quad[block] = q = np.where(w_sq > 0, (WU * WU) @ d_image + at_bp.d0 * w_sq, np.nan)
             after[block] = at_bp.phi - np.sum(Y * Y, axis=1) / (1.0 + q)
             if first and _pick(q, after[block], phi_before, 0.0, first)[0] is not None:
                 break
@@ -363,10 +402,10 @@ def select_next(
 
 def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):
     """Runtime invariant checks after a rank-one acceptance, on the spectra of A and A + w w^T."""
-    check_interlacing(old.lam, new.lam, tol.interlacing_slack)
+    check_interlacing(old.padded(), new.padded(), tol.interlacing_slack)
     above = int(np.sum(new.lam > b_prime))
-    below = int(np.sum(new.kernel))
-    n = len(new.lam)
+    below = int(np.sum(new.kernel)) + new.n0
+    n = len(new.lam) + new.n0
     if above != k_next or below != n - k_next:
         raise InvariantViolation(
             f"barrier invariant failed at step {k_next}: {above} eigenvalues above "
@@ -408,20 +447,23 @@ def run_selection(
     if schedule.vacuous:
         return SelectionResult(sigma=[], schedule=schedule, traces=[], vacuous=True)
 
-    L = dec.L
-    W = dec.mapped_vectors()
-    state = SelectionState(A=np.zeros((dec.n, dec.n)), sigma=[], barrier_b=schedule.b0, step_k=0)
+    L = np.asarray(dec.L, dtype=float)
+    LtL = L.T @ L
+    rows = np.empty((0, dec.n))  # the chosen L v_i
+    state = SelectionState(A=np.zeros((dec.n, dec.n)), sigma=[], barrier_b=schedule.b0, step_k=0,
+                           spectrum=Spectrum.of_rows(rows, L, LtL, tol))
     traces: List[StepTrace] = []
 
     for _ in range(schedule.steps_t):
-        spec = _spectrum(state, L, tol)
+        spec = state.spectrum
         diag = check_step_preconditions(state, schedule, L, tol)
         chosen, rec, scanned, phi_before, _, b_prime = select_next(
             state, schedule, dec, pivot_rule, tol, scan_order
         )
-        w = W[chosen]
+        w = dec.V[chosen] @ L.T
+        rows = np.vstack([rows, w])
         A_new = state.A + np.outer(w, w)
-        spec_new = Spectrum.of(A_new, L, tol)
+        spec_new = Spectrum.of_rows(rows, L, LtL, tol)
         if check_invariants:
             _check_post_step(spec, spec_new, state.step_k + 1, b_prime, rec, phi_before, tol)
         split = spec.at(b_prime, tol)

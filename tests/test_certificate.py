@@ -13,7 +13,7 @@ from rinv import (
     verify,
     verify_classical,
 )
-from rinv.errors import IndexRangeError, ModeError
+from rinv.errors import IndexRangeError, ModeError, ZeroOperatorError
 
 
 class TestVerify:
@@ -49,6 +49,21 @@ class TestVerify:
             verify(dec, 0.5, [0, 0])
         with pytest.raises(IndexRangeError):
             verify(dec, 0.5, [3])
+
+    def test_zero_operator_is_typed(self):
+        dec = Decomposition(L=np.zeros((3, 3)), V=np.eye(3))
+        with pytest.raises(ZeroOperatorError):
+            verify(dec, 0.5, [0])
+
+    def test_epsilon_is_the_float_given(self):
+        # 0.7 * 0.7 * 100 == 48.99999999999999 in float64, so t is 48, not 49,
+        # for the selector and the certificate alike.
+        dec = from_standard_basis(np.eye(100))
+        result = run_selection(dec, 0.7)
+        cert = verify(dec, 0.7, result.sigma)
+        assert result.schedule.steps_t == len(result.sigma) == 48
+        assert cert.subset_size_bound == 48
+        assert cert.passes
 
     def test_recomputed_from_scratch(self):
         dec = Decomposition(L=np.eye(5), V=random_tight_frame(5, 10, 2))

@@ -129,6 +129,19 @@ class TestVerify:
         assert report["recomputed_passes"] is False
         assert report["match"] is False
 
+    def test_zero_operator_exits_1(self, tmp_path, capsys):
+        lpath, vpath = tmp_path / "zero.mtx", tmp_path / "frame.mtx"
+        mmwrite(str(lpath), np.zeros((3, 3)), precision=17)
+        mmwrite(str(vpath), rinv.random_tight_frame(3, 6, 1), precision=17)
+        cert_path = tmp_path / "c.json"
+        cert_path.write_text(json.dumps({"sigma": [1], "epsilon": 0.5, "passes": True}))
+        code = main(["verify", "--L", str(lpath), "--V", str(vpath),
+                     "--certificate", str(cert_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rinv: error: ")
+        assert "zero operator" in captured.err
 
     @pytest.mark.parametrize(
         "stored, message",

@@ -1,4 +1,4 @@
-"""The one-spectrum selector against a reference walk from the scalar primitives.
+"""The low-rank selector against a reference walk from the scalar primitives.
 
 The reference recomputes (A - bI)^{-1} with shifted_inverse at every step and
 tests one candidate at a time with candidate_feasible, the way the walk is
@@ -123,8 +123,9 @@ def _assert_plain(value, expected):
         assert value == expected
 
 
-def _check_against_reference(dec, epsilon, pivot, scan_order=None):
-    result = run_selection(dec, epsilon, pivot_rule=pivot, scan_order=scan_order)
+def _check_against_reference(dec, epsilon, pivot, scan_order=None, check_invariants=True):
+    result = run_selection(dec, epsilon, pivot_rule=pivot, scan_order=scan_order,
+                           check_invariants=check_invariants)
     sigma, traces = reference_walk(dec, epsilon, pivot, scan_order)
     assert result.sigma == sigma
     assert all(type(i) is int for i in result.sigma)
@@ -159,6 +160,64 @@ def test_permuted_scan_order_matches_reference(pivot, n, block, monkeypatch):
     for eps in (0.5, 0.8):
         order = rng.permutation(dec.m)
         assert _check_against_reference(dec, eps, pivot, scan_order=order) > 0
+
+
+def _ramp_instance(n, m, seed):
+    """L = Q diag(linspace(1, 2, n)) on a random tight frame: srank about 0.58 n."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Decomposition(L=Q * np.linspace(1.0, 2.0, n), V=random_tight_frame(n, m, seed))
+
+
+def _rank_deficient_instance():
+    """A ramp L with a zero row and a zero column on a frame holding e_3 / sqrt(2),
+    a candidate whose L v is exactly zero."""
+    dec = _ramp_instance(24, 24, 5)
+    L = dec.L.copy()
+    L[0, :] = 0.0
+    L[:, 3] = 0.0
+    V = np.vstack([dec.V, np.eye(24)]) / np.sqrt(2.0)
+    return Decomposition(L=L, V=V)
+
+
+LOW_RANK_CASES = {
+    "ramp-64x128": (lambda: _ramp_instance(64, 128, 3), True),
+    "rank-deficient": (_rank_deficient_instance, True),
+    "unchecked": (lambda: _ramp_instance(64, 128, 4), False),
+}
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+@pytest.mark.parametrize("case", LOW_RANK_CASES)
+def test_low_rank_walk_matches_reference(pivot, case):
+    make, check_invariants = LOW_RANK_CASES[case]
+    dec = make()
+    for eps in (0.5, 0.8):
+        assert _check_against_reference(dec, eps, pivot,
+                                         check_invariants=check_invariants) > 1
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+def test_walk_takes_no_eigh_of_order_n(pivot, monkeypatch):
+    orders, interlaced = [], []
+    eigh, check_interlacing = np.linalg.eigh, rinv.selector.check_interlacing
+
+    def counting_eigh(a, *args, **kwargs):
+        orders.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    def counting_interlacing(before, after, slack):
+        interlaced.append((len(before), len(after)))
+        return check_interlacing(before, after, slack)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(rinv.selector, "check_interlacing", counting_interlacing)
+    dec = _ramp_instance(64, 128, 3)
+    result = run_selection(dec, 0.5, pivot_rule=pivot)
+    assert len(result.sigma) == result.schedule.steps_t > 1
+    assert dec.n not in orders
+    # The post-step checks still see every step, on spectra padded to length n.
+    assert interlaced == [(dec.n, dec.n)] * result.schedule.steps_t
 
 
 def _raised_barrier_state():
