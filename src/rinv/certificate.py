@@ -13,7 +13,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .decomposition import Decomposition, from_standard_basis
-from .errors import IndexRangeError, ModeError
+from .errors import IndexRangeError
 from .matrix_core import gram_min_eigenvalue
 from .selector import compute_schedule
 from .tolerances import Tolerances, default_tolerances
@@ -38,7 +38,6 @@ class Certificate:
     independent: bool
     passes: bool
     vacuous: bool
-    independence_tolerance: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,7 +103,6 @@ def verify(
         independent=independent,
         passes=passes,
         vacuous=schedule.vacuous,
-        independence_tolerance=tol.independence,
     )
 
 
@@ -116,15 +114,6 @@ def verify_classical(
 
     Because the columns have unit norm, ||L||_F^2 = n and both checks
     coincide with the general certificate on the standard-basis system.
+    Columns that are not unit-norm raise ColumnNormError, a ModeError.
     """
-    tol = tol or default_tolerances()
-    L = np.asarray(L, dtype=float)
-    norms = np.linalg.norm(L, axis=0)
-    worst = int(np.argmax(np.abs(norms - 1.0)))
-    if abs(norms[worst] - 1.0) > tol.unit_column:
-        raise ModeError(
-            f"classical certificate needs unit-norm columns; column {worst + 1} "
-            f"has norm {norms[worst]:.12g}"
-        )
-    dec = from_standard_basis(L, tol=tol)
-    return verify(dec, epsilon, sigma, tol)
+    return verify(from_standard_basis(L, classical=True, tol=tol), epsilon, sigma, tol)

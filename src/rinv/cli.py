@@ -54,15 +54,8 @@ def _load_decomposition(args):
     if args.V is not None:
         V = _read_matrix(args.V)
     else:
-        if L.ndim != 2 or L.shape[0] != L.shape[1]:
-            raise RinvError(f"L must be square, got shape {L.shape}")
         V = np.eye(L.shape[0])
     return validate(Decomposition(L=L, V=V, mode=mode), default_tolerances())
-
-
-def _check_epsilon(parser, epsilon):
-    if not (0.0 < epsilon < 1.0):
-        parser.error(f"--epsilon must be in (0, 1), got {epsilon}")
 
 
 def _emit(payload: dict, output=None):
@@ -74,7 +67,6 @@ def _emit(payload: dict, output=None):
 
 
 def _cmd_select(parser, args):
-    _check_epsilon(parser, args.epsilon)
     dec = _load_decomposition(args)
     result = run_selection(dec, args.epsilon, pivot_rule=args.pivot)
     cert = verify(dec, args.epsilon, result.sigma)
@@ -125,7 +117,6 @@ def _cmd_verify(parser, args):
 
 
 def _cmd_oracle(parser, args):
-    _check_epsilon(parser, args.epsilon)
     dec = _load_decomposition(args)
     report = compare_to_guarantee(dec, args.epsilon, pivot_rule=args.pivot)
     _emit(report.to_json_dict(), args.output)
@@ -141,7 +132,6 @@ def _cmd_gen(parser, args):
 
 
 def _cmd_bench(parser, args):
-    _check_epsilon(parser, args.epsilon)
     dec = _load_decomposition(args)
     result = run_selection(dec, args.epsilon, pivot_rule=args.pivot)
     cert = verify(dec, args.epsilon, result.sigma)

@@ -41,16 +41,16 @@ class DecompositionError(RinvError):
         self.defect = defect
 
 
-class ColumnNormError(RinvError):
+class ModeError(RinvError):
+    """Input does not satisfy the requested validation mode."""
+
+
+class ColumnNormError(ModeError):
     """A column fails the unit-norm requirement of classical mode."""
 
     def __init__(self, message, worst_index=None):
         super().__init__(message)
         self.worst_index = worst_index
-
-
-class ModeError(RinvError):
-    """Input does not satisfy the requested validation mode."""
 
 
 class InfeasibleFrameError(RinvError):

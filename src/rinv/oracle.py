@@ -17,10 +17,11 @@ from .errors import InvariantViolation, SubsetTooLargeError
 from .tolerances import Tolerances, default_tolerances
 
 ENUMERATION_GUARD = 10**6
+_BATCH = 4096  # subsets whose Gram matrices are decomposed in one call
 
 
 def exhaustive_best_subset(
-    dec: Decomposition, t: int, batch_size: int = 4096, tol: Tolerances | None = None
+    dec: Decomposition, t: int, tol: Tolerances | None = None
 ) -> Tuple[List[int], float]:
     """Best size-t subset by Gram lambda_min, ties broken lexicographically.
 
@@ -29,7 +30,7 @@ def exhaustive_best_subset(
     last-ulp noise. t = 0 returns ([], inf): the empty subset vacuously
     satisfies any lower bound, so its value is a +inf sentinel.
     Enumeration order is lexicographic and the merge keeps the earliest
-    maximizer, so the result is independent of batch_size.
+    maximizer, so the result is independent of _BATCH.
     """
     tol = tol or default_tolerances()
     m = dec.m
@@ -45,7 +46,7 @@ def exhaustive_best_subset(
     best_sigma: List[int] = []
     combos = itertools.combinations(range(m), t)
     while True:
-        chunk = list(itertools.islice(combos, batch_size))
+        chunk = list(itertools.islice(combos, _BATCH))
         if not chunk:
             break
         idx = np.array(chunk, dtype=int)

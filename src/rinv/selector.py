@@ -8,9 +8,10 @@ eigenvalue of A stays above the barrier, which at the end sits above
 
 A has rank k <= t after k steps, so a step's Spectrum holds only the k
 nonzero eigenpairs, from a thin SVD of the k chosen rows L v_i, plus an
-implicit zero block on the other n - k directions. Every potential,
-candidate test, diagnostic and trace value is read from it, and the
-spectrum of the k + 1 rows taken after the step is the next step's.
+implicit zero block on the other n - k directions. The walk reads every
+potential, candidate test, diagnostic and trace value from it, and the
+spectrum of the k + 1 rows taken after the step is the next step's;
+potential and potential_split are references from one eigh of a dense A.
 """
 
 import math
@@ -29,7 +30,7 @@ from .errors import (
 from .matrix_core import (
     check_interlacing,
     frobenius_norm_sq,
-    shifted_inverse,  # noqa: F401  (perfbench/tracing.py wraps this module name)
+    shifted_inverse,
     shifted_spectrum,
     spectral_norm,
     sym_eigendecomposition,
@@ -76,13 +77,18 @@ class AtShift(NamedTuple):
     kernel_mass: float  # ||L^T Q||_F^2, Q the projection on the kernel band of A
 
 
+def _kernel_band(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Eigenvalues of A at or below kernel_threshold * max(1, ||A||)."""
+    return lam <= tol.kernel_threshold * max(1.0, float(np.abs(lam).max(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """A = U diag(lam) U^T on k explicit eigenpairs (lam descending) plus an
     implicit zero block on the n0 = n - k directions orthogonal to U, seen
     through L: LtU = L^T U, column masses mass_j = ||L^T u_j||^2, the block's
     mass mass0 = ||L||_F^2 - sum(mass), and LtL = L^T L. The kernel band is
-    the block together with every lam_j <= kernel_threshold * max(1, ||A||)."""
+    the block together with the explicit lam_j in _kernel_band."""
 
     lam: np.ndarray
     LtU: np.ndarray
@@ -93,27 +99,16 @@ class Spectrum:
     LtL: np.ndarray
 
     @classmethod
-    def of(cls, A, L, tol: Tolerances) -> "Spectrum":
-        """All n eigenpairs of A from eigh; the zero block is empty."""
-        L = np.asarray(L, dtype=float)
-        lam, U = sym_eigendecomposition(A, tol)
-        return cls._seen(lam, U, L, L.T @ L, tol)
-
-    @classmethod
     def of_rows(cls, W, L, LtL, tol: Tolerances) -> "Spectrum":
         """A = W^T W from a thin SVD W^T = U diag(s) P^T of its k x n rows W:
         lam = s^2, and U is orthonormal by construction."""
         U, s, _ = np.linalg.svd(W.T, full_matrices=False)
-        return cls._seen(s * s, U, L, LtL, tol)
-
-    @classmethod
-    def _seen(cls, lam, U, L, LtL, tol: Tolerances) -> "Spectrum":
+        lam = s * s
         LtU = L.T @ U
         mass = np.sum(LtU * LtU, axis=0)
         n0 = U.shape[0] - U.shape[1]
         mass0 = float(np.trace(LtL) - np.sum(mass)) if n0 else 0.0
-        thresh = tol.kernel_threshold * max(1.0, float(np.abs(lam).max(initial=0.0)))
-        return cls(lam, LtU, mass, lam <= thresh, n0, mass0, LtL)
+        return cls(lam, LtU, mass, _kernel_band(lam, tol), n0, mass0, LtL)
 
     def padded(self) -> np.ndarray:
         """All n eigenvalues: lam followed by the block's n0 zeros."""
@@ -132,22 +127,23 @@ class Spectrum:
                        float(np.sum(terms[~self.kernel])), -kernel_mass / shift, kernel_mass)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionState:
-    """Running state: accumulated A, chosen indices, current barrier, and
-    the spectrum of A (an eigh of A on first use when left out)."""
+    """Running state: chosen indices, current barrier, and the spectrum of
+    A = sum_{i in sigma} (L v_i)(L v_i)^T."""
 
-    A: np.ndarray
     sigma: List[int]
     barrier_b: float
-    step_k: int
-    spectrum: Optional[Spectrum] = None
+    spectrum: Spectrum
 
-
-def _spectrum(state: SelectionState, L, tol: Tolerances) -> Spectrum:
-    if state.spectrum is None:
-        state.spectrum = Spectrum.of(state.A, L, tol)
-    return state.spectrum
+    @classmethod
+    def of(cls, dec: Decomposition, sigma: Sequence[int], barrier_b: float,
+           tol: Tolerances | None = None) -> "SelectionState":
+        """The state after choosing sigma, with the barrier at barrier_b."""
+        tol = tol or default_tolerances()
+        L = np.asarray(dec.L, dtype=float)
+        sigma = [int(i) for i in sigma]
+        return cls(sigma, barrier_b, Spectrum.of_rows(dec.V[sigma] @ L.T, L, L.T @ L, tol))
 
 
 @dataclass(frozen=True)
@@ -202,7 +198,10 @@ class SelectionResult:
     sigma: List[int]
     schedule: Schedule
     traces: List[StepTrace] = field(default_factory=list)
-    vacuous: bool = False
+
+    @property
+    def vacuous(self) -> bool:
+        return self.schedule.vacuous
 
 
 def compute_schedule(L, m: int, epsilon: float, tol: Tolerances | None = None) -> Schedule:
@@ -235,9 +234,9 @@ def compute_schedule(L, m: int, epsilon: float, tol: Tolerances | None = None) -
 
 
 def potential(A, b: float, L, tol: Tolerances | None = None) -> float:
-    """Barrier potential tr(L^T (A - bI)^{-1} L)."""
-    tol = tol or default_tolerances()
-    return Spectrum.of(A, L, tol).at(b, tol).phi
+    """Barrier potential tr(L^T (A - bI)^{-1} L), from one eigh of A."""
+    L = np.asarray(L, dtype=float)
+    return float(np.sum(L * (shifted_inverse(A, b, tol) @ L)))
 
 
 def potential_split(A, b_prime: float, L, tol: Tolerances | None = None):
@@ -245,11 +244,16 @@ def potential_split(A, b_prime: float, L, tol: Tolerances | None = None):
 
     Returns (phi_P, phi_Q, qL_frob_sq) where phi_Q = -qL_frob_sq / b_prime
     and qL_frob_sq is the squared Frobenius mass of L seen by the kernel
-    projection of A.
+    projection of A. One eigh of A; the reference for Spectrum.at.
     """
     tol = tol or default_tolerances()
-    split = Spectrum.of(A, L, tol).at(b_prime, tol)
-    return split.phi_image, split.phi_kernel, split.kernel_mass
+    lam, U = sym_eigendecomposition(A, tol)
+    LtU = np.asarray(L, dtype=float).T @ U
+    mass = np.sum(LtU * LtU, axis=0)
+    kernel = _kernel_band(lam, tol)
+    qL = float(np.sum(mass[kernel]))
+    phi_P = float(np.sum((mass * shifted_spectrum(lam, b_prime, tol))[~kernel]))
+    return phi_P, -qL / b_prime, qL
 
 
 def candidate_feasible(
@@ -289,7 +293,7 @@ def candidate_feasible(
 
 
 def check_step_preconditions(
-    state: SelectionState, schedule: Schedule, L, tol: Tolerances | None = None
+    state: SelectionState, schedule: Schedule, tol: Tolerances | None = None
 ) -> PreconditionDiagnostics:
     """Diagnostics guaranteeing a feasible candidate exists at this step.
 
@@ -301,7 +305,7 @@ def check_step_preconditions(
     Failures surface as flags, never exceptions.
     """
     tol = tol or default_tolerances()
-    spec = _spectrum(state, L, tol)
+    spec = state.spectrum
     b = state.barrier_b
     at_b, at_bp = spec.at(b, tol), spec.at(b - schedule.delta, tol)
     slack = tol.precondition_slack
@@ -359,7 +363,7 @@ def select_next(
     if pivot_rule not in (PIVOT_FIRST, PIVOT_GREEDY):
         raise ParameterError(f"unknown pivot rule {pivot_rule!r}")
     first = pivot_rule == PIVOT_FIRST
-    spec = _spectrum(state, dec.L, tol)
+    spec = state.spectrum
     b_prime = state.barrier_b - schedule.delta
     phi_before = spec.at(state.barrier_b, tol).phi
     at_bp = spec.at(b_prime, tol)
@@ -392,7 +396,7 @@ def select_next(
         j = int(np.argmax(score)) if score.max(initial=-np.inf) > -np.inf else None
         margins = (-math.inf, -math.inf) if j is None else (float(qm[j]), float(pm[j]))
         raise InfeasibilityError(
-            f"no feasible candidate at step {state.step_k} (best quadform margin "
+            f"no feasible candidate at step {len(state.sigma)} (best quadform margin "
             f"{margins[0]:.3e}, best potential margin {margins[1]:.3e})",
             best_quadform_margin=margins[0], best_potential_margin=margins[1],
         )
@@ -430,46 +434,42 @@ def run_selection(
     epsilon: float,
     pivot_rule: str = PIVOT_FIRST,
     tol: Tolerances | None = None,
-    check_invariants: bool = True,
     scan_order: Optional[Sequence[int]] = None,
 ) -> SelectionResult:
     """Run the full barrier walk and return the selected index list.
 
-    Deterministic for fixed inputs, pivot rule, and scan order. With
-    check_invariants the barrier count, eigenvalue interlacing, potential
-    monotonicity, and the rank-one update identity are verified at every
-    step; existence-precondition diagnostics are recorded in the traces
-    either way.
+    Deterministic for fixed inputs, pivot rule, and scan order. Every step
+    records its existence-precondition diagnostics in the traces, and after
+    every step the barrier count, eigenvalue interlacing, potential
+    monotonicity and the rank-one update identity are checked on the
+    spectrum of the chosen rows, which the next step reads; the final
+    barrier is checked against the promised bound.
     """
     tol = tol or default_tolerances()
     dec = validate(dec, tol)
     schedule = compute_schedule(dec.L, dec.m, epsilon, tol)
     if schedule.vacuous:
-        return SelectionResult(sigma=[], schedule=schedule, traces=[], vacuous=True)
+        return SelectionResult(sigma=[], schedule=schedule)
 
     L = np.asarray(dec.L, dtype=float)
-    LtL = L.T @ L
+    state = SelectionState.of(dec, [], schedule.b0, tol)
     rows = np.empty((0, dec.n))  # the chosen L v_i
-    state = SelectionState(A=np.zeros((dec.n, dec.n)), sigma=[], barrier_b=schedule.b0, step_k=0,
-                           spectrum=Spectrum.of_rows(rows, L, LtL, tol))
     traces: List[StepTrace] = []
 
     for _ in range(schedule.steps_t):
         spec = state.spectrum
-        diag = check_step_preconditions(state, schedule, L, tol)
+        diag = check_step_preconditions(state, schedule, tol)
         chosen, rec, scanned, phi_before, _, b_prime = select_next(
             state, schedule, dec, pivot_rule, tol, scan_order
         )
-        w = dec.V[chosen] @ L.T
-        rows = np.vstack([rows, w])
-        A_new = state.A + np.outer(w, w)
-        spec_new = Spectrum.of_rows(rows, L, LtL, tol)
-        if check_invariants:
-            _check_post_step(spec, spec_new, state.step_k + 1, b_prime, rec, phi_before, tol)
+        rows = np.vstack([rows, dec.V[chosen] @ L.T])
+        spec_new = Spectrum.of_rows(rows, L, spec.LtL, tol)
+        step = len(state.sigma) + 1
+        _check_post_step(spec, spec_new, step, b_prime, rec, phi_before, tol)
         split = spec.at(b_prime, tol)
         traces.append(
             StepTrace(
-                step=state.step_k + 1,
+                step=step,
                 chosen_index=chosen,
                 barrier_before=state.barrier_b,
                 barrier_after=b_prime,
@@ -484,13 +484,12 @@ def run_selection(
                 preconditions=diag,
             )
         )
-        state = SelectionState(A_new, state.sigma + [chosen], b_prime, state.step_k + 1, spec_new)
+        state = SelectionState(state.sigma + [chosen], b_prime, spec_new)
 
-    if check_invariants:
-        final_b = schedule.b0 - schedule.delta * schedule.steps_t
-        if final_b < schedule.guarantee_bound - 1e-12 * abs(schedule.guarantee_bound):
-            raise InvariantViolation(
-                f"final barrier {final_b} fell below the promised bound "
-                f"{schedule.guarantee_bound}"
-            )
-    return SelectionResult(sigma=state.sigma, schedule=schedule, traces=traces, vacuous=False)
+    final_b = schedule.b0 - schedule.delta * schedule.steps_t
+    if final_b < schedule.guarantee_bound - 1e-12 * abs(schedule.guarantee_bound):
+        raise InvariantViolation(
+            f"final barrier {final_b} fell below the promised bound "
+            f"{schedule.guarantee_bound}"
+        )
+    return SelectionResult(sigma=state.sigma, schedule=schedule, traces=traces)

@@ -19,7 +19,6 @@ class Tolerances:
     identity_defect: float = 1e-8      # x n
     unit_column: float = 1e-8
     frame_generation: float = 1e-10    # x n
-    trace_defect: float = 1e-8
     # selection loop
     kernel_threshold: float = 1e-8     # x max(1, ||A||_2)
     potential_slack: float = 1e-7      # relative

@@ -127,8 +127,8 @@ def test_criterion_2_classical_constants():
 def test_criterion_3_invariant_suite(grid_runs):
     """Barrier count, monotone potential, existence preconditions, averaging,
     interlacing. The barrier/interlacing/monotonicity/rank-one-identity
-    checks already ran inside run_selection (check_invariants=True); here
-    the recorded per-step diagnostics are asserted as well."""
+    checks already ran inside run_selection at every step; here the
+    recorded per-step diagnostics are asserted as well."""
     steps = 0
     for run in grid_runs:
         prev_phi = None

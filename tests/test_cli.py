@@ -49,8 +49,20 @@ class TestSelect:
         assert [l["step"] for l in lines] == [1, 2, 3]
         assert all(l["preconditions"]["averaging_ok"] for l in lines)
 
-    def test_epsilon_out_of_range(self, id4):
-        assert main(["select", "--L", id4, "--epsilon", "1.5"]) == 1
+    def test_epsilon_out_of_range(self, id4, capsys):
+        for command in ("select", "oracle", "bench"):
+            assert main([command, "--L", id4, "--epsilon", "1.5"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "rinv: error: epsilon must be in (0, 1), got 1.5\n"
+
+    def test_non_square_L_without_V(self, tmp_path, capsys):
+        lpath = tmp_path / "L.mtx"
+        mmwrite(str(lpath), np.ones((2, 3)), precision=17)
+        assert main(["select", "--L", str(lpath), "--epsilon", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rinv: error: L must be square")
 
     def test_missing_file(self, tmp_path):
         assert main(["select", "--L", str(tmp_path / "nope.mtx"), "--epsilon", "0.5"]) == 1

@@ -1,9 +1,10 @@
 """The low-rank selector against a reference walk from the scalar primitives.
 
-The reference recomputes (A - bI)^{-1} with shifted_inverse at every step and
-tests one candidate at a time with candidate_feasible, the way the walk is
-written in the paper. The selector must choose the same sigma and record the
-same traces, within tol.sm_consistency.
+The reference forms the dense A, recomputes (A - bI)^{-1} with shifted_inverse
+and the potentials with potential and potential_split (each its own eigh of A)
+at every step, and tests one candidate at a time with candidate_feasible, the
+way the walk is written in the paper. The selector must choose the same sigma
+and record the same traces, within tol.sm_consistency.
 """
 
 import json
@@ -34,8 +35,10 @@ PIVOTS = ("first", "greedy")
 TOL = default_tolerances()
 
 
-def _phi(A, b, L):
-    return float(np.sum(L * (shifted_inverse(A, b) @ L)))
+def _gram(dec, sigma):
+    """A = sum_{i in sigma} (L v_i)(L v_i)^T, formed densely."""
+    W = dec.mapped_vectors()[list(sigma)]
+    return W.T @ W
 
 
 def _reference_scan(A, M, L, W, taken, order, phi_b, phi_bp, pivot, slack):
@@ -60,7 +63,7 @@ def _reference_scan(A, M, L, W, taken, order, phi_b, phi_bp, pivot, slack):
 def _reference_preconditions(A, b, sched, L):
     b_prime = b - sched.delta
     M = shifted_inverse(A, b_prime)
-    phi_b, phi_bp = _phi(A, b, L), _phi(A, b_prime, L)
+    phi_b, phi_bp = potential(A, b, L), potential(A, b_prime, L)
     _, _, qL = potential_split(A, b_prime, L)
     slack = TOL.precondition_slack
     target = -sched.m - sched.spec_sq / sched.delta
@@ -84,8 +87,7 @@ def reference_walk(dec, epsilon, pivot, scan_order=None):
     for k in range(sched.steps_t):
         b_prime = b - sched.delta
         M = shifted_inverse(A, b_prime)
-        phi_b, phi_bp = _phi(A, b, L), _phi(A, b_prime, L)
-        assert potential(A, b, L) == pytest.approx(phi_b, rel=TOL.sm_consistency)
+        phi_b, phi_bp = potential(A, b, L), potential(A, b_prime, L)
         phi_P, phi_Q, qL = potential_split(A, b_prime, L)
         chosen, rec, scanned, _ = _reference_scan(A, M, L, W, sigma, order, phi_b, phi_bp,
                                                   pivot, 0.0)
@@ -123,9 +125,8 @@ def _assert_plain(value, expected):
         assert value == expected
 
 
-def _check_against_reference(dec, epsilon, pivot, scan_order=None, check_invariants=True):
-    result = run_selection(dec, epsilon, pivot_rule=pivot, scan_order=scan_order,
-                           check_invariants=check_invariants)
+def _check_against_reference(dec, epsilon, pivot, scan_order=None):
+    result = run_selection(dec, epsilon, pivot_rule=pivot, scan_order=scan_order)
     sigma, traces = reference_walk(dec, epsilon, pivot, scan_order)
     assert result.sigma == sigma
     assert all(type(i) is int for i in result.sigma)
@@ -181,20 +182,31 @@ def _rank_deficient_instance():
 
 
 LOW_RANK_CASES = {
-    "ramp-64x128": (lambda: _ramp_instance(64, 128, 3), True),
-    "rank-deficient": (_rank_deficient_instance, True),
-    "unchecked": (lambda: _ramp_instance(64, 128, 4), False),
+    "ramp-64x128": lambda: _ramp_instance(64, 128, 3),
+    "rank-deficient": _rank_deficient_instance,
 }
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
 @pytest.mark.parametrize("case", LOW_RANK_CASES)
 def test_low_rank_walk_matches_reference(pivot, case):
-    make, check_invariants = LOW_RANK_CASES[case]
-    dec = make()
+    dec = LOW_RANK_CASES[case]()
     for eps in (0.5, 0.8):
-        assert _check_against_reference(dec, eps, pivot,
-                                         check_invariants=check_invariants) > 1
+        assert _check_against_reference(dec, eps, pivot) > 1
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+def test_state_of_prefix_replays_each_step(pivot):
+    # A state built from scratch after k steps of a recorded walk must see
+    # what the walk saw at step k + 1.
+    dec = _ramp_instance(64, 128, 3)
+    result = run_selection(dec, 0.5, pivot_rule=pivot)
+    assert len(result.traces) > 1
+    for k, tr in enumerate(result.traces):
+        state = SelectionState.of(dec, result.sigma[:k], tr.barrier_before)
+        assert check_step_preconditions(state, result.schedule) == tr.preconditions
+        chosen, *_ = select_next(state, result.schedule, dec, pivot)
+        assert chosen == tr.chosen_index
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
@@ -228,11 +240,10 @@ def _raised_barrier_state():
     L = rng.standard_normal((n, n))
     dec = Decomposition(L=L / np.linalg.norm(L, 2), V=random_tight_frame(n, 2 * n, 21))
     W = dec.mapped_vectors()
-    A = np.outer(W[0], W[0]) + np.outer(W[1], W[1])
     sched = compute_schedule(dec.L, dec.m, 0.8)
-    b_prime = np.linalg.eigvalsh(A)[-1] + 2.0 * float(np.max(np.sum(W * W, axis=1)))
-    state = SelectionState(A=A, sigma=[0, 1], barrier_b=b_prime + sched.delta, step_k=2)
-    return dec, sched, state
+    b_prime = (np.linalg.eigvalsh(_gram(dec, [0, 1]))[-1]
+               + 2.0 * float(np.max(np.sum(W * W, axis=1))))
+    return dec, sched, SelectionState.of(dec, [0, 1], b_prime + sched.delta)
 
 
 def _split_failure_state():
@@ -241,8 +252,7 @@ def _split_failure_state():
     the larger of its two margins, the second the larger smaller one."""
     dec = Decomposition(L=np.eye(2), V=np.diag(np.sqrt([3.0, 0.5])))
     sched = compute_schedule(dec.L, dec.m, 0.5)
-    state = SelectionState(A=np.zeros((2, 2)), sigma=[], barrier_b=1.0 + sched.delta, step_k=0)
-    return dec, sched, state
+    return dec, sched, SelectionState.of(dec, [], 1.0 + sched.delta)
 
 
 def _potential_failure_state():
@@ -251,8 +261,7 @@ def _potential_failure_state():
     inequality fails (16 > 32/3) where it would hold at b (64/9)."""
     dec = Decomposition(L=np.eye(4), V=np.eye(4))
     sched = compute_schedule(dec.L, dec.m, 0.5)
-    state = SelectionState(A=np.zeros((4, 4)), sigma=[], barrier_b=0.5 + sched.delta, step_k=0)
-    return dec, sched, state
+    return dec, sched, SelectionState.of(dec, [], 0.5 + sched.delta)
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
@@ -261,17 +270,18 @@ def _potential_failure_state():
 )
 def test_infeasible_step_reports_reference_margins(pivot, make_state):
     dec, sched, state = make_state()
-    diag = check_step_preconditions(state, sched, dec.L)
-    expected = _reference_preconditions(state.A, state.barrier_b, sched, dec.L)
+    A = _gram(dec, state.sigma)
+    diag = check_step_preconditions(state, sched)
+    expected = _reference_preconditions(A, state.barrier_b, sched, dec.L)
     assert asdict(diag) == expected
     with pytest.raises(InfeasibilityError) as err:
         select_next(state, sched, dec, pivot)
     b_prime = state.barrier_b - sched.delta
-    M = shifted_inverse(state.A, b_prime)
-    phi_b, phi_bp = _phi(state.A, state.barrier_b, dec.L), _phi(state.A, b_prime, dec.L)
+    M = shifted_inverse(A, b_prime)
+    phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, b_prime, dec.L)
     W = dec.mapped_vectors()
     for slack in (0.0, TOL.feasibility_retry):
-        chosen, _, scanned, margins = _reference_scan(state.A, M, dec.L, W, state.sigma,
+        chosen, _, scanned, margins = _reference_scan(A, M, dec.L, W, state.sigma,
                                                       range(dec.m), phi_b, phi_bp, pivot, slack)
         assert chosen is None and scanned == dec.m - len(state.sigma)
     assert err.value.best_quadform_margin == pytest.approx(margins[0], rel=1e-9)
@@ -285,13 +295,14 @@ def test_retry_pass_accepts_within_slack_and_counts_both_passes(pivot, scanned):
     dec = Decomposition(L=np.eye(3), V=np.eye(3))
     sched = compute_schedule(dec.L, dec.m, 0.5)
     b_prime = 1.0 / (1.0 - 1e-10)
-    state = SelectionState(A=np.zeros((3, 3)), sigma=[], barrier_b=b_prime + sched.delta, step_k=0)
+    state = SelectionState.of(dec, [], b_prime + sched.delta)
     chosen, rec, got_scanned, phi_b, phi_bp, _ = select_next(state, sched, dec, pivot)
     assert (chosen, got_scanned) == (0, scanned)
     assert -1.0 < rec.quadform < -1.0 + TOL.feasibility_retry
-    M = shifted_inverse(state.A, state.barrier_b - sched.delta)
-    exact = candidate_feasible(state.A, M, dec.L, np.eye(3)[0], phi_b, phi_bp)
-    retry = candidate_feasible(state.A, M, dec.L, np.eye(3)[0], phi_b, phi_bp,
+    A = np.zeros((3, 3))
+    M = shifted_inverse(A, state.barrier_b - sched.delta)
+    exact = candidate_feasible(A, M, dec.L, np.eye(3)[0], phi_b, phi_bp)
+    retry = candidate_feasible(A, M, dec.L, np.eye(3)[0], phi_b, phi_bp,
                                TOL.feasibility_retry)
     assert (exact.feasible, exact.reason, retry.feasible) == (False, "rank-test", True)
     assert rec.quadform == pytest.approx(retry.quadform, rel=1e-12)

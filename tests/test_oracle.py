@@ -12,6 +12,7 @@ from rinv import (
     from_standard_basis,
     random_tight_frame,
 )
+import rinv.oracle
 from rinv.errors import SubsetTooLargeError
 
 
@@ -44,9 +45,12 @@ class TestExhaustiveBestSubset:
         with pytest.raises(SubsetTooLargeError):
             exhaustive_best_subset(dec, 15)
 
-    def test_batch_size_irrelevant(self):
+    def test_batch_size_irrelevant(self, monkeypatch):
         dec = Decomposition(L=np.eye(4), V=random_tight_frame(4, 9, 5))
-        results = [exhaustive_best_subset(dec, 3, batch_size=bs) for bs in (1, 7, 4096)]
+        results = []
+        for batch in (1, 7, 4096):
+            monkeypatch.setattr(rinv.oracle, "_BATCH", batch)
+            results.append(exhaustive_best_subset(dec, 3))
         assert all(r == results[0] for r in results)
 
     def test_beats_any_specific_subset(self):

@@ -119,9 +119,7 @@ class TestSelectNext:
     def test_first_feasible_is_smallest_index(self):
         dec = from_standard_basis(np.eye(4))
         schedule = compute_schedule(dec.L, 4, 0.5)
-        state = SelectionState(
-            A=np.zeros((4, 4)), sigma=[], barrier_b=schedule.b0, step_k=0
-        )
+        state = SelectionState.of(dec, [], schedule.b0)
         chosen, rec, scanned, *_ = select_next(state, schedule, dec)
         assert chosen == 0
         assert rec.feasible
@@ -130,18 +128,17 @@ class TestSelectNext:
     def test_matches_exhaustive_scan(self):
         dec = Decomposition(L=np.eye(2), V=frame_120())
         schedule = compute_schedule(dec.L, 3, 0.75)
-        state = SelectionState(
-            A=np.zeros((2, 2)), sigma=[], barrier_b=schedule.b0, step_k=0
-        )
+        state = SelectionState.of(dec, [], schedule.b0)
         chosen, rec, *_ = select_next(state, schedule, dec)
         # verify against an independent scan of all three candidates
-        M = shifted_inverse(state.A, schedule.b0 - schedule.delta)
-        phi_b = potential(state.A, schedule.b0, dec.L)
-        phi_bp = potential(state.A, schedule.b0 - schedule.delta, dec.L)
+        A = np.zeros((2, 2))
+        M = shifted_inverse(A, schedule.b0 - schedule.delta)
+        phi_b = potential(A, schedule.b0, dec.L)
+        phi_bp = potential(A, schedule.b0 - schedule.delta, dec.L)
         feasible = [
             j
             for j, w in enumerate(dec.mapped_vectors())
-            if candidate_feasible(state.A, M, dec.L, w, phi_b, phi_bp).feasible
+            if candidate_feasible(A, M, dec.L, w, phi_b, phi_bp).feasible
         ]
         assert chosen == min(feasible)
 
@@ -269,10 +266,8 @@ class TestStepPreconditions:
     def test_initial_state_all_true(self):
         dec = from_standard_basis(np.eye(4))
         schedule = compute_schedule(dec.L, 4, 0.5)
-        state = SelectionState(
-            A=np.zeros((4, 4)), sigma=[], barrier_b=schedule.b0, step_k=0
-        )
-        diag = check_step_preconditions(state, schedule, dec.L)
+        state = SelectionState.of(dec, [], schedule.b0)
+        diag = check_step_preconditions(state, schedule)
         assert diag.all_ok()
 
     def test_every_step_of_a_run(self):
@@ -283,11 +278,7 @@ class TestStepPreconditions:
     def test_corrupted_barrier_window(self):
         dec = from_standard_basis(np.eye(4))
         schedule = compute_schedule(dec.L, 4, 0.5)
-        state = SelectionState(
-            A=np.zeros((4, 4)),
-            sigma=[],
-            barrier_b=schedule.delta / 2,  # below delta: window violated
-            step_k=0,
-        )
-        diag = check_step_preconditions(state, schedule, dec.L)
+        # a barrier below delta violates the window
+        state = SelectionState.of(dec, [], schedule.delta / 2)
+        diag = check_step_preconditions(state, schedule)
         assert not diag.barrier_window_ok
