@@ -15,7 +15,6 @@ import statistics
 import sys
 
 import numpy as np
-from scipy.io import mmread, mmwrite
 
 from .certificate import verify
 from .decomposition import Decomposition, Mode, random_tight_frame, validate
@@ -38,14 +37,78 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def mmread(path) -> np.ndarray:
+    """Dense float64 matrix from a Matrix Market file.
+
+    Reads the array and coordinate formats, real, integer or (coordinate
+    only) pattern entries, and general, symmetric or skew-symmetric
+    symmetry. Repeated coordinate entries are summed. Anything else raises
+    ValueError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        banner = fh.readline().split()
+        header = [word.lower() for word in banner[1:]]
+        if banner[:1] != ["%%MatrixMarket"] or len(header) != 4 or header[0] != "matrix":
+            raise ValueError("missing '%%MatrixMarket matrix ...' banner")
+        fmt, field, symmetry = header[1:]
+        if (fmt not in ("array", "coordinate") or field not in ("real", "integer", "pattern")
+                or symmetry not in ("general", "symmetric", "skew-symmetric")
+                or (fmt, field) == ("array", "pattern")):
+            raise ValueError(f"unsupported matrix type '{fmt} {field} {symmetry}'")
+        line = fh.readline()
+        while line and (not line.strip() or line.lstrip().startswith("%")):
+            line = fh.readline()
+        size = [int(word) for word in line.split()]
+        values = np.array(fh.read().split(), dtype=float)
+    if len(size) != (3 if fmt == "coordinate" else 2) or min(size) < 0:
+        raise ValueError(f"bad size line {line.strip()!r}")
+    m, n = size[:2]
+    skew = symmetry == "skew-symmetric"
+    if symmetry != "general" and m != n:
+        raise ValueError(f"a {symmetry} matrix must be square, got {m} x {n}")
+    width = 2 if field == "pattern" else 3
+    if fmt == "coordinate":
+        count = size[2] * width
+    elif symmetry == "general":
+        count = m * n
+    else:
+        count = n * (n + 1) // 2 - skew * n
+    if values.size != count:
+        raise ValueError(f"expected {count} values after the size line, found {values.size}")
+    if fmt == "coordinate":
+        entries = values.reshape(-1, width)
+        index = entries[:, :2]
+        # checked here: numpy would read row 0 - 1 = -1 as the last row
+        if not np.all((index == np.floor(index)) & (index >= 1) & (index <= (m, n))):
+            raise ValueError(f"coordinate index outside 1..{m} x 1..{n}")
+        i, j = (index - 1).astype(np.int64).T
+        values = entries[:, 2] if width == 3 else np.ones(len(entries))
+    elif symmetry == "general":
+        j, i = np.divmod(np.arange(count), m)  # column-major
+    else:
+        j, i = np.triu_indices(n, skew)  # the lower triangle, column-major
+    if symmetry != "general":
+        off = i != j
+        i, j = np.r_[i, j[off]], np.r_[j, i[off]]
+        values = np.r_[values, (-1.0 if skew else 1.0) * values[off]]
+    M = np.bincount(i * n + j, weights=values, minlength=m * n)  # int64 when empty
+    return M.reshape(m, n).astype(float, copy=False)
+
+
+def mmwrite(path, M) -> None:
+    """Write M as a Matrix Market `array real general` file: one value per
+    line in column-major order, with 17 significant digits (`%.16e`)."""
+    m, n = M.shape
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"%%MatrixMarket matrix array real general\n%\n{m} {n}\n")
+        fh.write("".join(f"{x:.16e}\n" for x in M.T.ravel().tolist()))
+
+
 def _read_matrix(path):
     try:
-        M = mmread(path)
-    except Exception as exc:
+        return mmread(path)
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
         raise RinvError(f"cannot parse Matrix Market file {path}: {exc}") from exc
-    if hasattr(M, "toarray"):
-        M = M.toarray()
-    return np.asarray(M, dtype=float)
 
 
 def _load_decomposition(args):
@@ -127,7 +190,7 @@ def _cmd_gen(parser, args):
     if args.m < args.n:
         parser.error(f"--m must be at least --n (got m={args.m}, n={args.n})")
     V = random_tight_frame(args.n, args.m, args.seed)
-    mmwrite(args.output, V, precision=17)
+    mmwrite(args.output, V)
     return EXIT_OK
 
 

@@ -104,7 +104,7 @@ def compare_to_guarantee(
     tol = tol or default_tolerances()
     result = run_selection(dec, epsilon, pivot_rule=pivot_rule, tol=tol)
     cert = verify(dec, epsilon, result.sigma, tol)
-    oracle_sigma, oracle_lambda = exhaustive_best_subset(dec, len(result.sigma))
+    oracle_sigma, oracle_lambda = exhaustive_best_subset(dec, len(result.sigma), tol)
     report = GuaranteeReport(
         sigma=cert.sigma,
         oracle_sigma=oracle_sigma,

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.io import mmread, mmwrite
 
 import rinv
+import rinv.cli
 from rinv.cli import main
 
 
@@ -116,6 +118,113 @@ class TestGen:
         assert proc.returncode == 0, proc.stderr
         V = np.asarray(mmread(str(vpath)), dtype=float)
         assert np.array_equal(V, random_tight_frame(3, 6, 7))
+
+
+def _scipy_dense(path):
+    M = mmread(str(path))
+    return np.asarray(M.toarray() if scipy.sparse.issparse(M) else M, dtype=float)
+
+
+def _hand_written(fmt, field, symmetry):
+    """A Matrix Market file written out by hand, with comments, blank lines
+    and (coordinate) a repeated entry."""
+    values = {"real": ["1.5", "-2.25e1", "0.5", "3", "7.125", "-1e-3"],
+              "integer": ["1", "-22", "2", "3", "7", "-4"], "pattern": []}[field]
+    size = "2 3" if symmetry == "general" else "3 3"
+    if fmt == "array":
+        body = values[: {"general": 6, "symmetric": 6, "skew-symmetric": 3}[symmetry]]
+    else:
+        entries = {"general": ["1 1", "2 3", "1 1", "2 1"],
+                   "symmetric": ["1 1", "2 1", "3 2", "2 1"],
+                   "skew-symmetric": ["2 1", "3 1", "3 2", "3 1"]}[symmetry]
+        body = [f"{e} {v}" for e, v in zip(entries, values)] if values else entries
+        size += f" {len(entries)}"
+    lines = [f"%%MatrixMarket matrix {fmt} {field} {symmetry}", "% hand-written", "",
+             size, *body]
+    return "\n".join(lines) + "\n"
+
+
+def _example(field, symmetry):
+    rng = np.random.default_rng(3)
+    B = rng.integers(-3, 4, (4, 4)) if field == "integer" else rng.standard_normal((4, 4))
+    B[rng.random((4, 4)) < 0.4] = 0
+    if symmetry == "symmetric":
+        return B + B.T
+    if symmetry == "skew-symmetric":
+        return B - B.T
+    return B[:3]
+
+
+class TestMatrixMarket:
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric", "skew-symmetric"])
+    @pytest.mark.parametrize("field", ["real", "integer", "pattern"])
+    @pytest.mark.parametrize("fmt", ["array", "coordinate"])
+    def test_reader_matches_scipy(self, tmp_path, fmt, field, symmetry):
+        hand = tmp_path / "hand.mtx"
+        hand.write_text(_hand_written(fmt, field, symmetry))
+        if (fmt, field) == ("array", "pattern"):
+            with pytest.raises(ValueError):
+                mmread(str(hand))
+            with pytest.raises(ValueError):
+                rinv.cli.mmread(str(hand))
+            return
+        written = tmp_path / "written.mtx"
+        M = _example(field, symmetry)
+        if field == "pattern":
+            M = M != 0
+        mmwrite(str(written), scipy.sparse.coo_matrix(M) if fmt == "coordinate" else M,
+                field=field, symmetry=symmetry, precision=17)
+        assert written.read_text().startswith(f"%%MatrixMarket matrix {fmt} {field} {symmetry}\n")
+        for path in (hand, written):
+            ours = rinv.cli.mmread(str(path))
+            assert ours.dtype == np.float64
+            assert ours.flags.c_contiguous
+            assert np.array_equal(ours, _scipy_dense(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "%%MatrixMarket tensor array real general\n1 1\n1\n",
+            "%%MatrixMarket matrix array complex general\n1 1\n1 0\n",
+            "%%MatrixMarket matrix coordinate real hermitian\n2 2 1\n1 1 1\n",
+            "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n2 2 1\n",
+            "%%MatrixMarket matrix array real general\n2 2\n1\n2\nx\n4\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n2 0 1\n",
+            "%%MatrixMarket matrix coordinate real general\n2 3 1\n3 1 1\n",
+            "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 4 1\n",
+            "%%MatrixMarket matrix coordinate real general\n100000000000000000000 1 0\n",
+            "",
+        ],
+        ids=["bad-banner", "complex", "hermitian", "too-few-entries", "too-many-entries",
+             "not-a-number", "index-zero", "index-above-m", "index-above-n", "size-overflow",
+             "empty-file"],
+    )
+    def test_malformed_exits_1(self, id4, tmp_path, capsys, text):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(text)
+        for flags in (["--L", str(bad)], ["--L", id4, "--V", str(bad)]):
+            assert main(["select", *flags, "--epsilon", "0.5"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"rinv: error: cannot parse Matrix Market file {bad}: ")
+            assert captured.err.count("\n") == 1
+
+    def test_cli_import_leaves_scipy_out(self):
+        env = dict(os.environ)
+        src = str(Path(rinv.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, rinv.cli; print([k for k in sys.modules if k.split('.')[0] == 'scipy'])"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_gen_bytes_match_scipy(self, tmp_path):
+        ours, reference = tmp_path / "V.mtx", tmp_path / "ref.mtx"
+        assert main(["gen", "--n", "5", "--m", "9", "--seed", "1", "--output", str(ours)]) == 0
+        mmwrite(str(reference), rinv.random_tight_frame(5, 9, 1), precision=17)
+        assert ours.read_bytes() == reference.read_bytes()
 
 
 class TestVerify:

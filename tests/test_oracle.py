@@ -1,6 +1,7 @@
 """Exhaustive oracle tests. The oracle never touches the selector."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rinv import (
 )
 import rinv.oracle
 from rinv.errors import SubsetTooLargeError
+from rinv.tolerances import default_tolerances
 
 
 def frame_120():
@@ -78,3 +80,16 @@ class TestCompareToGuarantee:
         report = compare_to_guarantee(from_standard_basis(np.eye(4)), 0.4)
         assert report.vacuous
         assert report.sigma == []
+
+    def test_caller_tolerances_reach_the_oracle(self, monkeypatch):
+        dec = Decomposition(L=np.eye(4), V=random_tight_frame(4, 8, 3))
+        tol = replace(default_tolerances(), oracle_tie=0.5)
+        seen = []
+
+        def spy(dec, t, tol=None):
+            seen.append(tol)
+            return exhaustive_best_subset(dec, t, tol)
+
+        monkeypatch.setattr(rinv.oracle, "exhaustive_best_subset", spy)
+        compare_to_guarantee(dec, 0.6, tol=tol)
+        assert seen == [tol]
