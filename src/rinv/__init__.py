@@ -1,4 +1,8 @@
-"""Deterministic barrier-method subset selection for restricted invertibility."""
+"""Deterministic barrier-method subset selection for restricted invertibility.
+
+The internals (the step state, potentials, feasibility tests and matrix
+primitives) live in rinv.selector and rinv.matrix_core.
+"""
 
 from .certificate import Certificate, verify, verify_classical
 from .decomposition import (
@@ -9,69 +13,24 @@ from .decomposition import (
     random_tight_frame,
     validate,
 )
-from .matrix_core import (
-    SymEigen,
-    check_interlacing,
-    frobenius_norm_sq,
-    gram_min_eigenvalue,
-    sherman_morrison_inverse,
-    shifted_inverse,
-    spectral_norm,
-    stable_rank,
-    sym_eigendecomposition,
-)
-from .oracle import GuaranteeReport, compare_to_guarantee, exhaustive_best_subset
-from .selector import (
-    PIVOT_FIRST,
-    PIVOT_GREEDY,
-    Schedule,
-    SelectionResult,
-    SelectionState,
-    StepTrace,
-    candidate_feasible,
-    check_step_preconditions,
-    compute_schedule,
-    potential,
-    potential_split,
-    run_selection,
-    select_next,
-)
+from .oracle import compare_to_guarantee, exhaustive_best_subset
+from .selector import SelectionResult, compute_schedule, run_selection
 from .tolerances import Tolerances, default_tolerances
 
 __all__ = [
     "Certificate",
     "Decomposition",
-    "GuaranteeReport",
     "Mode",
-    "PIVOT_FIRST",
-    "PIVOT_GREEDY",
-    "Schedule",
     "SelectionResult",
-    "SelectionState",
-    "StepTrace",
-    "SymEigen",
     "Tolerances",
-    "candidate_feasible",
-    "check_interlacing",
-    "check_step_preconditions",
     "compare_to_guarantee",
     "compute_schedule",
     "default_tolerances",
     "exhaustive_best_subset",
-    "frobenius_norm_sq",
     "from_standard_basis",
-    "gram_min_eigenvalue",
     "permuted",
-    "potential",
-    "potential_split",
     "random_tight_frame",
     "run_selection",
-    "select_next",
-    "sherman_morrison_inverse",
-    "shifted_inverse",
-    "spectral_norm",
-    "stable_rank",
-    "sym_eigendecomposition",
     "validate",
     "verify",
     "verify_classical",

@@ -78,7 +78,7 @@ def verify(
     """
     tol = tol or default_tolerances()
     sigma = _checked_sigma(sigma, dec.m)
-    schedule = compute_schedule(dec.L, dec.m, epsilon, tol)
+    schedule = compute_schedule(dec.L, dec.m, epsilon)
 
     if sigma:
         W = dec.V[sigma] @ np.asarray(dec.L, dtype=float).T

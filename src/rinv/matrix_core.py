@@ -5,7 +5,7 @@ are backed by LAPACK via numpy. Contracts are tolerance-based (see
 tolerances.py); the solver choice is an implementation detail.
 """
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -16,20 +16,8 @@ from .errors import (
     SingularShiftError,
     SingularUpdateError,
     SymmetryError,
-    ZeroOperatorError,
 )
 from .tolerances import Tolerances, default_tolerances
-
-
-class SymEigen(NamedTuple):
-    """Spectral decomposition with eigenvalues sorted descending.
-
-    eigenvectors holds orthonormal columns; column i pairs with
-    eigenvalues[i].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _as_square(S, name="matrix"):
@@ -50,23 +38,25 @@ def _require_symmetric(S, rtol, name="matrix"):
         )
 
 
-def sym_eigendecomposition(S, tol: Tolerances | None = None) -> SymEigen:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
+def sym_eigendecomposition(S, tol: Tolerances | None = None):
+    """(lam, U) of a symmetric matrix: eigenvalues descending, column U[:, i]
+    the orthonormal eigenvector of lam[i]."""
     tol = tol or default_tolerances()
     S = _as_square(S)
     _require_symmetric(S, tol.symmetry_rtol)
     lam, U = np.linalg.eigh(S)
-    return SymEigen(lam[::-1].copy(), U[:, ::-1].copy())
+    return lam[::-1].copy(), U[:, ::-1].copy()
 
 
 def shifted_spectrum(lam, shift: float, tol: Tolerances | None = None) -> np.ndarray:
     """Eigenvalues 1 / (lam - shift) of (S - shift*I)^{-1}, given those of S.
 
-    Raises SingularShiftError when the shift sits on an eigenvalue of S.
+    Raises SingularShiftError when the shift is within shift_gap * max(|shift|, ||S||)
+    of an eigenvalue of S.
     """
     tol = tol or default_tolerances()
     lam = np.asarray(lam, dtype=float)
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
+    scale = max(abs(shift), float(np.abs(lam).max(initial=0.0)))
     gap = float(np.abs(lam - shift).min())
     if gap <= tol.shift_gap * scale:
         raise SingularShiftError(
@@ -111,14 +101,6 @@ def frobenius_norm_sq(L) -> float:
     """Squared Frobenius norm, sum of squared entries."""
     L = np.asarray(L, dtype=float)
     return float(np.sum(L * L))
-
-
-def stable_rank(L) -> float:
-    """||L||_F^2 / ||L||_2^2, a robust surrogate for rank."""
-    s = spectral_norm(L)
-    if s == 0.0:
-        raise ZeroOperatorError("stable rank is undefined for the zero operator")
-    return frobenius_norm_sq(L) / (s * s)
 
 
 def gram_min_eigenvalue(vectors: Sequence[np.ndarray]) -> float:

@@ -95,7 +95,7 @@ def compare_to_guarantee(
 ) -> GuaranteeReport:
     """Run the selector and sandwich its value: bound < algo <= oracle.
 
-    Raises InvariantViolation if the chain fails (beyond a small absolute
+    Raises InvariantViolation if the chain fails (beyond a small relative
     margin on the oracle side for the shared floating-point noise).
     """
     from .certificate import verify
@@ -120,7 +120,7 @@ def compare_to_guarantee(
         raise InvariantViolation(
             f"algorithm value {report.algo_lambda} not above bound {report.bound}"
         )
-    if not (report.algo_lambda <= report.oracle_lambda + tol.oracle_margin):
+    if not (report.algo_lambda <= report.oracle_lambda * (1.0 + tol.oracle_margin)):
         raise InvariantViolation(
             f"algorithm value {report.algo_lambda} exceeds oracle optimum "
             f"{report.oracle_lambda}"

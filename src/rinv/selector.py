@@ -78,8 +78,8 @@ class AtShift(NamedTuple):
 
 
 def _kernel_band(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Eigenvalues of A at or below kernel_threshold * max(1, ||A||)."""
-    return lam <= tol.kernel_threshold * max(1.0, float(np.abs(lam).max(initial=0.0)))
+    """Eigenvalues of A at or below kernel_threshold * ||A||."""
+    return lam <= tol.kernel_threshold * float(np.abs(lam).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ class Spectrum:
     implicit zero block on the n0 = n - k directions orthogonal to U, seen
     through L: LtU = L^T U, column masses mass_j = ||L^T u_j||^2, the block's
     mass mass0 = ||L||_F^2 - sum(mass), and LtL = L^T L. The kernel band is
-    the block together with the explicit lam_j in _kernel_band."""
+    the block together with the explicit lam_j in _kernel_band. Each at()
+    result is kept per (shift, tol), so a step evaluates each shift once."""
 
     lam: np.ndarray
     LtU: np.ndarray
@@ -97,6 +98,7 @@ class Spectrum:
     n0: int
     mass0: float
     LtL: np.ndarray
+    _at: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of_rows(cls, W, L, LtL, tol: Tolerances) -> "Spectrum":
@@ -117,14 +119,17 @@ class Spectrum:
     def at(self, shift: float, tol: Tolerances) -> AtShift:
         """Phi = sum_j mass_j / (lam_j - shift) - mass0 / shift and its split;
         SingularShiftError when the shift sits on an eigenvalue, the block's 0 included."""
-        k = len(self.lam)
-        # A nonempty block adds the one eigenvalue 0 to the shift-gap check.
-        d = shifted_spectrum(np.append(self.lam, np.zeros(min(self.n0, 1))), shift, tol)
-        d, d0 = d[:k], float(np.sum(d[k:]))
-        terms = self.mass * d
-        kernel_mass = float(np.sum(self.mass[self.kernel])) + self.mass0
-        return AtShift(d, d0, float(np.sum(terms)) + self.mass0 * d0,
-                       float(np.sum(terms[~self.kernel])), -kernel_mass / shift, kernel_mass)
+        if (shift, tol) not in self._at:
+            k = len(self.lam)
+            # A nonempty block adds the one eigenvalue 0 to the shift-gap check.
+            d = shifted_spectrum(np.append(self.lam, np.zeros(min(self.n0, 1))), shift, tol)
+            d, d0 = d[:k], float(np.sum(d[k:]))
+            terms = self.mass * d
+            kernel_mass = float(np.sum(self.mass[self.kernel])) + self.mass0
+            self._at[shift, tol] = AtShift(d, d0, float(np.sum(terms)) + self.mass0 * d0,
+                                           float(np.sum(terms[~self.kernel])),
+                                           -kernel_mass / shift, kernel_mass)
+        return self._at[shift, tol]
 
 
 @dataclass(frozen=True)
@@ -204,7 +209,7 @@ class SelectionResult:
         return self.schedule.vacuous
 
 
-def compute_schedule(L, m: int, epsilon: float, tol: Tolerances | None = None) -> Schedule:
+def compute_schedule(L, m: int, epsilon: float) -> Schedule:
     """Barrier schedule for operator L and m candidate vectors.
 
     b0 = (1-eps) ||L||_F^2 / m, delta = (1-eps) ||L||_2^2 / (eps m), and
@@ -346,7 +351,8 @@ def select_next(
     tol: Tolerances | None = None,
     scan_order: Optional[Sequence[int]] = None,
 ):
-    """Choose the next index to add at the lowered barrier b - delta.
+    """Choose the next index to add at the lowered barrier b - delta;
+    returns (index, FeasibilityRecord, candidates scanned).
 
     FirstFeasible returns the earliest feasible index in scan order;
     GreedyMinPotential the feasible index with smallest updated potential,
@@ -401,7 +407,7 @@ def select_next(
             best_quadform_margin=margins[0], best_potential_margin=margins[1],
         )
     rec = FeasibilityRecord(float(quad[pos]), float(after[pos]), True)
-    return int(order[pos]), rec, scanned, phi_before, at_bp.phi, b_prime
+    return int(order[pos]), rec, scanned
 
 
 def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):
@@ -447,7 +453,7 @@ def run_selection(
     """
     tol = tol or default_tolerances()
     dec = validate(dec, tol)
-    schedule = compute_schedule(dec.L, dec.m, epsilon, tol)
+    schedule = compute_schedule(dec.L, dec.m, epsilon)
     if schedule.vacuous:
         return SelectionResult(sigma=[], schedule=schedule)
 
@@ -459,14 +465,14 @@ def run_selection(
     for _ in range(schedule.steps_t):
         spec = state.spectrum
         diag = check_step_preconditions(state, schedule, tol)
-        chosen, rec, scanned, phi_before, _, b_prime = select_next(
-            state, schedule, dec, pivot_rule, tol, scan_order
-        )
+        chosen, rec, scanned = select_next(state, schedule, dec, pivot_rule, tol, scan_order)
+        # Both shifts were evaluated by the two calls above and are kept on spec.
+        b_prime = state.barrier_b - schedule.delta
+        phi_before, split = spec.at(state.barrier_b, tol).phi, spec.at(b_prime, tol)
         rows = np.vstack([rows, dec.V[chosen] @ L.T])
         spec_new = Spectrum.of_rows(rows, L, spec.LtL, tol)
         step = len(state.sigma) + 1
         _check_post_step(spec, spec_new, step, b_prime, rec, phi_before, tol)
-        split = spec.at(b_prime, tol)
         traces.append(
             StepTrace(
                 step=step,

@@ -13,14 +13,14 @@ from dataclasses import dataclass, fields, replace
 class Tolerances:
     # matrix primitives
     symmetry_rtol: float = 1e-12
-    shift_gap: float = 1e-12           # x max(1, ||S||_2)
+    shift_gap: float = 1e-12           # x max(|shift|, ||S||_2)
     sm_denominator: float = 1e-12
     # decomposition validation
     identity_defect: float = 1e-8      # x n
     unit_column: float = 1e-8
     frame_generation: float = 1e-10    # x n
     # selection loop
-    kernel_threshold: float = 1e-8     # x max(1, ||A||_2)
+    kernel_threshold: float = 1e-8     # x ||A||_2
     potential_slack: float = 1e-7      # relative
     precondition_slack: float = 1e-7   # relative
     feasibility_retry: float = 1e-9    # relative
@@ -28,7 +28,7 @@ class Tolerances:
     sm_consistency: float = 1e-8       # relative
     # certificate / oracle
     independence: float = 1e-10        # x max squared selected-vector norm
-    oracle_margin: float = 1e-9        # absolute
+    oracle_margin: float = 1e-9        # relative
     oracle_tie: float = 1e-12          # relative; equal-value subsets tie lexicographically
 
 

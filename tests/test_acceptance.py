@@ -24,14 +24,14 @@ from rinv import (
     exhaustive_best_subset,
     from_standard_basis,
     permuted,
-    potential,
     random_tight_frame,
     run_selection,
-    sherman_morrison_inverse,
     verify,
     verify_classical,
 )
 from rinv.cli import main as cli_main
+from rinv.matrix_core import sherman_morrison_inverse
+from rinv.selector import potential
 
 EPS_GRID = (0.3, 0.5, 0.7, 0.9)
 N_GRID = (4, 6, 8, 12)

@@ -12,7 +12,9 @@ import scipy.sparse
 from scipy.io import mmread, mmwrite
 
 import rinv
+import rinv.certificate
 import rinv.cli
+import rinv.selector
 from rinv.cli import main
 
 
@@ -303,6 +305,34 @@ class TestOracleAndBench:
         assert stats["random_trials"] == 20
         assert stats["barrier_lambda"] == pytest.approx(1.0)
         assert stats["random_lambda_max"] <= 1.0 + 1e-12
+
+    def test_bench_schedules_once_and_scores_like_verify(self, tmp_path, capsys, monkeypatch):
+        L, V = np.diag(np.linspace(1.0, 2.0, 6)), rinv.random_tight_frame(6, 12, 1)
+        lpath, vpath = tmp_path / "L.mtx", tmp_path / "V.mtx"
+        mmwrite(str(lpath), L, precision=17)
+        mmwrite(str(vpath), V, precision=17)
+        calls = []
+        schedule = rinv.selector.compute_schedule
+
+        def spy(*args):
+            calls.append(args)
+            return schedule(*args)
+
+        monkeypatch.setattr(rinv.selector, "compute_schedule", spy)
+        monkeypatch.setattr(rinv.certificate, "compute_schedule", spy)
+        code = main(["bench", "--L", str(lpath), "--V", str(vpath), "--epsilon", "0.8",
+                     "--trials", "20", "--seed", "3"])
+        assert code == 0 and len(calls) == 2  # run_selection and verify of the selection
+        stats = json.loads(capsys.readouterr().out)
+        t = stats["t"]
+        assert t > 1 and stats["random_trials"] == 20
+        # The subsets bench draws, each scored by verify.
+        rng = np.random.default_rng(3)
+        dec = rinv.Decomposition(L=L, V=V)
+        vals = [rinv.verify(dec, 0.8, sorted(rng.choice(12, size=t, replace=False).tolist())).lambda_min
+                for _ in range(20)]
+        assert stats["random_lambda_min"] == min(vals)
+        assert stats["random_lambda_max"] == max(vals)
 
 
 class TestUsage:

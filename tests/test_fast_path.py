@@ -15,19 +15,21 @@ import pytest
 
 from rinv import (
     Decomposition,
+    compute_schedule,
+    default_tolerances,
+    random_tight_frame,
+    run_selection,
+)
+import rinv.selector
+from rinv.selector import (
     SelectionState,
     candidate_feasible,
     check_step_preconditions,
-    compute_schedule,
-    default_tolerances,
     potential,
     potential_split,
-    random_tight_frame,
-    run_selection,
     select_next,
     shifted_inverse,
 )
-import rinv.selector
 from rinv.errors import InfeasibilityError
 from test_acceptance import EPS_GRID, build_grid
 
@@ -205,7 +207,7 @@ def test_state_of_prefix_replays_each_step(pivot):
     for k, tr in enumerate(result.traces):
         state = SelectionState.of(dec, result.sigma[:k], tr.barrier_before)
         assert check_step_preconditions(state, result.schedule) == tr.preconditions
-        chosen, *_ = select_next(state, result.schedule, dec, pivot)
+        chosen, _, _ = select_next(state, result.schedule, dec, pivot)
         assert chosen == tr.chosen_index
 
 
@@ -230,6 +232,24 @@ def test_walk_takes_no_eigh_of_order_n(pivot, monkeypatch):
     assert dec.n not in orders
     # The post-step checks still see every step, on spectra padded to length n.
     assert interlaced == [(dec.n, dec.n)] * result.schedule.steps_t
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+def test_walk_evaluates_each_potential_once(pivot, monkeypatch):
+    # Phi at b0, then per step Phi at b' before the step and after it; the
+    # latter is the next step's Phi at b.
+    calls = []
+    shifted_spectrum = rinv.selector.shifted_spectrum
+
+    def counting(lam, shift, tol=None):
+        calls.append(shift)
+        return shifted_spectrum(lam, shift, tol)
+
+    monkeypatch.setattr(rinv.selector, "shifted_spectrum", counting)
+    result = run_selection(_ramp_instance(64, 128, 3), 0.5, pivot_rule=pivot)
+    t = result.schedule.steps_t
+    assert t == 9
+    assert len(calls) == 2 * t + 1
 
 
 def _raised_barrier_state():
@@ -296,11 +316,12 @@ def test_retry_pass_accepts_within_slack_and_counts_both_passes(pivot, scanned):
     sched = compute_schedule(dec.L, dec.m, 0.5)
     b_prime = 1.0 / (1.0 - 1e-10)
     state = SelectionState.of(dec, [], b_prime + sched.delta)
-    chosen, rec, got_scanned, phi_b, phi_bp, _ = select_next(state, sched, dec, pivot)
+    chosen, rec, got_scanned = select_next(state, sched, dec, pivot)
     assert (chosen, got_scanned) == (0, scanned)
     assert -1.0 < rec.quadform < -1.0 + TOL.feasibility_retry
-    A = np.zeros((3, 3))
-    M = shifted_inverse(A, state.barrier_b - sched.delta)
+    A, bp = np.zeros((3, 3)), state.barrier_b - sched.delta
+    M = shifted_inverse(A, bp)
+    phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, bp, dec.L)
     exact = candidate_feasible(A, M, dec.L, np.eye(3)[0], phi_b, phi_bp)
     retry = candidate_feasible(A, M, dec.L, np.eye(3)[0], phi_b, phi_bp,
                                TOL.feasibility_retry)

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from rinv import (
+from rinv.matrix_core import (
     check_interlacing,
     frobenius_norm_sq,
     gram_min_eigenvalue,
     sherman_morrison_inverse,
     shifted_inverse,
     spectral_norm,
-    stable_rank,
     sym_eigendecomposition,
 )
 from rinv.errors import (
@@ -20,7 +19,6 @@ from rinv.errors import (
     SingularShiftError,
     SingularUpdateError,
     SymmetryError,
-    ZeroOperatorError,
 )
 
 
@@ -107,21 +105,12 @@ class TestNorms:
     def test_identity(self):
         assert spectral_norm(np.eye(4)) == pytest.approx(1.0)
         assert frobenius_norm_sq(np.eye(4)) == pytest.approx(4.0)
-        assert stable_rank(np.eye(4)) == pytest.approx(4.0)
-
-    def test_diagonal_stable_rank(self):
-        assert stable_rank(np.diag([1.0, 1.0, 0.0])) == pytest.approx(2.0)
 
     def test_against_svd(self):
         rng = np.random.default_rng(2)
         L = rng.standard_normal((6, 6))
         s = np.linalg.svd(L, compute_uv=False)
         assert spectral_norm(L) == pytest.approx(s[0])
-        assert stable_rank(L) == pytest.approx(np.sum(s * s) / s[0] ** 2)
-
-    def test_zero_operator(self):
-        with pytest.raises(ZeroOperatorError):
-            stable_rank(np.zeros((3, 3)))
 
 
 class TestGramMinEigenvalue:

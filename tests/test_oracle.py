@@ -81,6 +81,14 @@ class TestCompareToGuarantee:
         assert report.vacuous
         assert report.sigma == []
 
+    def test_oracle_margin_is_relative(self):
+        # At ||L|| ~ 1e4 the algorithm and the oracle pick the same subset, and
+        # their Gram lambda_min of about 1.1e9 can differ in the last ulp.
+        rng = np.random.default_rng(6)
+        L = 1e4 * rng.standard_normal((8, 8))
+        report = compare_to_guarantee(Decomposition(L=L, V=random_tight_frame(8, 16, 6)), 0.9)
+        assert report.sigma == report.oracle_sigma
+
     def test_caller_tolerances_reach_the_oracle(self, monkeypatch):
         dec = Decomposition(L=np.eye(4), V=random_tight_frame(4, 8, 3))
         tol = replace(default_tolerances(), oracle_tie=0.5)

@@ -7,21 +7,23 @@ import pytest
 
 from rinv import (
     Decomposition,
+    compute_schedule,
+    from_standard_basis,
+    permuted,
+    random_tight_frame,
+    run_selection,
+)
+from rinv.errors import ParameterError, ZeroOperatorError
+from rinv.matrix_core import gram_min_eigenvalue
+from rinv.selector import (
     SelectionState,
     candidate_feasible,
     check_step_preconditions,
-    compute_schedule,
-    from_standard_basis,
-    gram_min_eigenvalue,
-    permuted,
     potential,
     potential_split,
-    random_tight_frame,
-    run_selection,
     select_next,
     shifted_inverse,
 )
-from rinv.errors import ParameterError, ZeroOperatorError
 
 
 def frame_120():
@@ -120,7 +122,7 @@ class TestSelectNext:
         dec = from_standard_basis(np.eye(4))
         schedule = compute_schedule(dec.L, 4, 0.5)
         state = SelectionState.of(dec, [], schedule.b0)
-        chosen, rec, scanned, *_ = select_next(state, schedule, dec)
+        chosen, rec, scanned = select_next(state, schedule, dec)
         assert chosen == 0
         assert rec.feasible
         assert scanned == 1
@@ -129,7 +131,7 @@ class TestSelectNext:
         dec = Decomposition(L=np.eye(2), V=frame_120())
         schedule = compute_schedule(dec.L, 3, 0.75)
         state = SelectionState.of(dec, [], schedule.b0)
-        chosen, rec, *_ = select_next(state, schedule, dec)
+        chosen, rec, _ = select_next(state, schedule, dec)
         # verify against an independent scan of all three candidates
         A = np.zeros((2, 2))
         M = shifted_inverse(A, schedule.b0 - schedule.delta)
@@ -189,7 +191,7 @@ class TestRunSelection:
         L = L / np.linalg.norm(L, 2)
         dec = Decomposition(L=L, V=random_tight_frame(6, 12, 2))
         base = run_selection(dec, 0.9)
-        for c in (3.0, 0.25):
+        for c in (3.0, 0.25, 1e-4, 1e-8):
             scaled = run_selection(Decomposition(L=c * L, V=dec.V), 0.9)
             assert scaled.sigma == base.sigma
 
