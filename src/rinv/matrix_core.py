@@ -30,7 +30,7 @@ def _as_square(S, name="matrix"):
 
 
 def _require_symmetric(S, rtol, name="matrix"):
-    scale = max(1.0, float(np.abs(S).max(initial=0.0)))
+    scale = float(np.abs(S).max(initial=0.0))
     asym = float(np.abs(S - S.T).max(initial=0.0))
     if asym > rtol * scale:
         raise SymmetryError(
@@ -121,12 +121,13 @@ def check_interlacing(evals_before, evals_after, slack: float) -> None:
 
     Both inputs are full spectra sorted descending. A rank-one PSD update
     forces l'_1 >= l_1 >= l'_2 >= l_2 >= ... >= l'_n >= l_n; checked
-    within an absolute slack.
+    within slack times the largest |eigenvalue| of either spectrum.
     """
     a = np.asarray(evals_before, dtype=float)
     b = np.asarray(evals_after, dtype=float)
     if a.shape != b.shape:
         raise DimensionError("spectra must have equal length")
+    slack = slack * float(np.abs(np.concatenate([a, b])).max(initial=0.0))
     if np.any(b < a - slack):
         worst = float((a - b).max())
         raise InvariantViolation(f"interlacing violated: new eigenvalue below old by {worst:.3e}")

@@ -6,12 +6,14 @@ step. The potential tr(L^T (A - bI)^{-1} L) never increases; every nonzero
 eigenvalue of A stays above the barrier, which at the end sits above
 (1 - eps)^2 ||L||_F^2 / m.
 
-A has rank k <= t after k steps, so a step's Spectrum holds only the k
-nonzero eigenpairs, from a thin SVD of the k chosen rows L v_i, plus an
-implicit zero block on the other n - k directions. The walk reads every
-potential, candidate test, diagnostic and trace value from it, and the
-spectrum of the k + 1 rows taken after the step is the next step's;
-potential and potential_split are references from one eigh of a dense A.
+A has rank k <= t after k steps. The walk forms V L^T L once and then works
+in Gram space: a step's Spectrum holds the k nonzero eigenpairs of A, from
+an eigh of the k x k Gram of the chosen rows L v_i, plus an implicit zero
+block on the other n - k directions, and every potential, candidate test,
+diagnostic and trace value is read from k x k matrices and the Gram columns
+of the chosen indices. The spectrum of the k + 1 rows taken after the step
+is the next step's; potential and potential_split are references from one
+eigh of a dense A.
 """
 
 import math
@@ -39,9 +41,6 @@ from .tolerances import Tolerances, default_tolerances
 
 PIVOT_FIRST = "first"
 PIVOT_GREEDY = "greedy"
-# Candidates tested per block of the scan: bounds its (block x n) temporaries,
-# and a first-feasible scan stops after the first block holding a hit.
-_SCAN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -83,34 +82,82 @@ def _kernel_band(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Grams:
+    """The m candidates w_i = L v_i seen through LtL = L^T L, formed once per run.
+
+    VG = V LtL; g_i = ||w_i||^2 and h_i = ||L^T w_i||^2 are the row sums of
+    V * VG and VG * VG; tr_ltl = ||L||_F^2 and ltl_sq = ||LtL||_F^2. For the
+    j-th chosen index c, G[:, j] = V VG_c^T and H[:, j] = VG VG_c^T are columns
+    of the m x m Grams G = W W^T (W the rows w_i) and H = VG VG^T, and
+    J[:, j] = VG_sigma LtL VG_c^T. A state reads the first len(sigma) columns;
+    append fills the next one in place, so G, H and J hold `capacity` of them.
+    """
+
+    V: np.ndarray
+    LtL: np.ndarray
+    VG: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    tr_ltl: float
+    ltl_sq: float
+    G: np.ndarray
+    H: np.ndarray
+    J: np.ndarray
+
+    @classmethod
+    def of(cls, dec: Decomposition, sigma: Sequence[int], capacity: int = 0) -> "Grams":
+        V, L = np.asarray(dec.V, dtype=float), np.asarray(dec.L, dtype=float)
+        LtL = L.T @ L
+        VG = V @ LtL
+        cap = max(capacity, len(sigma))
+        grams = cls(V, LtL, VG, np.sum(V * VG, axis=1), np.sum(VG * VG, axis=1),
+                    float(np.trace(LtL)), float(np.sum(LtL * LtL)),
+                    np.empty((dec.m, cap)), np.empty((dec.m, cap)), np.empty((cap, cap)))
+        for k in range(len(sigma)):
+            grams.append(sigma[:k + 1])
+        return grams
+
+    def append(self, sigma: Sequence[int]) -> None:
+        """Fill the columns of sigma's last index, O(m n)."""
+        k, vg = len(sigma) - 1, self.VG[sigma[-1]]
+        self.G[:, k] = self.V @ vg
+        self.H[:, k] = self.VG @ vg
+        self.J[k, :k + 1] = self.J[:k + 1, k] = self.VG[list(sigma)] @ (self.LtL @ vg)
+
+
+@dataclass(frozen=True)
 class Spectrum:
-    """A = U diag(lam) U^T on k explicit eigenpairs (lam descending) plus an
-    implicit zero block on the n0 = n - k directions orthogonal to U, seen
-    through L: LtU = L^T U, column masses mass_j = ||L^T u_j||^2, the block's
-    mass mass0 = ||L||_F^2 - sum(mass), and LtL = L^T L. The kernel band is
-    the block together with the explicit lam_j in _kernel_band. Each at()
-    result is kept per (shift, tol), so a step evaluates each shift once."""
+    """A = U diag(lam) U^T on its explicit eigenpairs (lam descending, above
+    the kernel band) plus an implicit zero block on the n0 directions
+    orthogonal to U, which holds the kernel band. With W_sigma the chosen
+    rows and G[sigma, sigma] = P diag(lam) P^T, U = W_sigma^T R for
+    R = P diag(lam)^{-1/2}. L is seen through M = U^T L L^T U, whose
+    diagonal holds the column masses ||L^T u_j||^2, N = U^T L LtL L^T U and
+    the block's mass mass0 = ||L||_F^2 - tr M. Each at() result is kept per
+    (shift, tol), so a step evaluates each shift once."""
 
     lam: np.ndarray
-    LtU: np.ndarray
-    mass: np.ndarray
-    kernel: np.ndarray
+    R: np.ndarray
+    M: np.ndarray
+    N: np.ndarray
     n0: int
     mass0: float
-    LtL: np.ndarray
     _at: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def of_rows(cls, W, L, LtL, tol: Tolerances) -> "Spectrum":
-        """A = W^T W from a thin SVD W^T = U diag(s) P^T of its k x n rows W:
-        lam = s^2, and U is orthonormal by construction."""
-        U, s, _ = np.linalg.svd(W.T, full_matrices=False)
-        lam = s * s
-        LtU = L.T @ U
-        mass = np.sum(LtU * LtU, axis=0)
-        n0 = U.shape[0] - U.shape[1]
-        mass0 = float(np.trace(LtL) - np.sum(mass)) if n0 else 0.0
-        return cls(lam, LtU, mass, _kernel_band(lam, tol), n0, mass0, LtL)
+    def of(cls, grams: Grams, sigma: Sequence[int], tol: Tolerances) -> "Spectrum":
+        """From an eigh of the k x k Gram G[sigma, sigma]; eigenpairs in the
+        kernel band join the zero block."""
+        k = len(sigma)
+        lam, P = np.linalg.eigh(grams.G[sigma, :k])
+        lam, P = lam[::-1], P[:, ::-1]
+        keep = ~_kernel_band(lam, tol)
+        lam = lam[keep]
+        R = P[:, keep] / np.sqrt(lam)
+        M = R.T @ grams.H[sigma, :k] @ R
+        n0 = len(grams.LtL) - len(lam)
+        mass0 = grams.tr_ltl - float(np.trace(M)) if n0 else 0.0
+        return cls(lam, R, M, R.T @ grams.J[:k, :k] @ R, n0, mass0)
 
     def padded(self) -> np.ndarray:
         """All n eigenvalues: lam followed by the block's n0 zeros."""
@@ -124,31 +171,30 @@ class Spectrum:
             # A nonempty block adds the one eigenvalue 0 to the shift-gap check.
             d = shifted_spectrum(np.append(self.lam, np.zeros(min(self.n0, 1))), shift, tol)
             d, d0 = d[:k], float(np.sum(d[k:]))
-            terms = self.mass * d
-            kernel_mass = float(np.sum(self.mass[self.kernel])) + self.mass0
-            self._at[shift, tol] = AtShift(d, d0, float(np.sum(terms)) + self.mass0 * d0,
-                                           float(np.sum(terms[~self.kernel])),
-                                           -kernel_mass / shift, kernel_mass)
+            phi_image = float(np.sum(np.diag(self.M) * d))
+            self._at[shift, tol] = AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
+                                           -self.mass0 / shift, self.mass0)
         return self._at[shift, tol]
 
 
 @dataclass(frozen=True)
 class SelectionState:
-    """Running state: chosen indices, current barrier, and the spectrum of
-    A = sum_{i in sigma} (L v_i)(L v_i)^T."""
+    """Running state: chosen indices, current barrier, the spectrum of
+    A = sum_{i in sigma} (L v_i)(L v_i)^T and the Grams it was read from."""
 
     sigma: List[int]
     barrier_b: float
     spectrum: Spectrum
+    grams: Grams
 
     @classmethod
     def of(cls, dec: Decomposition, sigma: Sequence[int], barrier_b: float,
            tol: Tolerances | None = None) -> "SelectionState":
         """The state after choosing sigma, with the barrier at barrier_b."""
         tol = tol or default_tolerances()
-        L = np.asarray(dec.L, dtype=float)
         sigma = [int(i) for i in sigma]
-        return cls(sigma, barrier_b, Spectrum.of_rows(dec.V[sigma] @ L.T, L, L.T @ L, tol))
+        grams = Grams.of(dec, sigma)
+        return cls(sigma, barrier_b, Spectrum.of(grams, sigma, tol), grams)
 
 
 @dataclass(frozen=True)
@@ -297,6 +343,15 @@ def candidate_feasible(
     return FeasibilityRecord(quadform, potential_after_add, feasible, reason)
 
 
+def _t_frob_sq(state: SelectionState, at: AtShift) -> float:
+    """||T||_F^2 for T = L^T (A - shift I)^{-1} L = (L^T U) D (L^T U)^T + d0 LtL,
+    D = diag(d - d0): tr(DMDM) + 2 d0 tr(DN) + d0^2 ||LtL||_F^2."""
+    d_image, spec = at.d - at.d0, state.spectrum
+    DM = d_image[:, None] * spec.M
+    return float(np.sum(DM * DM.T) + 2.0 * at.d0 * (d_image @ np.diag(spec.N))
+                 + at.d0 * at.d0 * state.grams.ltl_sq)
+
+
 def check_step_preconditions(
     state: SelectionState, schedule: Schedule, tol: Tolerances | None = None
 ) -> PreconditionDiagnostics:
@@ -323,9 +378,7 @@ def check_step_preconditions(
     rhs_kernel = schedule.delta * at_bp.kernel_mass / schedule.spec_sq
     kernel_mass_ok = b <= rhs_kernel + slack * abs(rhs_kernel)
 
-    # L^T (A - b'I)^{-1} L, with (A - b'I)^{-1} = U diag(d - d0) U^T + d0 I
-    T = (spec.LtU * (at_bp.d - at_bp.d0)) @ spec.LtU.T + at_bp.d0 * spec.LtL
-    lhs = float(np.sum(T * T))
+    lhs = _t_frob_sq(state, at_bp)
     rhs = (at_b.phi - at_bp.phi) * (-schedule.m - at_bp.phi)
     averaging_ok = lhs <= rhs + slack * abs(rhs)
 
@@ -359,38 +412,43 @@ def select_next(
     ties broken by scan order. Raises InfeasibilityError when nothing
     passes even with the retry slack.
 
-    Blocks of candidates are tested at once. With w = L v, W U = V L^T U and
-    (A - b'I)^{-1} = U diag(d - d0) U^T + d0 I:
-    quadform = sum (W U)^2 (d - d0) + d0 ||w||^2, and L^T (A - b'I)^{-1} w is
-    a row of (W U (d - d0)) (L^T U)^T + d0 V L^T L. The retry pass re-reads
-    them with slack.
+    Blocks of candidates are tested at once, each O(k^2): FirstFeasible
+    tests blocks of 1, 2, 4, ... in scan order and stops at the first block
+    with a hit, GreedyMinPotential one block of all. With w = L v,
+    (A - b'I)^{-1} = U diag(d - d0) U^T + d0 I, w^T U = G[c, sigma] R and
+    a = (w^T U) (d - d0): quadform = sum (w^T U)^2 (d - d0) + d0 ||w||^2, and
+    y = L^T (A - b'I)^{-1} w has ||y||^2 = a M a^T + 2 d0 a R^T H[sigma, c]
+    + d0^2 ||L^T w||^2. The retry pass re-reads them with slack.
     """
     tol = tol or default_tolerances()
     if pivot_rule not in (PIVOT_FIRST, PIVOT_GREEDY):
         raise ParameterError(f"unknown pivot rule {pivot_rule!r}")
     first = pivot_rule == PIVOT_FIRST
-    spec = state.spectrum
+    spec, grams, k = state.spectrum, state.grams, len(state.sigma)
     b_prime = state.barrier_b - schedule.delta
     phi_before = spec.at(state.barrier_b, tol).phi
     at_bp = spec.at(b_prime, tol)
-    d_image = at_bp.d - at_bp.d0
+    d_image, d0 = at_bp.d - at_bp.d0, at_bp.d0
     order = np.arange(dec.m) if scan_order is None else np.asarray(scan_order, dtype=int)
     order = order[~np.isin(order, state.sigma)]
 
     # NaN marks a candidate not reached, or a zero vector: it passes no test.
     quad = np.full(len(order), np.nan)
     after = np.full(len(order), np.nan)
+    start, size = 0, 1 if first else len(order)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(order), _SCAN_BLOCK):
-            block = slice(start, start + _SCAN_BLOCK)
-            V = dec.V[order[block]]
-            WU, VG = V @ spec.LtU, V @ spec.LtL
-            w_sq = np.sum(V * VG, axis=1)
-            Y = (WU * d_image) @ spec.LtU.T + at_bp.d0 * VG
-            quad[block] = q = np.where(w_sq > 0, (WU * WU) @ d_image + at_bp.d0 * w_sq, np.nan)
-            after[block] = at_bp.phi - np.sum(Y * Y, axis=1) / (1.0 + q)
+        while start < len(order):
+            block = slice(start, start + size)
+            idx = order[block]
+            WU, HU = grams.G[idx, :k] @ spec.R, grams.H[idx, :k] @ spec.R
+            a, w_sq = WU * d_image, grams.g[idx]
+            y_sq = (np.sum((a @ spec.M) * a, axis=1) + 2.0 * d0 * np.sum(a * HU, axis=1)
+                    + d0 * d0 * grams.h[idx])
+            quad[block] = q = np.where(w_sq > 0, (WU * WU) @ d_image + d0 * w_sq, np.nan)
+            after[block] = at_bp.phi - y_sq / (1.0 + q)
             if first and _pick(q, after[block], phi_before, 0.0, first)[0] is not None:
                 break
+            start, size = start + size, 2 * size
 
     pos, scanned = _pick(quad, after, phi_before, 0.0, first)
     if pos is None:
@@ -413,8 +471,7 @@ def select_next(
 def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):
     """Runtime invariant checks after a rank-one acceptance, on the spectra of A and A + w w^T."""
     check_interlacing(old.padded(), new.padded(), tol.interlacing_slack)
-    above = int(np.sum(new.lam > b_prime))
-    below = int(np.sum(new.kernel)) + new.n0
+    above, below = int(np.sum(new.lam > b_prime)), new.n0
     n = len(new.lam) + new.n0
     if above != k_next or below != n - k_next:
         raise InvariantViolation(
@@ -448,7 +505,7 @@ def run_selection(
     records its existence-precondition diagnostics in the traces, and after
     every step the barrier count, eigenvalue interlacing, potential
     monotonicity and the rank-one update identity are checked on the
-    spectrum of the chosen rows, which the next step reads; the final
+    spectrum from the Gram of the chosen rows, which the next step reads; the final
     barrier is checked against the promised bound.
     """
     tol = tol or default_tolerances()
@@ -457,9 +514,8 @@ def run_selection(
     if schedule.vacuous:
         return SelectionResult(sigma=[], schedule=schedule)
 
-    L = np.asarray(dec.L, dtype=float)
-    state = SelectionState.of(dec, [], schedule.b0, tol)
-    rows = np.empty((0, dec.n))  # the chosen L v_i
+    grams = Grams.of(dec, [], capacity=schedule.steps_t)
+    state = SelectionState([], schedule.b0, Spectrum.of(grams, [], tol), grams)
     traces: List[StepTrace] = []
 
     for _ in range(schedule.steps_t):
@@ -469,9 +525,10 @@ def run_selection(
         # Both shifts were evaluated by the two calls above and are kept on spec.
         b_prime = state.barrier_b - schedule.delta
         phi_before, split = spec.at(state.barrier_b, tol).phi, spec.at(b_prime, tol)
-        rows = np.vstack([rows, dec.V[chosen] @ L.T])
-        spec_new = Spectrum.of_rows(rows, L, spec.LtL, tol)
-        step = len(state.sigma) + 1
+        sigma = state.sigma + [chosen]
+        grams.append(sigma)
+        spec_new = Spectrum.of(grams, sigma, tol)
+        step = len(sigma)
         _check_post_step(spec, spec_new, step, b_prime, rec, phi_before, tol)
         traces.append(
             StepTrace(
@@ -490,7 +547,7 @@ def run_selection(
                 preconditions=diag,
             )
         )
-        state = SelectionState(state.sigma + [chosen], b_prime, spec_new)
+        state = SelectionState(sigma, b_prime, spec_new, grams)
 
     final_b = schedule.b0 - schedule.delta * schedule.steps_t
     if final_b < schedule.guarantee_bound - 1e-12 * abs(schedule.guarantee_bound):

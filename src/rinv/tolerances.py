@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 @dataclass(frozen=True)
 class Tolerances:
     # matrix primitives
-    symmetry_rtol: float = 1e-12
+    symmetry_rtol: float = 1e-12       # x max |S_ij|
     shift_gap: float = 1e-12           # x max(|shift|, ||S||_2)
     sm_denominator: float = 1e-12
     # decomposition validation
@@ -24,7 +24,7 @@ class Tolerances:
     potential_slack: float = 1e-7      # relative
     precondition_slack: float = 1e-7   # relative
     feasibility_retry: float = 1e-9    # relative
-    interlacing_slack: float = 1e-9    # absolute
+    interlacing_slack: float = 1e-9    # x ||A + w w^T||_2
     sm_consistency: float = 1e-8       # relative
     # certificate / oracle
     independence: float = 1e-10        # x max squared selected-vector norm

@@ -149,20 +149,61 @@ def test_acceptance_grid_matches_reference(pivot):
     assert steps > 0
 
 
-@pytest.mark.parametrize("pivot", PIVOTS)
-@pytest.mark.parametrize("n", [8, 16, 24])
-@pytest.mark.parametrize("block", [1, 7, rinv.selector._SCAN_BLOCK])
-def test_permuted_scan_order_matches_reference(pivot, n, block, monkeypatch):
-    monkeypatch.setattr(rinv.selector, "_SCAN_BLOCK", block)
+def _padded_frame_instance(n):
+    """A ramp L on a tight frame of 3n vectors, n tiny ones and a zero row.
+
+    The tiny vectors (squared norm about 1e-2 / n) and the zero row fail the
+    rank test at every step, whatever was chosen before: returns the
+    decomposition and their indices."""
     rng = np.random.default_rng(n)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    L = Q * np.linspace(1.0, 2.0, n)
-    # A zero row keeps the frame tight and is a candidate that must never be chosen.
-    V = np.vstack([random_tight_frame(n, 3 * n, n), np.zeros((1, n))])
-    dec = Decomposition(L=L, V=V)
+    V = np.vstack([np.sqrt(0.99) * random_tight_frame(n, 3 * n, n),
+                   np.sqrt(0.01) * random_tight_frame(n, n, n + 1), np.zeros((1, n))])
+    return Decomposition(L=Q * np.linspace(1.0, 2.0, n), V=V), np.arange(3 * n, 4 * n + 1)
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+@pytest.mark.parametrize("n", [8, 16, 24])
+@pytest.mark.parametrize("hit", ["at-0", "in-doubled-block", "nowhere"])
+def test_permuted_scan_order_matches_reference(pivot, n, hit):
+    # First-feasible tests blocks of 1, 2, 4, ... in scan order. The first
+    # hit sits at position 0, at position 5 or 6 (inside the third block,
+    # positions 3-6), or nowhere: an order of the failing vectors alone takes
+    # the retry pass and then raises with the reference margins.
+    dec, failing = _padded_frame_instance(n)
+    rng = np.random.default_rng(n + 1)
+    order = {"at-0": rng.permutation(3 * n),
+             "in-doubled-block": np.concatenate([failing[:5], rng.permutation(3 * n),
+                                                 failing[5:]]),
+             "nowhere": rng.permutation(failing)}[hit]
     for eps in (0.5, 0.8):
-        order = rng.permutation(dec.m)
+        if hit == "nowhere":
+            _check_infeasible_start(dec, eps, pivot, order)
+            continue
         assert _check_against_reference(dec, eps, pivot, scan_order=order) > 0
+        result = run_selection(dec, eps, pivot_rule=pivot, scan_order=order)
+        scanned = [tr.candidates_scanned for tr in result.traces]
+        if pivot == "first" and hit == "at-0":
+            assert scanned[0] == 1
+        elif pivot == "first":
+            assert 6 <= scanned[0] <= 7 and min(scanned) >= 6
+
+
+def _check_infeasible_start(dec, eps, pivot, order):
+    """No candidate in order passes at the first step, with or without the
+    retry slack: run_selection raises with the reference scan's margins."""
+    sched = compute_schedule(dec.L, dec.m, eps)
+    A, b_prime = np.zeros((dec.n, dec.n)), sched.b0 - sched.delta
+    phi_b, phi_bp = potential(A, sched.b0, dec.L), potential(A, b_prime, dec.L)
+    for slack in (0.0, TOL.feasibility_retry):
+        chosen, _, scanned, margins = _reference_scan(
+            A, shifted_inverse(A, b_prime), dec.L, dec.mapped_vectors(), [], order,
+            phi_b, phi_bp, pivot, slack)
+        assert chosen is None and scanned == len(order)
+    with pytest.raises(InfeasibilityError, match="at step 0") as err:
+        run_selection(dec, eps, pivot_rule=pivot, scan_order=order)
+    assert err.value.best_quadform_margin == pytest.approx(margins[0], rel=1e-9)
+    assert err.value.best_potential_margin == pytest.approx(margins[1], rel=1e-9)
 
 
 def _ramp_instance(n, m, seed):
@@ -213,25 +254,54 @@ def test_state_of_prefix_replays_each_step(pivot):
 
 @pytest.mark.parametrize("pivot", PIVOTS)
 def test_walk_takes_no_eigh_of_order_n(pivot, monkeypatch):
-    orders, interlaced = [], []
-    eigh, check_interlacing = np.linalg.eigh, rinv.selector.check_interlacing
+    # Each spectrum is one eigh of the k x k Gram of the chosen rows; no SVD.
+    orders, svds, interlaced = [], [], []
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+    check_interlacing = rinv.selector.check_interlacing
 
     def counting_eigh(a, *args, **kwargs):
         orders.append(np.shape(a)[-1])
         return eigh(a, *args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
     def counting_interlacing(before, after, slack):
         interlaced.append((len(before), len(after)))
         return check_interlacing(before, after, slack)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(rinv.selector, "check_interlacing", counting_interlacing)
     dec = _ramp_instance(64, 128, 3)
     result = run_selection(dec, 0.5, pivot_rule=pivot)
-    assert len(result.sigma) == result.schedule.steps_t > 1
-    assert dec.n not in orders
+    t = result.schedule.steps_t
+    assert len(result.sigma) == t > 1
+    assert svds == []
+    assert orders == list(range(t + 1))
     # The post-step checks still see every step, on spectra padded to length n.
     assert interlaced == [(dec.n, dec.n)] * result.schedule.steps_t
+
+
+@pytest.mark.parametrize("case", LOW_RANK_CASES)
+def test_averaging_lhs_from_grams_matches_dense_T(case):
+    # ||T||_F^2 from the k x k matrices M and N against the dense
+    # T = L^T (A - b'I)^{-1} L, on the states of a recorded walk.
+    dec = LOW_RANK_CASES[case]()
+    result = run_selection(dec, 0.5)
+    ks = (0, 1, 5) if case == "ramp-64x128" else range(len(result.sigma))
+    assert max(ks) < len(result.sigma)
+    for k in ks:
+        b = result.traces[k].barrier_before
+        state = SelectionState.of(dec, result.sigma[:k], b)
+        b_prime = b - result.schedule.delta
+        A = _gram(dec, state.sigma)
+        T = dec.L.T @ shifted_inverse(A, b_prime) @ dec.L
+        lhs = rinv.selector._t_frob_sq(state, state.spectrum.at(b_prime, TOL))
+        assert lhs == pytest.approx(float(np.sum(T * T)), rel=1e-10)
+        expected = _reference_preconditions(A, b, result.schedule, dec.L)
+        assert asdict(check_step_preconditions(state, result.schedule)) == expected
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)

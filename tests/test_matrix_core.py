@@ -20,6 +20,7 @@ from rinv.errors import (
     SingularUpdateError,
     SymmetryError,
 )
+from rinv.tolerances import default_tolerances
 
 
 class TestEigendecomposition:
@@ -49,6 +50,10 @@ class TestEigendecomposition:
     def test_rejects_asymmetric(self):
         with pytest.raises(SymmetryError):
             sym_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_symmetry_check_is_relative_at_small_scale(self):
+        with pytest.raises(SymmetryError):
+            sym_eigendecomposition(1e-14 * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestShiftedInverse:
@@ -149,3 +154,15 @@ class TestInterlacing:
     def test_detects_violation(self):
         with pytest.raises(InvariantViolation):
             check_interlacing(np.array([2.0, 1.0]), np.array([3.0, 0.5]), 1e-9)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-5, 1e-6])
+    def test_slack_scales_with_the_spectrum(self, c):
+        # A = sum of two rank-one terms, then the third: the spectra passed in
+        # swapped order violate interlacing at every scale of W.
+        W = c * np.random.default_rng(3).standard_normal((3, 8))
+        before = np.linalg.eigvalsh(W[:2].T @ W[:2])[::-1]
+        after = np.linalg.eigvalsh(W.T @ W)[::-1]
+        slack = default_tolerances().interlacing_slack
+        check_interlacing(before, after, slack)
+        with pytest.raises(InvariantViolation):
+            check_interlacing(after, before, slack)

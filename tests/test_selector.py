@@ -191,7 +191,7 @@ class TestRunSelection:
         L = L / np.linalg.norm(L, 2)
         dec = Decomposition(L=L, V=random_tight_frame(6, 12, 2))
         base = run_selection(dec, 0.9)
-        for c in (3.0, 0.25, 1e-4, 1e-8):
+        for c in (3.0, 0.25, 1e-4, 1e-8, 1e4, 1e8):
             scaled = run_selection(Decomposition(L=c * L, V=dec.V), 0.9)
             assert scaled.sigma == base.sigma
 
