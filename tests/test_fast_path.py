@@ -150,43 +150,42 @@ def test_acceptance_grid_matches_reference(pivot):
 
 
 def _padded_frame_instance(n):
-    """A ramp L on a tight frame of 3n vectors, n tiny ones and a zero row.
+    """A ramp L on a tight frame of 3n vectors, n tiny ones and 128 zero rows.
 
-    The tiny vectors (squared norm about 1e-2 / n) and the zero row fail the
+    The tiny vectors (squared norm 1e-3) and the zero rows fail the
     rank test at every step, whatever was chosen before: returns the
     decomposition and their indices."""
     rng = np.random.default_rng(n)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    V = np.vstack([np.sqrt(0.99) * random_tight_frame(n, 3 * n, n),
-                   np.sqrt(0.01) * random_tight_frame(n, n, n + 1), np.zeros((1, n))])
-    return Decomposition(L=Q * np.linspace(1.0, 2.0, n), V=V), np.arange(3 * n, 4 * n + 1)
+    V = np.vstack([np.sqrt(0.999) * random_tight_frame(n, 3 * n, n),
+                   np.sqrt(0.001) * random_tight_frame(n, n, n + 1), np.zeros((128, n))])
+    return Decomposition(L=Q * np.linspace(1.0, 2.0, n), V=V), np.arange(3 * n, 4 * n + 128)
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
 @pytest.mark.parametrize("n", [8, 16, 24])
-@pytest.mark.parametrize("hit", ["at-0", "in-doubled-block", "nowhere"])
-def test_permuted_scan_order_matches_reference(pivot, n, hit):
-    # First-feasible tests blocks of 1, 2, 4, ... in scan order. The first
-    # hit sits at position 0, at position 5 or 6 (inside the third block,
-    # positions 3-6), or nowhere: an order of the failing vectors alone takes
-    # the retry pass and then raises with the reference margins.
+@pytest.mark.parametrize("block", [1, 7, 128, "nowhere"])
+def test_permuted_scan_order_matches_reference(pivot, n, block):
+    # First-feasible tests blocks of 1, 2, 4, ... in scan order. With block
+    # = s the first hit of step 0 sits at position s - 1, after s - 1 failing
+    # vectors: the first block (s = 1), the last slot of the third (positions
+    # 3-6) or the first slot of the eighth (positions 127-254), so the scan
+    # reads exactly s candidates. "nowhere" is an order of the failing vectors
+    # alone: it takes the retry pass and then raises with the reference margins.
     dec, failing = _padded_frame_instance(n)
     rng = np.random.default_rng(n + 1)
-    order = {"at-0": rng.permutation(3 * n),
-             "in-doubled-block": np.concatenate([failing[:5], rng.permutation(3 * n),
-                                                 failing[5:]]),
-             "nowhere": rng.permutation(failing)}[hit]
-    for eps in (0.5, 0.8):
-        if hit == "nowhere":
+    if block == "nowhere":
+        order = rng.permutation(failing)
+        for eps in (0.5, 0.8):
             _check_infeasible_start(dec, eps, pivot, order)
-            continue
+        return
+    order = np.concatenate([failing[:block - 1], rng.permutation(3 * n), failing[block - 1:]])
+    for eps in (0.5, 0.8):
         assert _check_against_reference(dec, eps, pivot, scan_order=order) > 0
         result = run_selection(dec, eps, pivot_rule=pivot, scan_order=order)
         scanned = [tr.candidates_scanned for tr in result.traces]
-        if pivot == "first" and hit == "at-0":
-            assert scanned[0] == 1
-        elif pivot == "first":
-            assert 6 <= scanned[0] <= 7 and min(scanned) >= 6
+        if pivot == "first":
+            assert scanned[0] == block and min(scanned) >= block
 
 
 def _check_infeasible_start(dec, eps, pivot, order):
