@@ -205,7 +205,7 @@ def _cmd_bench(parser, args):
     for _ in range(args.trials):
         if t == 0:
             break
-        # The Gram of the same rows verify forms, without verify's schedule SVD per trial.
+        # The Gram of the same rows verify forms, without verify's schedule per trial.
         subset = sorted(rng.choice(dec.m, size=t, replace=False).tolist())
         random_vals.append(gram_min_eigenvalue(dec.V[subset] @ dec.L.T))
     payload = {

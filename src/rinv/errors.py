@@ -29,6 +29,10 @@ class ZeroOperatorError(RinvError):
     """An all-zero operator was given where a nonzero one is required."""
 
 
+class NormRangeError(RinvError):
+    """||L||_F^2 is outside the float range the barrier walk can compute in."""
+
+
 class EmptySetError(RinvError):
     """An empty vector collection was given where a nonempty one is required."""
 

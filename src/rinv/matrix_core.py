@@ -91,12 +91,6 @@ def sherman_morrison_inverse(M_inv, w, tol: Tolerances | None = None) -> np.ndar
     return M_inv - np.outer(u, u) / denom
 
 
-def spectral_norm(L) -> float:
-    """Largest singular value of L."""
-    L = np.asarray(L, dtype=float)
-    return float(np.linalg.norm(L, 2))
-
-
 def frobenius_norm_sq(L) -> float:
     """Squared Frobenius norm, sum of squared entries."""
     L = np.asarray(L, dtype=float)

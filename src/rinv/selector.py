@@ -24,8 +24,10 @@ import numpy as np
 
 from .decomposition import Decomposition, validate
 from .errors import (
+    IndexRangeError,
     InfeasibilityError,
     InvariantViolation,
+    NormRangeError,
     ParameterError,
     ZeroOperatorError,
 )
@@ -34,13 +36,15 @@ from .matrix_core import (
     frobenius_norm_sq,
     shifted_inverse,
     shifted_spectrum,
-    spectral_norm,
     sym_eigendecomposition,
 )
 from .tolerances import Tolerances, default_tolerances
 
 PIVOT_FIRST = "first"
 PIVOT_GREEDY = "greedy"
+# The walk forms Grams up to the third power of L^T L (J), so ||L||_F^2 must
+# lie where its cube is a normal float.
+FROB_SQ_RANGE = (np.finfo(float).tiny ** (1 / 3), np.finfo(float).max ** (1 / 3))
 
 
 @dataclass(frozen=True)
@@ -105,9 +109,11 @@ class Grams:
     J: np.ndarray
 
     @classmethod
-    def of(cls, dec: Decomposition, sigma: Sequence[int], capacity: int = 0) -> "Grams":
+    def of(cls, dec: Decomposition, sigma: Sequence[int], capacity: int = 0,
+           LtL: Optional[np.ndarray] = None) -> "Grams":
+        """The Grams of dec with sigma's columns filled; LtL, if given, is L^T L."""
         V, L = np.asarray(dec.V, dtype=float), np.asarray(dec.L, dtype=float)
-        LtL = L.T @ L
+        LtL = L.T @ L if LtL is None else LtL
         VG = V @ LtL
         cap = max(capacity, len(sigma))
         grams = cls(V, LtL, VG, np.sum(V * VG, axis=1), np.sum(VG * VG, axis=1),
@@ -259,19 +265,32 @@ def compute_schedule(L, m: int, epsilon: float) -> Schedule:
     """Barrier schedule for operator L and m candidate vectors.
 
     b0 = (1-eps) ||L||_F^2 / m, delta = (1-eps) ||L||_2^2 / (eps m), and
-    t = floor(eps^2 ||L||_F^2 / ||L||_2^2). When eps^2 times the stable
-    rank is below 1 the schedule is vacuous (t = 0).
+    t = floor(eps^2 ||L||_F^2 / ||L||_2^2), with ||L||_2^2 the largest
+    eigenvalue of L^T L. When eps^2 times the stable rank is below 1 the
+    schedule is vacuous (t = 0). NormRangeError when ||L||_F^2 is outside
+    FROB_SQ_RANGE.
     """
+    return _schedule(L, m, epsilon)[0]
+
+
+def _schedule(L, m: int, epsilon: float):
+    """compute_schedule's Schedule and the L^T L it took ||L||_2^2 from."""
     if not (0.0 < epsilon < 1.0):
         raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
     L = np.asarray(L, dtype=float)
-    spec = spectral_norm(L)
-    if spec == 0.0:
+    with np.errstate(over="ignore"):
+        frob_sq = frobenius_norm_sq(L)
+    if frob_sq == 0.0 and not L.any():
         raise ZeroOperatorError("cannot schedule the zero operator")
-    frob_sq = frobenius_norm_sq(L)
-    spec_sq = spec * spec
-    srank = frob_sq / spec_sq
-    t = int(math.floor(epsilon * epsilon * srank))
+    lo, hi = FROB_SQ_RANGE
+    if not lo <= frob_sq <= hi:
+        raise NormRangeError(
+            f"||L||_F^2 = {frob_sq:.3e} is outside the float range [{lo:.3e}, {hi:.3e}] "
+            "of the walk; rescale L"
+        )
+    LtL = L.T @ L
+    spec_sq = float(np.linalg.eigvalsh(LtL)[-1])
+    t = int(math.floor(epsilon * epsilon * (frob_sq / spec_sq)))
     b0 = (1.0 - epsilon) * frob_sq / m
     delta = (1.0 - epsilon) * spec_sq / (epsilon * m)
     if t >= 1 and not t * delta < b0:
@@ -281,7 +300,7 @@ def compute_schedule(L, m: int, epsilon: float) -> Schedule:
     return Schedule(
         epsilon=epsilon, b0=b0, delta=delta, steps_t=t, m=m,
         frob_sq=frob_sq, spec_sq=spec_sq,
-    )
+    ), LtL
 
 
 def potential(A, b: float, L, tol: Tolerances | None = None) -> float:
@@ -430,7 +449,9 @@ def select_next(
     at_bp = spec.at(b_prime, tol)
     d_image, d0 = at_bp.d - at_bp.d0, at_bp.d0
     order = np.arange(dec.m) if scan_order is None else np.asarray(scan_order, dtype=int)
-    order = order[~np.isin(order, state.sigma)]
+    taken = np.zeros(dec.m, dtype=bool)
+    taken[state.sigma] = True
+    order = order[~taken[order]]
 
     # NaN marks a candidate not reached, or a zero vector: it passes no test.
     quad = np.full(len(order), np.nan)
@@ -492,6 +513,19 @@ def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_bef
         )
 
 
+def _checked_order(scan_order: Sequence[int], m: int) -> np.ndarray:
+    """scan_order as an index array; IndexRangeError unless it holds distinct
+    integers in [0, m). It may leave indices out."""
+    order = np.asarray(scan_order)
+    if order.ndim != 1 or (order.size and order.dtype.kind not in "iu"):
+        raise IndexRangeError("scan_order must be a sequence of integer indices")
+    if order.size and (order.min() < 0 or order.max() >= m):
+        raise IndexRangeError(f"scan_order indices must lie in [0, {m})")
+    if len(np.unique(order)) != len(order):
+        raise IndexRangeError("scan_order contains repeated indices")
+    return order
+
+
 def run_selection(
     dec: Decomposition,
     epsilon: float,
@@ -510,18 +544,19 @@ def run_selection(
     """
     tol = tol or default_tolerances()
     dec = validate(dec, tol)
-    schedule = compute_schedule(dec.L, dec.m, epsilon)
+    order = None if scan_order is None else _checked_order(scan_order, dec.m)
+    schedule, LtL = _schedule(dec.L, dec.m, epsilon)
     if schedule.vacuous:
         return SelectionResult(sigma=[], schedule=schedule)
 
-    grams = Grams.of(dec, [], capacity=schedule.steps_t)
+    grams = Grams.of(dec, [], capacity=schedule.steps_t, LtL=LtL)
     state = SelectionState([], schedule.b0, Spectrum.of(grams, [], tol), grams)
     traces: List[StepTrace] = []
 
     for _ in range(schedule.steps_t):
         spec = state.spectrum
         diag = check_step_preconditions(state, schedule, tol)
-        chosen, rec, scanned = select_next(state, schedule, dec, pivot_rule, tol, scan_order)
+        chosen, rec, scanned = select_next(state, schedule, dec, pivot_rule, tol, order)
         # Both shifts were evaluated by the two calls above and are kept on spec.
         b_prime = state.barrier_b - schedule.delta
         phi_before, split = spec.at(state.barrier_b, tol).phi, spec.at(b_prime, tol)

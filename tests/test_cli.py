@@ -68,6 +68,20 @@ class TestSelect:
         assert captured.out == ""
         assert captured.err.startswith("rinv: error: L must be square")
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170], ids=["overflow", "underflow"])
+    def test_norm_outside_float_range_exits_1(self, tmp_path, capsys, scale):
+        lpath = tmp_path / "L.mtx"
+        mmwrite(str(lpath), scale * np.eye(4), precision=17)
+        cert_path = tmp_path / "c.json"
+        cert_path.write_text(json.dumps({"sigma": [1], "epsilon": 0.5, "passes": True}))
+        for args in (["select", "--epsilon", "0.5"], ["oracle", "--epsilon", "0.5"],
+                     ["bench", "--epsilon", "0.5"], ["verify", "--certificate", str(cert_path)]):
+            assert main(args + ["--L", str(lpath)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("rinv: error: ||L||_F^2 = ")
+            assert "is outside the float range" in captured.err
+
     def test_missing_file(self, tmp_path):
         assert main(["select", "--L", str(tmp_path / "nope.mtx"), "--epsilon", "0.5"]) == 1
 
@@ -312,14 +326,14 @@ class TestOracleAndBench:
         mmwrite(str(lpath), L, precision=17)
         mmwrite(str(vpath), V, precision=17)
         calls = []
-        schedule = rinv.selector.compute_schedule
+        schedule = rinv.selector._schedule
 
         def spy(*args):
             calls.append(args)
             return schedule(*args)
 
-        monkeypatch.setattr(rinv.selector, "compute_schedule", spy)
-        monkeypatch.setattr(rinv.certificate, "compute_schedule", spy)
+        # run_selection and compute_schedule (verify's) both schedule through _schedule.
+        monkeypatch.setattr(rinv.selector, "_schedule", spy)
         code = main(["bench", "--L", str(lpath), "--V", str(vpath), "--epsilon", "0.8",
                      "--trials", "20", "--seed", "3"])
         assert code == 0 and len(calls) == 2  # run_selection and verify of the selection

@@ -19,6 +19,7 @@ from rinv import (
     default_tolerances,
     random_tight_frame,
     run_selection,
+    verify,
 )
 import rinv.selector
 from rinv.selector import (
@@ -253,34 +254,40 @@ def test_state_of_prefix_replays_each_step(pivot):
 
 @pytest.mark.parametrize("pivot", PIVOTS)
 def test_walk_takes_no_eigh_of_order_n(pivot, monkeypatch):
-    # Each spectrum is one eigh of the k x k Gram of the chosen rows; no SVD.
-    orders, svds, interlaced = [], [], []
-    eigh, svd = np.linalg.eigh, np.linalg.svd
+    # Each spectrum is one eigh of the k x k Gram of the chosen rows, and the
+    # schedule one eigvalsh of L^T L; nothing takes an SVD. np.linalg.norm
+    # calls the svd of numpy's implementation module, so that is counted too.
+    orders = {"eigh": [], "eigvalsh": [], "svd": []}
+    interlaced = []
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     check_interlacing = rinv.selector.check_interlacing
 
-    def counting_eigh(a, *args, **kwargs):
-        orders.append(np.shape(a)[-1])
-        return eigh(a, *args, **kwargs)
+    for name, calls in orders.items():
+        def counting(a, *args, _fn=getattr(np.linalg, name), _calls=calls, **kwargs):
+            _calls.append(np.shape(a)[-1])
+            return _fn(a, *args, **kwargs)
 
-    def counting_svd(a, *args, **kwargs):
-        svds.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(impl, name, counting)
 
     def counting_interlacing(before, after, slack):
         interlaced.append((len(before), len(after)))
         return check_interlacing(before, after, slack)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(rinv.selector, "check_interlacing", counting_interlacing)
     dec = _ramp_instance(64, 128, 3)
     result = run_selection(dec, 0.5, pivot_rule=pivot)
     t = result.schedule.steps_t
     assert len(result.sigma) == t > 1
-    assert svds == []
-    assert orders == list(range(t + 1))
+    assert orders == {"eigh": list(range(t + 1)), "eigvalsh": [dec.n], "svd": []}
     # The post-step checks still see every step, on spectra padded to length n.
     assert interlaced == [(dec.n, dec.n)] * result.schedule.steps_t
+
+    # verify takes its own eigvalsh of L^T L, then one of the t x t Gram.
+    for calls in orders.values():
+        calls.clear()
+    verify(dec, 0.5, result.sigma)
+    assert orders == {"eigh": [], "eigvalsh": [dec.n, t], "svd": []}
 
 
 @pytest.mark.parametrize("case", LOW_RANK_CASES)

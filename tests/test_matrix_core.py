@@ -9,7 +9,6 @@ from rinv.matrix_core import (
     gram_min_eigenvalue,
     sherman_morrison_inverse,
     shifted_inverse,
-    spectral_norm,
     sym_eigendecomposition,
 )
 from rinv.errors import (
@@ -108,14 +107,7 @@ class TestShermanMorrison:
 
 class TestNorms:
     def test_identity(self):
-        assert spectral_norm(np.eye(4)) == pytest.approx(1.0)
         assert frobenius_norm_sq(np.eye(4)) == pytest.approx(4.0)
-
-    def test_against_svd(self):
-        rng = np.random.default_rng(2)
-        L = rng.standard_normal((6, 6))
-        s = np.linalg.svd(L, compute_uv=False)
-        assert spectral_norm(L) == pytest.approx(s[0])
 
 
 class TestGramMinEigenvalue:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rinv import (
     Decomposition,
@@ -12,10 +13,12 @@ from rinv import (
     permuted,
     random_tight_frame,
     run_selection,
+    verify,
 )
-from rinv.errors import ParameterError, ZeroOperatorError
+from rinv.errors import IndexRangeError, NormRangeError, ParameterError, ZeroOperatorError
 from rinv.matrix_core import gram_min_eigenvalue
 from rinv.selector import (
+    FROB_SQ_RANGE,
     SelectionState,
     candidate_feasible,
     check_step_preconditions,
@@ -65,6 +68,78 @@ class TestComputeSchedule:
             s = compute_schedule(np.eye(10), 20, eps)
             if s.steps_t >= 1:
                 assert s.steps_t * s.delta < s.b0
+
+    @pytest.mark.parametrize("scale", [1e200, 1e60, 1e-60, 1e-170],
+                             ids=["overflow", "cube-overflow", "cube-underflow", "underflow"])
+    def test_norm_outside_float_range(self, scale):
+        # Typed, and without a RuntimeWarning from forming ||L||_F^2.
+        dec = Decomposition(L=scale * np.eye(4), V=np.eye(4))
+        with pytest.raises(NormRangeError, match=r"\|\|L\|\|_F\^2 = .* outside the float range"):
+            compute_schedule(dec.L, 4, 0.5)
+        with pytest.raises(NormRangeError):
+            run_selection(dec, 0.5)
+        with pytest.raises(NormRangeError):
+            verify(dec, 0.5, [0])
+
+    def test_nan_operator(self):
+        with pytest.raises(NormRangeError, match=r"= nan is outside"):
+            compute_schedule(np.full((3, 3), np.nan), 3, 0.5)
+
+    @pytest.mark.parametrize("edge", [1.01 * FROB_SQ_RANGE[0], 0.99 * FROB_SQ_RANGE[1]],
+                             ids=["low", "high"])
+    @pytest.mark.parametrize("pivot", ["first", "greedy"])
+    def test_walk_at_the_edges_of_the_range(self, edge, pivot):
+        # Just inside the range every Gram of the walk, up to the third power
+        # of L^T L, is a normal float: same sigma and flags as at scale 1.
+        rng = np.random.default_rng(2)
+        Q, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+        L = Q * np.linspace(1.0, 2.0, 32)
+        dec = Decomposition(L=L, V=random_tight_frame(32, 64, 2))
+        base = run_selection(dec, 0.5, pivot_rule=pivot)
+        scaled = Decomposition(L=L * math.sqrt(edge / np.sum(L * L)), V=dec.V)
+        res = run_selection(scaled, 0.5, pivot_rule=pivot)
+        assert len(res.sigma) == res.schedule.steps_t > 1
+        assert res.sigma == base.sigma
+        assert [tr.preconditions for tr in res.traces] == [tr.preconditions for tr in base.traces]
+        assert verify(scaled, 0.5, res.sigma).passes
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["square", "rank-deficient", "dominant"]),
+           n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           exponent=st.floats(-12.0, 8.0), epsilon=st.sampled_from([0.5, 0.7, 0.9]))
+    def test_spec_sq_and_selection_under_scaling(self, kind, n, seed, exponent, epsilon):
+        # ||L||_2^2 from eigvalsh(L^T L) against the SVD of L, and t and sigma
+        # unchanged under L -> cL for c in [1e-12, 1e8].
+        rng = np.random.default_rng(seed)
+        L = rng.standard_normal((n, n))
+        if kind == "rank-deficient":
+            L = L[:, : n // 2] @ rng.standard_normal((n // 2, n))
+        elif kind == "dominant":
+            L = L + 30.0 * np.outer(rng.standard_normal(n), rng.standard_normal(n))
+        c = 10.0 ** exponent
+        sched = compute_schedule(c * L, 2 * n, epsilon)
+        svd_sq = np.linalg.svd(c * L, compute_uv=False)[0] ** 2
+        assert abs(sched.spec_sq - svd_sq) <= 1e-12 * svd_sq
+        dec = Decomposition(L=L, V=random_tight_frame(n, 2 * n, seed))
+        base = run_selection(dec, epsilon)
+        scaled = run_selection(Decomposition(L=c * L, V=dec.V), epsilon)
+        assert scaled.schedule.steps_t == base.schedule.steps_t == sched.steps_t
+        assert scaled.sigma == base.sigma
+
+    @pytest.mark.parametrize("pivot", ["first", "greedy"])
+    def test_select_and_verify_agree_bit_for_bit(self, pivot):
+        # Both take ||L||_2^2 from the same eigvalsh of the same L^T L.
+        rng = np.random.default_rng(7)
+        for n, m in ((6, 12), (24, 48), (40, 40)):
+            L = rng.standard_normal((n, n))
+            dec = Decomposition(L=L, V=random_tight_frame(n, m, n))
+            for eps in (0.5, 0.8):
+                res = run_selection(dec, eps, pivot_rule=pivot)
+                cert = verify(dec, eps, res.sigma)
+                assert cert.delta == res.schedule.delta
+                assert cert.b0 == res.schedule.b0
+                assert cert.subset_size_bound == res.schedule.steps_t
+                assert cert.stable_rank == res.schedule.frob_sq / res.schedule.spec_sq
 
 
 class TestPotential:
@@ -209,6 +284,29 @@ class TestRunSelection:
         np.testing.assert_array_equal(
             dec_p.V[[inv[i] for i in sorted(res.sigma)]], dec.V[sorted(res.sigma)]
         )
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (list(range(-1, -11, -1)), r"in \[0, 10\)"),
+            ([99], r"in \[0, 10\)"),
+            ([0, 1, 1], "repeated"),
+            ([0.0, 1.0], "integer"),
+            ([[0, 1], [2, 3]], "integer"),
+        ],
+        ids=["negative", "past-m", "repeated", "float", "two-dimensional"],
+    )
+    def test_bad_scan_order(self, order, message):
+        dec = Decomposition(L=np.eye(5), V=random_tight_frame(5, 10, 6))
+        with pytest.raises(IndexRangeError, match=message):
+            run_selection(dec, 0.8, scan_order=order)
+
+    def test_partial_scan_order(self):
+        # Indices left out of the order are never scanned.
+        dec = Decomposition(L=np.eye(5), V=random_tight_frame(5, 10, 6))
+        order = [9, 3, 5, 0, 7, 1]
+        res = run_selection(dec, 0.8, scan_order=order)
+        assert len(res.sigma) == 3 and set(res.sigma) <= set(order)
 
     def test_greedy_pivot(self):
         dec = from_standard_basis(np.eye(4))
