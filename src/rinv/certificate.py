@@ -12,8 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .decomposition import Decomposition, from_standard_basis
-from .errors import IndexRangeError
+from .decomposition import Decomposition, checked_indices, from_standard_basis
 from .matrix_core import gram_min_eigenvalue
 from .selector import compute_schedule
 from .tolerances import Tolerances, default_tolerances
@@ -54,15 +53,6 @@ class Certificate:
         }
 
 
-def _checked_sigma(sigma: Sequence[int], m: int) -> List[int]:
-    sigma = [int(i) for i in sigma]
-    if len(set(sigma)) != len(sigma):
-        raise IndexRangeError("sigma contains repeated indices")
-    if any(i < 0 or i >= m for i in sigma):
-        raise IndexRangeError(f"sigma indices must lie in [0, {m})")
-    return sorted(sigma)
-
-
 def verify(
     dec: Decomposition, epsilon: float, sigma: Sequence[int], tol: Tolerances | None = None
 ) -> Certificate:
@@ -74,10 +64,11 @@ def verify(
     guarantee holds with margin, so a borderline value signals genuine
     numerical trouble. t, the bound, b0 and delta come from compute_schedule,
     so an all-zero L raises ZeroOperatorError and an epsilon outside (0, 1)
-    ParameterError.
+    ParameterError; sigma must hold distinct integers in [0, m), or
+    IndexRangeError.
     """
     tol = tol or default_tolerances()
-    sigma = _checked_sigma(sigma, dec.m)
+    sigma = sorted(checked_indices(sigma, dec.m, "sigma").tolist())
     schedule = compute_schedule(dec.L, dec.m, epsilon)
 
     if sigma:

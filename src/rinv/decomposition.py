@@ -15,6 +15,7 @@ from .errors import (
     ColumnNormError,
     DecompositionError,
     DimensionError,
+    IndexRangeError,
     InfeasibleFrameError,
 )
 from .tolerances import Tolerances, default_tolerances
@@ -97,15 +98,12 @@ def validate(dec: Decomposition, tol: Tolerances | None = None) -> Decomposition
 def from_standard_basis(L, classical: bool = False, tol: Tolerances | None = None) -> Decomposition:
     """Decomposition with V the standard basis of R^n.
 
-    With classical=True the unit-column requirement on L is enforced.
+    With classical=True the unit-column requirement on L is enforced; a
+    non-square L fails validate's shape check.
     """
-    tol = tol or default_tolerances()
     L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise DimensionError(f"L must be square, got {L.shape}")
     mode = Mode.CLASSICAL_COLUMNS if classical else Mode.FRAME
-    dec = Decomposition(L=L, V=np.eye(L.shape[0]), mode=mode)
-    return validate(dec, tol)
+    return validate(Decomposition(L=L, V=np.eye(len(np.atleast_1d(L))), mode=mode), tol)
 
 
 def random_tight_frame(n: int, m: int, seed: int, tol: Tolerances | None = None) -> np.ndarray:
@@ -129,9 +127,27 @@ def random_tight_frame(n: int, m: int, seed: int, tol: Tolerances | None = None)
     return Q
 
 
+def checked_indices(indices, m: int, name: str) -> np.ndarray:
+    """indices as a 1-D integer array; IndexRangeError unless it holds
+    distinct integers in [0, m). Bool, float, str and object entries are
+    rejected, not cast; an empty list is allowed."""
+    try:
+        idx = np.asarray(indices)
+    except ValueError:  # ragged nesting
+        idx = np.empty((0, 0))
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise IndexRangeError(f"{name} must be a sequence of integer indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= m):
+        raise IndexRangeError(f"{name} indices must lie in [0, {m})")
+    if len(np.unique(idx)) != len(idx):
+        raise IndexRangeError(f"{name} contains repeated indices")
+    return idx.astype(int, copy=False)
+
+
 def permuted(dec: Decomposition, perm) -> Decomposition:
-    """Decomposition with rows of V reordered: new row j is old row perm[j]."""
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(dec.m)):
-        raise DimensionError("perm must be a permutation of range(m)")
+    """Decomposition with rows of V reordered: new row j is old row perm[j].
+    IndexRangeError for a bad or repeated entry, DimensionError for a length other than m."""
+    perm = checked_indices(perm, dec.m, "perm")
+    if len(perm) != dec.m:
+        raise DimensionError(f"perm must have m = {dec.m} entries, got {len(perm)}")
     return replace(dec, V=dec.V[perm])

@@ -13,7 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .decomposition import Decomposition
-from .errors import InvariantViolation, SubsetTooLargeError
+from .errors import InvariantViolation, ParameterError, SubsetTooLargeError
 from .tolerances import Tolerances, default_tolerances
 
 ENUMERATION_GUARD = 10**6
@@ -30,10 +30,13 @@ def exhaustive_best_subset(
     last-ulp noise. t = 0 returns ([], inf): the empty subset vacuously
     satisfies any lower bound, so its value is a +inf sentinel.
     Enumeration order is lexicographic and the merge keeps the earliest
-    maximizer, so the result is independent of _BATCH.
+    maximizer, so the result is independent of _BATCH. ParameterError unless
+    t is an integer (not a bool) in [0, m].
     """
     tol = tol or default_tolerances()
     m = dec.m
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t <= m:
+        raise ParameterError(f"t must be an integer in [0, {m}], got {t!r}")
     if t == 0:
         return [], math.inf
     count = math.comb(m, t)

@@ -22,9 +22,8 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .decomposition import Decomposition, validate
+from .decomposition import Decomposition, checked_indices, validate
 from .errors import (
-    IndexRangeError,
     InfeasibilityError,
     InvariantViolation,
     NormRangeError,
@@ -139,8 +138,8 @@ class Spectrum:
     rows and G[sigma, sigma] = P diag(lam) P^T, U = W_sigma^T R for
     R = P diag(lam)^{-1/2}. L is seen through M = U^T L L^T U, whose
     diagonal holds the column masses ||L^T u_j||^2, N = U^T L LtL L^T U and
-    the block's mass mass0 = ||L||_F^2 - tr M. Each at() result is kept per
-    (shift, tol), so a step evaluates each shift once."""
+    the block's mass mass0 = ||L||_F^2 - tr M. at() uses of()'s tol and keeps
+    each result per shift, so a step evaluates each shift once."""
 
     lam: np.ndarray
     R: np.ndarray
@@ -148,6 +147,7 @@ class Spectrum:
     N: np.ndarray
     n0: int
     mass0: float
+    tol: Tolerances = field(repr=False)
     _at: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -163,24 +163,24 @@ class Spectrum:
         M = R.T @ grams.H[sigma, :k] @ R
         n0 = len(grams.LtL) - len(lam)
         mass0 = grams.tr_ltl - float(np.trace(M)) if n0 else 0.0
-        return cls(lam, R, M, R.T @ grams.J[:k, :k] @ R, n0, mass0)
+        return cls(lam, R, M, R.T @ grams.J[:k, :k] @ R, n0, mass0, tol)
 
     def padded(self) -> np.ndarray:
         """All n eigenvalues: lam followed by the block's n0 zeros."""
         return np.concatenate([self.lam, np.zeros(self.n0)])
 
-    def at(self, shift: float, tol: Tolerances) -> AtShift:
+    def at(self, shift: float) -> AtShift:
         """Phi = sum_j mass_j / (lam_j - shift) - mass0 / shift and its split;
         SingularShiftError when the shift sits on an eigenvalue, the block's 0 included."""
-        if (shift, tol) not in self._at:
+        if shift not in self._at:
             k = len(self.lam)
             # A nonempty block adds the one eigenvalue 0 to the shift-gap check.
-            d = shifted_spectrum(np.append(self.lam, np.zeros(min(self.n0, 1))), shift, tol)
+            d = shifted_spectrum(np.append(self.lam, np.zeros(min(self.n0, 1))), shift, self.tol)
             d, d0 = d[:k], float(np.sum(d[k:]))
             phi_image = float(np.sum(np.diag(self.M) * d))
-            self._at[shift, tol] = AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
-                                           -self.mass0 / shift, self.mass0)
-        return self._at[shift, tol]
+            self._at[shift] = AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
+                                      -self.mass0 / shift, self.mass0)
+        return self._at[shift]
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ class SelectionState:
            tol: Tolerances | None = None) -> "SelectionState":
         """The state after choosing sigma, with the barrier at barrier_b."""
         tol = tol or default_tolerances()
-        sigma = [int(i) for i in sigma]
+        sigma = checked_indices(sigma, dec.m, "sigma").tolist()
         grams = Grams.of(dec, sigma)
         return cls(sigma, barrier_b, Spectrum.of(grams, sigma, tol), grams)
 
@@ -386,7 +386,7 @@ def check_step_preconditions(
     tol = tol or default_tolerances()
     spec = state.spectrum
     b = state.barrier_b
-    at_b, at_bp = spec.at(b, tol), spec.at(b - schedule.delta, tol)
+    at_b, at_bp = spec.at(b), spec.at(b - schedule.delta)
     slack = tol.precondition_slack
 
     target = -schedule.m - schedule.spec_sq / schedule.delta
@@ -418,7 +418,6 @@ def _pick(quad, after, phi_before: float, slack: float, first: bool):
 def select_next(
     state: SelectionState,
     schedule: Schedule,
-    dec: Decomposition,
     pivot_rule: str = PIVOT_FIRST,
     tol: Tolerances | None = None,
     scan_order: Optional[Sequence[int]] = None,
@@ -428,8 +427,9 @@ def select_next(
 
     FirstFeasible returns the earliest feasible index in scan order;
     GreedyMinPotential the feasible index with smallest updated potential,
-    ties broken by scan order. Raises InfeasibilityError when nothing
-    passes even with the retry slack.
+    ties broken by scan order; pivot_rule and scan_order come checked from
+    run_selection. Raises InfeasibilityError when nothing passes even with
+    the retry slack.
 
     Blocks of candidates are tested at once, each O(k^2): FirstFeasible
     tests blocks of 1, 2, 4, ... in scan order and stops at the first block
@@ -440,16 +440,14 @@ def select_next(
     + d0^2 ||L^T w||^2. The retry pass re-reads them with slack.
     """
     tol = tol or default_tolerances()
-    if pivot_rule not in (PIVOT_FIRST, PIVOT_GREEDY):
-        raise ParameterError(f"unknown pivot rule {pivot_rule!r}")
     first = pivot_rule == PIVOT_FIRST
-    spec, grams, k = state.spectrum, state.grams, len(state.sigma)
+    spec, grams, k, m = state.spectrum, state.grams, len(state.sigma), len(state.grams.g)
     b_prime = state.barrier_b - schedule.delta
-    phi_before = spec.at(state.barrier_b, tol).phi
-    at_bp = spec.at(b_prime, tol)
+    phi_before = spec.at(state.barrier_b).phi
+    at_bp = spec.at(b_prime)
     d_image, d0 = at_bp.d - at_bp.d0, at_bp.d0
-    order = np.arange(dec.m) if scan_order is None else np.asarray(scan_order, dtype=int)
-    taken = np.zeros(dec.m, dtype=bool)
+    order = np.arange(m) if scan_order is None else np.asarray(scan_order)
+    taken = np.zeros(m, dtype=bool)
     taken[state.sigma] = True
     order = order[~taken[order]]
 
@@ -504,26 +502,13 @@ def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_bef
             f"potential increased at step {k_next}: "
             f"{rec.potential_after_add} > {phi_before}"
         )
-    phi_fresh = new.at(b_prime, tol).phi
+    phi_fresh = new.at(b_prime).phi
     denom = max(abs(phi_fresh), 1.0)
     if abs(phi_fresh - rec.potential_after_add) > tol.sm_consistency * denom:
         raise InvariantViolation(
             "rank-one potential update disagrees with fresh recomputation: "
             f"{rec.potential_after_add} vs {phi_fresh}"
         )
-
-
-def _checked_order(scan_order: Sequence[int], m: int) -> np.ndarray:
-    """scan_order as an index array; IndexRangeError unless it holds distinct
-    integers in [0, m). It may leave indices out."""
-    order = np.asarray(scan_order)
-    if order.ndim != 1 or (order.size and order.dtype.kind not in "iu"):
-        raise IndexRangeError("scan_order must be a sequence of integer indices")
-    if order.size and (order.min() < 0 or order.max() >= m):
-        raise IndexRangeError(f"scan_order indices must lie in [0, {m})")
-    if len(np.unique(order)) != len(order):
-        raise IndexRangeError("scan_order contains repeated indices")
-    return order
 
 
 def run_selection(
@@ -544,7 +529,9 @@ def run_selection(
     """
     tol = tol or default_tolerances()
     dec = validate(dec, tol)
-    order = None if scan_order is None else _checked_order(scan_order, dec.m)
+    order = None if scan_order is None else checked_indices(scan_order, dec.m, "scan_order")
+    if pivot_rule not in (PIVOT_FIRST, PIVOT_GREEDY):
+        raise ParameterError(f"unknown pivot rule {pivot_rule!r}")
     schedule, LtL = _schedule(dec.L, dec.m, epsilon)
     if schedule.vacuous:
         return SelectionResult(sigma=[], schedule=schedule)
@@ -556,10 +543,10 @@ def run_selection(
     for _ in range(schedule.steps_t):
         spec = state.spectrum
         diag = check_step_preconditions(state, schedule, tol)
-        chosen, rec, scanned = select_next(state, schedule, dec, pivot_rule, tol, order)
+        chosen, rec, scanned = select_next(state, schedule, pivot_rule, tol, order)
         # Both shifts were evaluated by the two calls above and are kept on spec.
         b_prime = state.barrier_b - schedule.delta
-        phi_before, split = spec.at(state.barrier_b, tol).phi, spec.at(b_prime, tol)
+        phi_before, split = spec.at(state.barrier_b).phi, spec.at(b_prime)
         sigma = state.sigma + [chosen]
         grams.append(sigma)
         spec_new = Spectrum.of(grams, sigma, tol)

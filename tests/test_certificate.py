@@ -49,6 +49,10 @@ class TestVerify:
             verify(dec, 0.5, [0, 0])
         with pytest.raises(IndexRangeError):
             verify(dec, 0.5, [3])
+        # Not cast: 0.7 is not index 0, True and '1' are not index 1.
+        for sigma in ([0.7], [True], ["1"], [[0, 1]], [[0, 1], [2]]):
+            with pytest.raises(IndexRangeError, match="integer indices"):
+                verify(dec, 0.5, sigma)
 
     def test_zero_operator_is_typed(self):
         dec = Decomposition(L=np.zeros((3, 3)), V=np.eye(3))

@@ -116,8 +116,12 @@ class TestGen:
         V = np.asarray(mmread(str(vpath)), dtype=float)
         assert np.array_equal(V, random_tight_frame(4, 9, 11))
 
-    def test_infeasible(self, tmp_path):
+    def test_infeasible(self, tmp_path, capsys):
         assert main(["gen", "--n", "4", "--m", "3", "--output", str(tmp_path / "v.mtx")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rinv: error: a tight frame needs m >= n (got m=3, n=4)\n"
+        assert not (tmp_path / "v.mtx").exists()
 
     def test_python_dash_m(self, tmp_path):
         from rinv import random_tight_frame
@@ -352,6 +356,22 @@ class TestOracleAndBench:
 class TestUsage:
     def test_no_subcommand(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("gen", "--n", "-1"), ("gen", "--m", "-3"), ("gen", "--seed", "-1"),
+        ("bench", "--seed", "-1"), ("bench", "--trials", "-3"), ("bench", "--trials", "2.5"),
+    ])
+    def test_negative_integer_flag_exits_1(self, id4, tmp_path, capsys, command, flag, value):
+        args = {"gen": {"--n": "2", "--m": "3", "--output": str(tmp_path / "v.mtx")},
+                "bench": {"--L": id4, "--epsilon": "0.5"}}[command]
+        args[flag] = value
+        assert main([command] + [word for item in args.items() for word in item]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: rinv {command} ")
+        assert captured.err.endswith(f"rinv {command}: error: argument {flag}: "
+                                     f"expected a non-negative integer, got '{value}'\n")
+        assert not (tmp_path / "v.mtx").exists()
 
     def test_unknown_flag(self, id4):
         assert main(["select", "--L", id4, "--epsilon", "0.5", "--bogus"]) == 1

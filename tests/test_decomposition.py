@@ -15,6 +15,7 @@ from rinv.errors import (
     ColumnNormError,
     DecompositionError,
     DimensionError,
+    IndexRangeError,
     InfeasibleFrameError,
 )
 
@@ -114,5 +115,13 @@ class TestPermuted:
 
     def test_rejects_non_permutation(self):
         dec = Decomposition(L=np.eye(2), V=frame_120())
-        with pytest.raises(DimensionError):
+        with pytest.raises(IndexRangeError, match="perm contains repeated indices"):
             permuted(dec, [0, 0, 1])
+        with pytest.raises(DimensionError, match="m = 3 entries, got 2"):
+            permuted(dec, [0, 1])
+
+    def test_rejects_float_perm(self):
+        # Not cast to int: [0.2, 1, 2] is not the identity.
+        dec = Decomposition(L=np.eye(2), V=frame_120())
+        with pytest.raises(IndexRangeError, match="perm must be a sequence of integer indices"):
+            permuted(dec, [0.2, 1, 2])

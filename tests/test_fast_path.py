@@ -248,7 +248,7 @@ def test_state_of_prefix_replays_each_step(pivot):
     for k, tr in enumerate(result.traces):
         state = SelectionState.of(dec, result.sigma[:k], tr.barrier_before)
         assert check_step_preconditions(state, result.schedule) == tr.preconditions
-        chosen, _, _ = select_next(state, result.schedule, dec, pivot)
+        chosen, _, _ = select_next(state, result.schedule, pivot)
         assert chosen == tr.chosen_index
 
 
@@ -304,7 +304,7 @@ def test_averaging_lhs_from_grams_matches_dense_T(case):
         b_prime = b - result.schedule.delta
         A = _gram(dec, state.sigma)
         T = dec.L.T @ shifted_inverse(A, b_prime) @ dec.L
-        lhs = rinv.selector._t_frob_sq(state, state.spectrum.at(b_prime, TOL))
+        lhs = rinv.selector._t_frob_sq(state, state.spectrum.at(b_prime))
         assert lhs == pytest.approx(float(np.sum(T * T)), rel=1e-10)
         expected = _reference_preconditions(A, b, result.schedule, dec.L)
         assert asdict(check_step_preconditions(state, result.schedule)) == expected
@@ -371,7 +371,7 @@ def test_infeasible_step_reports_reference_margins(pivot, make_state):
     expected = _reference_preconditions(A, state.barrier_b, sched, dec.L)
     assert asdict(diag) == expected
     with pytest.raises(InfeasibilityError) as err:
-        select_next(state, sched, dec, pivot)
+        select_next(state, sched, pivot)
     b_prime = state.barrier_b - sched.delta
     M = shifted_inverse(A, b_prime)
     phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, b_prime, dec.L)
@@ -392,7 +392,7 @@ def test_retry_pass_accepts_within_slack_and_counts_both_passes(pivot, scanned):
     sched = compute_schedule(dec.L, dec.m, 0.5)
     b_prime = 1.0 / (1.0 - 1e-10)
     state = SelectionState.of(dec, [], b_prime + sched.delta)
-    chosen, rec, got_scanned = select_next(state, sched, dec, pivot)
+    chosen, rec, got_scanned = select_next(state, sched, pivot)
     assert (chosen, got_scanned) == (0, scanned)
     assert -1.0 < rec.quadform < -1.0 + TOL.feasibility_retry
     A, bp = np.zeros((3, 3)), state.barrier_b - sched.delta

@@ -14,7 +14,7 @@ from rinv import (
     random_tight_frame,
 )
 import rinv.oracle
-from rinv.errors import SubsetTooLargeError
+from rinv.errors import ParameterError, SubsetTooLargeError
 from rinv.tolerances import default_tolerances
 
 
@@ -29,6 +29,7 @@ class TestExhaustiveBestSubset:
         sigma, lam = exhaustive_best_subset(dec, 1)
         assert sigma == [0]
         assert lam == pytest.approx(9.0)
+        assert exhaustive_best_subset(dec, np.int64(1)) == (sigma, lam)
 
     def test_tie_break_lexicographic(self):
         dec = Decomposition(L=np.eye(2), V=frame_120())
@@ -46,6 +47,12 @@ class TestExhaustiveBestSubset:
         dec = Decomposition(L=np.eye(10), V=random_tight_frame(10, 30, 0))
         with pytest.raises(SubsetTooLargeError):
             exhaustive_best_subset(dec, 15)
+
+    @pytest.mark.parametrize("t", [-1, 4, True, 2.0, "1"])
+    def test_bad_t(self, t):
+        dec = from_standard_basis(np.eye(3))
+        with pytest.raises(ParameterError, match=r"t must be an integer in \[0, 3\]"):
+            exhaustive_best_subset(dec, t)
 
     def test_batch_size_irrelevant(self, monkeypatch):
         dec = Decomposition(L=np.eye(4), V=random_tight_frame(4, 9, 5))

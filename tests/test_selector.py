@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rinv import (
     Decomposition,
+    compare_to_guarantee,
     compute_schedule,
     from_standard_basis,
     permuted,
@@ -197,7 +198,7 @@ class TestSelectNext:
         dec = from_standard_basis(np.eye(4))
         schedule = compute_schedule(dec.L, 4, 0.5)
         state = SelectionState.of(dec, [], schedule.b0)
-        chosen, rec, scanned = select_next(state, schedule, dec)
+        chosen, rec, scanned = select_next(state, schedule)
         assert chosen == 0
         assert rec.feasible
         assert scanned == 1
@@ -206,7 +207,7 @@ class TestSelectNext:
         dec = Decomposition(L=np.eye(2), V=frame_120())
         schedule = compute_schedule(dec.L, 3, 0.75)
         state = SelectionState.of(dec, [], schedule.b0)
-        chosen, rec, _ = select_next(state, schedule, dec)
+        chosen, rec, _ = select_next(state, schedule)
         # verify against an independent scan of all three candidates
         A = np.zeros((2, 2))
         M = shifted_inverse(A, schedule.b0 - schedule.delta)
@@ -218,6 +219,13 @@ class TestSelectNext:
             if candidate_feasible(A, M, dec.L, w, phi_b, phi_bp).feasible
         ]
         assert chosen == min(feasible)
+
+    def test_state_rejects_non_integer_sigma(self):
+        # [0.7, 2.9] must not be read as sigma = [0, 2].
+        dec = from_standard_basis(np.eye(4))
+        for sigma in ([0.7, 2.9], [True], ["1"], [1, 1]):
+            with pytest.raises(IndexRangeError):
+                SelectionState.of(dec, sigma, 0.5)
 
 
 class TestRunSelection:
@@ -292,9 +300,11 @@ class TestRunSelection:
             ([99], r"in \[0, 10\)"),
             ([0, 1, 1], "repeated"),
             ([0.0, 1.0], "integer"),
+            ([True, False], "integer"),
+            (["0", "1"], "integer"),
             ([[0, 1], [2, 3]], "integer"),
         ],
-        ids=["negative", "past-m", "repeated", "float", "two-dimensional"],
+        ids=["negative", "past-m", "repeated", "float", "bool", "str", "two-dimensional"],
     )
     def test_bad_scan_order(self, order, message):
         dec = Decomposition(L=np.eye(5), V=random_tight_frame(5, 10, 6))
@@ -317,8 +327,32 @@ class TestRunSelection:
         assert len(res2.sigma) == res2.schedule.steps_t
 
     def test_bad_pivot(self):
-        with pytest.raises(ParameterError):
-            run_selection(from_standard_basis(np.eye(4)), 0.5, pivot_rule="nope")
+        # Checked at entry, so a vacuous run (t = 0 for diag(1, 0, 0, 0)) rejects it too.
+        for L in (np.eye(4), np.diag([1.0, 0.0, 0.0, 0.0])):
+            dec = from_standard_basis(L)
+            with pytest.raises(ParameterError, match="unknown pivot rule 'nope'"):
+                run_selection(dec, 0.5, pivot_rule="nope")
+            with pytest.raises(ParameterError, match="unknown pivot rule 'nope'"):
+                compare_to_guarantee(dec, 0.5, pivot_rule="nope")
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 8), extra=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+           epsilon=st.floats(0.3, 0.9, exclude_min=True, exclude_max=True))
+    def test_index_list_forms_agree(self, n, extra, seed, epsilon):
+        # A list, a tuple and int32 and int64 arrays name the same indices;
+        # verify also ignores the order of sigma.
+        rng = np.random.default_rng(seed)
+        m = n + extra
+        dec = Decomposition(L=rng.standard_normal((n, n)), V=random_tight_frame(n, m, seed))
+        order = rng.permutation(m).tolist()
+        base = run_selection(dec, epsilon, scan_order=order)
+        for form in (tuple(order), np.array(order, np.int32), np.array(order, np.int64)):
+            assert run_selection(dec, epsilon, scan_order=form) == base
+        sigma = rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False).tolist()
+        cert = verify(dec, epsilon, sigma)
+        for form in (tuple(sigma), np.array(sigma, np.int32), np.array(sigma, np.int64),
+                     sorted(sigma), sigma[::-1], rng.permutation(sigma)):
+            assert verify(dec, epsilon, form) == cert
 
     def test_sherman_morrison_consistency(self):
         dec = Decomposition(L=np.eye(6), V=random_tight_frame(6, 12, 3))
