@@ -120,13 +120,15 @@ def _read_matrix(path):
 
 
 def _load_decomposition(args):
+    """The instance of args, unchecked: run_selection validates it for select,
+    oracle and bench, and _cmd_verify validates it for verify."""
     L = _read_matrix(args.L)
     mode = Mode.CLASSICAL_COLUMNS if args.mode == "columns" else Mode.FRAME
     if args.V is not None:
         V = _read_matrix(args.V)
     else:
         V = np.eye(L.shape[0])
-    return validate(Decomposition(L=L, V=V, mode=mode), default_tolerances())
+    return Decomposition(L=L, V=V, mode=mode)
 
 
 def _emit(payload: dict, output=None):
@@ -171,7 +173,7 @@ def _read_certificate(path):
 
 
 def _cmd_verify(args):
-    dec = _load_decomposition(args)
+    dec = validate(_load_decomposition(args), default_tolerances())
     stored, epsilon, sigma = _read_certificate(args.certificate)
     cert = verify(dec, epsilon, sigma)
     match = bool(stored.get("passes")) == cert.passes

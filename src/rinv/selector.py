@@ -6,14 +6,16 @@ step. The potential tr(L^T (A - bI)^{-1} L) never increases; every nonzero
 eigenvalue of A stays above the barrier, which at the end sits above
 (1 - eps)^2 ||L||_F^2 / m.
 
-A has rank k <= t after k steps. The walk forms V L^T L once and then works
-in Gram space: a step's Spectrum holds the k nonzero eigenpairs of A, from
-an eigh of the k x k Gram of the chosen rows L v_i, plus an implicit zero
-block on the other n - k directions, and every potential, candidate test,
-diagnostic and trace value is read from k x k matrices and the Gram columns
-of the chosen indices. The spectrum of the k + 1 rows taken after the step
-is the next step's; potential and potential_split are references from one
-eigh of a dense A.
+A has rank k <= t after k steps. The walk works in Gram space: a
+candidate's row of V L^T L and its Gram entries are formed the first time
+the scan reads it, in scan order, so first-feasible forms about t rows where
+greedy forms all m. A step's Spectrum holds the k nonzero eigenpairs of A,
+from an eigh of the k x k Gram of the chosen rows L v_i, plus an implicit
+zero block on the other n - k directions, and every potential, candidate
+test, diagnostic and trace value is read from k x k matrices and the Gram
+columns of the chosen indices. The spectrum of the k + 1 rows taken after
+the step is the next step's; potential and potential_split are references
+from one eigh of a dense A.
 """
 
 import math
@@ -84,19 +86,25 @@ def _kernel_band(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
     return lam <= tol.kernel_threshold * float(np.abs(lam).max(initial=0.0))
 
 
-@dataclass(frozen=True)
+@dataclass
 class Grams:
-    """The m candidates w_i = L v_i seen through LtL = L^T L, formed once per run.
+    """The candidates w = L v seen through LtL = L^T L, in scan order.
 
-    VG = V LtL; g_i = ||w_i||^2 and h_i = ||L^T w_i||^2 are the row sums of
-    V * VG and VG * VG; tr_ltl = ||L||_F^2 and ltl_sq = ||LtL||_F^2. For the
-    j-th chosen index c, G[:, j] = V VG_c^T and H[:, j] = VG VG_c^T are columns
-    of the m x m Grams G = W W^T (W the rows w_i) and H = VG VG^T, and
-    J[:, j] = VG_sigma LtL VG_c^T. A state reads the first len(sigma) columns;
-    append fills the next one in place, so G, H and J hold `capacity` of them.
+    Row p belongs to the candidate order[p] (pos is the inverse, -1 for an
+    index a partial scan_order leaves out, which has no row), and V holds
+    dec.V's rows in that order, permuted only for a scan_order. Rows are
+    filled on first read, up to the high-water mark reach: VG[p] = V[p] LtL,
+    g[p] = ||w||^2, h[p] = ||L^T w||^2 and, for the row c = cols[j] of the
+    j-th chosen index, G[p, j] = V[p] VG[c]^T and H[p, j] = VG[p] VG[c]^T,
+    entries of the Grams W W^T (rows w) and VG VG^T; J[:, j] =
+    VG[cols] LtL VG[c]^T. read(e) fills rows [reach, e) with every chosen
+    column and append the new column on rows [0, reach), up to `capacity`
+    columns, so each entry is computed once.
     """
 
     V: np.ndarray
+    order: np.ndarray
+    pos: np.ndarray
     LtL: np.ndarray
     VG: np.ndarray
     g: np.ndarray
@@ -106,28 +114,54 @@ class Grams:
     G: np.ndarray
     H: np.ndarray
     J: np.ndarray
+    cols: List[int] = field(default_factory=list)
+    reach: int = 0
 
     @classmethod
-    def of(cls, dec: Decomposition, sigma: Sequence[int], capacity: int = 0,
-           LtL: Optional[np.ndarray] = None) -> "Grams":
-        """The Grams of dec with sigma's columns filled; LtL, if given, is L^T L."""
+    def of(cls, dec: Decomposition, sigma: Sequence[int] = (), capacity: int = 0,
+           LtL: Optional[np.ndarray] = None, scan_order: Optional[np.ndarray] = None) -> "Grams":
+        """The Grams of dec with sigma's columns filled; LtL, if given, is L^T L,
+        and scan_order, if given, a checked index array."""
         V, L = np.asarray(dec.V, dtype=float), np.asarray(dec.L, dtype=float)
+        order = np.arange(dec.m)
+        if scan_order is not None:
+            order, V = scan_order, V[scan_order]
+        m, n = V.shape
+        pos = np.full(dec.m, -1)
+        pos[order] = np.arange(m)
         LtL = L.T @ L if LtL is None else LtL
-        VG = V @ LtL
         cap = max(capacity, len(sigma))
-        grams = cls(V, LtL, VG, np.sum(V * VG, axis=1), np.sum(VG * VG, axis=1),
+        grams = cls(V, order, pos, LtL, np.empty((m, n)), np.empty(m), np.empty(m),
                     float(np.trace(LtL)), float(np.sum(LtL * LtL)),
-                    np.empty((dec.m, cap)), np.empty((dec.m, cap)), np.empty((cap, cap)))
-        for k in range(len(sigma)):
-            grams.append(sigma[:k + 1])
+                    np.empty((m, cap)), np.empty((m, cap)), np.empty((cap, cap)))
+        for i in sigma:
+            grams.read(grams.pos[i] + 1)
+            grams.append(i)
         return grams
 
-    def append(self, sigma: Sequence[int]) -> None:
-        """Fill the columns of sigma's last index, O(m n)."""
-        k, vg = len(sigma) - 1, self.VG[sigma[-1]]
-        self.G[:, k] = self.V @ vg
-        self.H[:, k] = self.VG @ vg
-        self.J[k, :k + 1] = self.J[:k + 1, k] = self.VG[list(sigma)] @ (self.LtL @ vg)
+    def read(self, end: int) -> None:
+        """Fill rows [reach, end) with VG, g, h and every chosen column, O((end - reach) n^2)."""
+        start, k = self.reach, len(self.cols)
+        if end <= start:
+            return
+        V, VG = self.V[start:end], self.VG[start:end]
+        np.matmul(V, self.LtL, out=VG)
+        self.g[start:end] = np.sum(V * VG, axis=1)
+        self.h[start:end] = np.sum(VG * VG, axis=1)
+        chosen = self.VG[self.cols].T
+        self.G[start:end, :k] = V @ chosen
+        self.H[start:end, :k] = VG @ chosen
+        self.reach = int(end)
+
+    def append(self, index: int) -> None:
+        """Fill the column of the chosen candidate `index` (already read) on
+        rows [0, reach), O(reach n), and J's border, O(n^2)."""
+        k, c = len(self.cols), int(self.pos[index])
+        self.cols.append(c)
+        vg = self.VG[c]
+        self.G[:self.reach, k] = self.V[:self.reach] @ vg
+        self.H[:self.reach, k] = self.VG[:self.reach] @ vg
+        self.J[k, :k + 1] = self.J[:k + 1, k] = self.VG[self.cols] @ (self.LtL @ vg)
 
 
 @dataclass(frozen=True)
@@ -151,16 +185,17 @@ class Spectrum:
     _at: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def of(cls, grams: Grams, sigma: Sequence[int], tol: Tolerances) -> "Spectrum":
-        """From an eigh of the k x k Gram G[sigma, sigma]; eigenpairs in the
+    def of(cls, grams: Grams, tol: Tolerances) -> "Spectrum":
+        """From an eigh of the k x k Gram G[sigma, sigma] of the k chosen
+        indices, read at their positions grams.cols; eigenpairs in the
         kernel band join the zero block."""
-        k = len(sigma)
-        lam, P = np.linalg.eigh(grams.G[sigma, :k])
+        rows, k = grams.cols, len(grams.cols)
+        lam, P = np.linalg.eigh(grams.G[rows, :k])
         lam, P = lam[::-1], P[:, ::-1]
         keep = ~_kernel_band(lam, tol)
         lam = lam[keep]
         R = P[:, keep] / np.sqrt(lam)
-        M = R.T @ grams.H[sigma, :k] @ R
+        M = R.T @ grams.H[rows, :k] @ R
         n0 = len(grams.LtL) - len(lam)
         mass0 = grams.tr_ltl - float(np.trace(M)) if n0 else 0.0
         return cls(lam, R, M, R.T @ grams.J[:k, :k] @ R, n0, mass0, tol)
@@ -200,7 +235,7 @@ class SelectionState:
         tol = tol or default_tolerances()
         sigma = checked_indices(sigma, dec.m, "sigma").tolist()
         grams = Grams.of(dec, sigma)
-        return cls(sigma, barrier_b, Spectrum.of(grams, sigma, tol), grams)
+        return cls(sigma, barrier_b, Spectrum.of(grams, tol), grams)
 
 
 @dataclass(frozen=True)
@@ -420,20 +455,20 @@ def select_next(
     schedule: Schedule,
     pivot_rule: str = PIVOT_FIRST,
     tol: Tolerances | None = None,
-    scan_order: Optional[Sequence[int]] = None,
 ):
     """Choose the next index to add at the lowered barrier b - delta;
     returns (index, FeasibilityRecord, candidates scanned).
 
-    FirstFeasible returns the earliest feasible index in scan order;
-    GreedyMinPotential the feasible index with smallest updated potential,
-    ties broken by scan order; pivot_rule and scan_order come checked from
+    FirstFeasible returns the earliest feasible index in the scan order of
+    state.grams; GreedyMinPotential the feasible index with smallest updated
+    potential, ties broken by scan order; pivot_rule comes checked from
     run_selection. Raises InfeasibilityError when nothing passes even with
     the retry slack.
 
-    Blocks of candidates are tested at once, each O(k^2): FirstFeasible
-    tests blocks of 1, 2, 4, ... in scan order and stops at the first block
-    with a hit, GreedyMinPotential one block of all. With w = L v,
+    Blocks of candidates are tested at once, each O(k^2) once its Gram rows
+    are read: FirstFeasible tests blocks of 1, 2, 4, ... in scan order and
+    stops at the first block with a hit, so it reads rows only up to that
+    block; GreedyMinPotential reads all rows and tests one block. With w = L v,
     (A - b'I)^{-1} = U diag(d - d0) U^T + d0 I, w^T U = G[c, sigma] R and
     a = (w^T U) (d - d0): quadform = sum (w^T U)^2 (d - d0) + d0 ||w||^2, and
     y = L^T (A - b'I)^{-1} w has ||y||^2 = a M a^T + 2 d0 a R^T H[sigma, c]
@@ -441,15 +476,14 @@ def select_next(
     """
     tol = tol or default_tolerances()
     first = pivot_rule == PIVOT_FIRST
-    spec, grams, k, m = state.spectrum, state.grams, len(state.sigma), len(state.grams.g)
+    spec, grams, k = state.spectrum, state.grams, len(state.sigma)
     b_prime = state.barrier_b - schedule.delta
     phi_before = spec.at(state.barrier_b).phi
     at_bp = spec.at(b_prime)
     d_image, d0 = at_bp.d - at_bp.d0, at_bp.d0
-    order = np.arange(m) if scan_order is None else np.asarray(scan_order)
-    taken = np.zeros(m, dtype=bool)
-    taken[state.sigma] = True
-    order = order[~taken[order]]
+    taken = np.zeros(len(grams.order), dtype=bool)
+    taken[grams.cols] = True
+    order = np.flatnonzero(~taken)  # the scan positions of the candidates left
 
     # NaN marks a candidate not reached, or a zero vector: it passes no test.
     quad = np.full(len(order), np.nan)
@@ -459,6 +493,7 @@ def select_next(
         while start < len(order):
             block = slice(start, start + size)
             idx = order[block]
+            grams.read(idx[-1] + 1)
             WU, HU = grams.G[idx, :k] @ spec.R, grams.H[idx, :k] @ spec.R
             a, w_sq = WU * d_image, grams.g[idx]
             y_sq = (np.sum((a @ spec.M) * a, axis=1) + 2.0 * d0 * np.sum(a * HU, axis=1)
@@ -484,7 +519,7 @@ def select_next(
             best_quadform_margin=margins[0], best_potential_margin=margins[1],
         )
     rec = FeasibilityRecord(float(quad[pos]), float(after[pos]), True)
-    return int(order[pos]), rec, scanned
+    return int(grams.order[order[pos]]), rec, scanned
 
 
 def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):
@@ -536,20 +571,20 @@ def run_selection(
     if schedule.vacuous:
         return SelectionResult(sigma=[], schedule=schedule)
 
-    grams = Grams.of(dec, [], capacity=schedule.steps_t, LtL=LtL)
-    state = SelectionState([], schedule.b0, Spectrum.of(grams, [], tol), grams)
+    grams = Grams.of(dec, capacity=schedule.steps_t, LtL=LtL, scan_order=order)
+    state = SelectionState([], schedule.b0, Spectrum.of(grams, tol), grams)
     traces: List[StepTrace] = []
 
     for _ in range(schedule.steps_t):
         spec = state.spectrum
         diag = check_step_preconditions(state, schedule, tol)
-        chosen, rec, scanned = select_next(state, schedule, pivot_rule, tol, order)
+        chosen, rec, scanned = select_next(state, schedule, pivot_rule, tol)
         # Both shifts were evaluated by the two calls above and are kept on spec.
         b_prime = state.barrier_b - schedule.delta
         phi_before, split = spec.at(state.barrier_b).phi, spec.at(b_prime)
         sigma = state.sigma + [chosen]
-        grams.append(sigma)
-        spec_new = Spectrum.of(grams, sigma, tol)
+        grams.append(chosen)
+        spec_new = Spectrum.of(grams, tol)
         step = len(sigma)
         _check_post_step(spec, spec_new, step, b_prime, rec, phi_before, tol)
         traces.append(

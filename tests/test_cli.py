@@ -304,6 +304,46 @@ class TestVerify:
         assert message in captured.err
 
 
+def _counting_validate(monkeypatch):
+    """Calls of validate through rinv.cli or rinv.selector, the two names it runs under."""
+    calls, validate = [], rinv.selector.validate
+
+    def counting(dec, tol=None):
+        calls.append(dec)
+        return validate(dec, tol)
+
+    for module in (rinv.cli, rinv.selector):
+        monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
+class TestValidation:
+    @pytest.mark.parametrize("command", ["select", "verify", "oracle", "bench"])
+    def test_each_command_validates_once(self, id4, tmp_path, capsys, monkeypatch, command):
+        # run_selection validates for select, oracle and bench; verify does
+        # not validate, so rinv verify does it itself.
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"sigma": [1], "epsilon": 0.5, "passes": True}))
+        calls = _counting_validate(monkeypatch)
+        rest = ["--certificate", str(cert)] if command == "verify" else ["--epsilon", "0.5"]
+        assert main([command, "--L", id4] + rest) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["select", "oracle"])
+    def test_non_frame_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        # V = 2 I sums to 4 I, not I.
+        lpath, vpath = tmp_path / "L.mtx", tmp_path / "V.mtx"
+        mmwrite(str(lpath), np.eye(3), precision=17)
+        mmwrite(str(vpath), 2.0 * np.eye(3), precision=17)
+        calls = _counting_validate(monkeypatch)
+        assert main([command, "--L", str(lpath), "--V", str(vpath), "--epsilon", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "rinv: error: sum of outer products deviates from identity: defect ")
+        assert len(calls) == 1
+
+
 class TestOracleAndBench:
     def test_oracle_subcommand(self, id4, capsys):
         assert main(["oracle", "--L", id4, "--epsilon", "0.5"]) == 0

@@ -252,6 +252,75 @@ def test_state_of_prefix_replays_each_step(pivot):
         assert chosen == tr.chosen_index
 
 
+def _recorded_walk(dec, eps, pivot, scan_order, monkeypatch):
+    """run_selection with each step's state, the scan positions left to it,
+    select_next's candidates scanned and the Grams' reach after the call."""
+    steps, select_next = [], rinv.selector.select_next
+
+    def spy(state, *args):
+        grams = state.grams
+        left = np.setdiff1d(np.arange(len(grams.order)), grams.cols)
+        chosen, rec, scanned = select_next(state, *args)
+        steps.append((state, left, scanned, grams.reach))
+        return chosen, rec, scanned
+
+    monkeypatch.setattr(rinv.selector, "select_next", spy)
+    return run_selection(dec, eps, pivot_rule=pivot, scan_order=scan_order), steps
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+def test_grams_filled_on_read_match_dense(pivot, monkeypatch):
+    # The Grams hold rows in scan order, filled on first read up to reach.
+    # Every filled row must equal the dense V LtL V^T, VG VG^T and row norms.
+    dec = _ramp_instance(64, 256, 7)
+    order = np.random.default_rng(8).permutation(dec.m)[:192]
+    result, steps = _recorded_walk(dec, 0.5, pivot, order, monkeypatch)
+    grams = steps[-1][0].grams
+    assert len(result.sigma) == result.schedule.steps_t > 1
+    assert grams.order.tolist() == order.tolist()
+    assert grams.order[grams.cols].tolist() == result.sigma
+    VG = dec.V @ dec.L.T @ dec.L
+    G, H = VG @ dec.V.T, VG @ VG.T
+    rows, k = grams.order[:grams.reach], len(result.sigma)
+    np.testing.assert_allclose(grams.G[:grams.reach, :k], G[np.ix_(rows, result.sigma)],
+                               rtol=1e-12, atol=1e-12 * np.abs(G).max())
+    np.testing.assert_allclose(grams.H[:grams.reach, :k], H[np.ix_(rows, result.sigma)],
+                               rtol=1e-12, atol=1e-12 * np.abs(H).max())
+    np.testing.assert_allclose(grams.g[:grams.reach], np.diag(G)[rows], rtol=1e-12)
+    np.testing.assert_allclose(grams.h[:grams.reach], np.diag(H)[rows], rtol=1e-12)
+    if pivot == "greedy":
+        # One scan of every candidate at step 0; the indices order leaves out have no row.
+        assert [reach for *_, reach in steps] == [len(order)] * k
+        return
+    # First-feasible reads blocks of 1, 2, 4, ... of the positions left and
+    # stops after the block of its hit: s scanned means 2^b - 1 read, with b
+    # the bit length of s. Reach never passes the last position read.
+    reach = 0
+    for _, left, scanned, after in steps:
+        last = left[min(2 ** scanned.bit_length() - 1, len(left)) - 1]
+        reach = max(reach, last + 1)
+        assert after <= reach
+    assert grams.reach < 2 * k < dec.m // 8  # about t, where greedy reads 192
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+def test_state_of_matches_walk_under_scan_order(pivot, monkeypatch):
+    # SelectionState.of reads sigma's rows in natural order, the walk in a
+    # permuted partial scan order; both must see the same spectrum.
+    dec = _ramp_instance(64, 256, 7)
+    order = np.random.default_rng(9).permutation(dec.m)[:192]
+    result, steps = _recorded_walk(dec, 0.5, pivot, order, monkeypatch)
+    assert sorted(result.sigma) != result.sigma
+    for state, *_ in steps:
+        fresh = SelectionState.of(dec, state.sigma, state.barrier_b)
+        for name in ("lam", "M", "N"):
+            want = getattr(state.spectrum, name)
+            np.testing.assert_allclose(getattr(fresh.spectrum, name), want, rtol=1e-10,
+                                       atol=1e-12 * np.abs(want).max(initial=1.0))
+        assert fresh.spectrum.n0 == state.spectrum.n0
+        assert fresh.spectrum.mass0 == pytest.approx(state.spectrum.mass0, rel=1e-10)
+
+
 @pytest.mark.parametrize("pivot", PIVOTS)
 def test_walk_takes_no_eigh_of_order_n(pivot, monkeypatch):
     # Each spectrum is one eigh of the k x k Gram of the chosen rows, and the
