@@ -81,6 +81,11 @@ class AtShift(NamedTuple):
     kernel_mass: float  # ||L^T Q||_F^2, Q the projection on the kernel band of A
 
 
+def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The dot products of matching rows, with no temporary of their shape."""
+    return np.einsum("ij,ij->i", X, Y)
+
+
 def _kernel_band(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Eigenvalues of A at or below kernel_threshold * ||A||."""
     return lam <= tol.kernel_threshold * float(np.abs(lam).max(initial=0.0))
@@ -146,8 +151,8 @@ class Grams:
             return
         V, VG = self.V[start:end], self.VG[start:end]
         np.matmul(V, self.LtL, out=VG)
-        self.g[start:end] = np.sum(V * VG, axis=1)
-        self.h[start:end] = np.sum(VG * VG, axis=1)
+        self.g[start:end] = _row_dots(V, VG)
+        self.h[start:end] = _row_dots(VG, VG)
         chosen = self.VG[self.cols].T
         self.G[start:end, :k] = V @ chosen
         self.H[start:end, :k] = VG @ chosen
@@ -155,13 +160,16 @@ class Grams:
 
     def append(self, index: int) -> None:
         """Fill the column of the chosen candidate `index` (already read) on
-        rows [0, reach), O(reach n), and J's border, O(n^2)."""
+        rows [0, reach), O(reach n), and J's border, O(n^2). With vg = VG[c]
+        and lv = LtL vg, which J's border needs anyway, G's column is V vg and
+        H's is V lv, so both stream V alone."""
         k, c = len(self.cols), int(self.pos[index])
         self.cols.append(c)
         vg = self.VG[c]
+        lv = self.LtL @ vg
         self.G[:self.reach, k] = self.V[:self.reach] @ vg
-        self.H[:self.reach, k] = self.VG[:self.reach] @ vg
-        self.J[k, :k + 1] = self.J[:k + 1, k] = self.VG[self.cols] @ (self.LtL @ vg)
+        self.H[:self.reach, k] = self.V[:self.reach] @ lv
+        self.J[k, :k + 1] = self.J[:k + 1, k] = self.VG[self.cols] @ lv
 
 
 @dataclass(frozen=True)
@@ -171,18 +179,19 @@ class Spectrum:
     orthogonal to U, which holds the kernel band. With W_sigma the chosen
     rows and G[sigma, sigma] = P diag(lam) P^T, U = W_sigma^T R for
     R = P diag(lam)^{-1/2}. L is seen through M = U^T L L^T U, whose
-    diagonal holds the column masses ||L^T u_j||^2, N = U^T L LtL L^T U and
-    the block's mass mass0 = ||L||_F^2 - tr M. at() uses of()'s tol and keeps
-    each result per shift, so a step evaluates each shift once."""
+    diagonal holds the column masses ||L^T u_j||^2, and the block's mass
+    mass0 = ||L||_F^2 - tr M. at() uses of()'s tol and keeps each result per
+    shift, so a step evaluates each shift once; resolvent() keeps the k x k
+    K of a shift the same way."""
 
     lam: np.ndarray
     R: np.ndarray
     M: np.ndarray
-    N: np.ndarray
     n0: int
     mass0: float
     tol: Tolerances = field(repr=False)
     _at: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _K: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, grams: Grams, tol: Tolerances) -> "Spectrum":
@@ -198,7 +207,7 @@ class Spectrum:
         M = R.T @ grams.H[rows, :k] @ R
         n0 = len(grams.LtL) - len(lam)
         mass0 = grams.tr_ltl - float(np.trace(M)) if n0 else 0.0
-        return cls(lam, R, M, R.T @ grams.J[:k, :k] @ R, n0, mass0, tol)
+        return cls(lam, R, M, n0, mass0, tol)
 
     def padded(self) -> np.ndarray:
         """All n eigenvalues: lam followed by the block's n0 zeros."""
@@ -216,6 +225,15 @@ class Spectrum:
             self._at[shift] = AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
                                       -self.mass0 / shift, self.mass0)
         return self._at[shift]
+
+    def resolvent(self, shift: float) -> np.ndarray:
+        """K = R diag(d - d0) R^T at shift, so that (A - shift I)^{-1} =
+        W_sigma^T K W_sigma + d0 I: the k x k matrix through which the scan
+        and the averaging test see the resolvent."""
+        if shift not in self._K:
+            at = self.at(shift)
+            self._K[shift] = (self.R * (at.d - at.d0)) @ self.R.T
+        return self._K[shift]
 
 
 @dataclass(frozen=True)
@@ -397,13 +415,15 @@ def candidate_feasible(
     return FeasibilityRecord(quadform, potential_after_add, feasible, reason)
 
 
-def _t_frob_sq(state: SelectionState, at: AtShift) -> float:
-    """||T||_F^2 for T = L^T (A - shift I)^{-1} L = (L^T U) D (L^T U)^T + d0 LtL,
-    D = diag(d - d0): tr(DMDM) + 2 d0 tr(DN) + d0^2 ||LtL||_F^2."""
-    d_image, spec = at.d - at.d0, state.spectrum
-    DM = d_image[:, None] * spec.M
-    return float(np.sum(DM * DM.T) + 2.0 * at.d0 * (d_image @ np.diag(spec.N))
-                 + at.d0 * at.d0 * state.grams.ltl_sq)
+def _t_frob_sq(state: SelectionState, shift: float) -> float:
+    """||T||_F^2 for T = L^T (A - shift I)^{-1} L = VG_sigma^T K VG_sigma + d0 LtL,
+    K the resolvent at shift and D = diag(d - d0): tr(DMDM) + 2 d0 sum(J o K)
+    + d0^2 ||LtL||_F^2, since tr(VG_sigma^T K VG_sigma LtL) = tr(K J)."""
+    spec, grams = state.spectrum, state.grams
+    at, k = spec.at(shift), len(grams.cols)
+    DM = (at.d - at.d0)[:, None] * spec.M
+    return float(np.sum(DM * DM.T) + 2.0 * at.d0 * np.sum(grams.J[:k, :k] * spec.resolvent(shift))
+                 + at.d0 * at.d0 * grams.ltl_sq)
 
 
 def check_step_preconditions(
@@ -432,7 +452,7 @@ def check_step_preconditions(
     rhs_kernel = schedule.delta * at_bp.kernel_mass / schedule.spec_sq
     kernel_mass_ok = b <= rhs_kernel + slack * abs(rhs_kernel)
 
-    lhs = _t_frob_sq(state, at_bp)
+    lhs = _t_frob_sq(state, b - schedule.delta)
     rhs = (at_b.phi - at_bp.phi) * (-schedule.m - at_bp.phi)
     averaging_ok = lhs <= rhs + slack * abs(rhs)
 
@@ -466,24 +486,26 @@ def select_next(
     the retry slack.
 
     Blocks of candidates are tested at once, each O(k^2) once its Gram rows
-    are read: FirstFeasible tests blocks of 1, 2, 4, ... in scan order and
-    stops at the first block with a hit, so it reads rows only up to that
-    block; GreedyMinPotential reads all rows and tests one block. With w = L v,
-    (A - b'I)^{-1} = U diag(d - d0) U^T + d0 I, w^T U = G[c, sigma] R and
-    a = (w^T U) (d - d0): quadform = sum (w^T U)^2 (d - d0) + d0 ||w||^2, and
-    y = L^T (A - b'I)^{-1} w has ||y||^2 = a M a^T + 2 d0 a R^T H[sigma, c]
-    + d0^2 ||L^T w||^2. The retry pass re-reads them with slack.
+    are read: FirstFeasible tests blocks of 1, 2, 4, ... of the candidates
+    left, in scan order, and stops at the first block with a hit, so it reads
+    rows only up to that block; GreedyMinPotential reads all rows and tests
+    one block. A block is one slice of rows of G[:, sigma] and H[:, sigma],
+    its taken rows masked out. With K the resolvent at b', (A - b'I)^{-1} =
+    W_sigma^T K W_sigma + d0 I, so for w = L v with rows G_p, H_p and
+    Z = G_p K: quadform = Z G_p^T + d0 ||w||^2, and y = L^T (A - b'I)^{-1} w
+    has ||y||^2 = Z H[sigma, sigma] Z^T + 2 d0 Z H_p^T + d0^2 ||L^T w||^2, two
+    m x k x k products for greedy. The retry pass re-reads them with slack.
     """
     tol = tol or default_tolerances()
     first = pivot_rule == PIVOT_FIRST
     spec, grams, k = state.spectrum, state.grams, len(state.sigma)
     b_prime = state.barrier_b - schedule.delta
     phi_before = spec.at(state.barrier_b).phi
-    at_bp = spec.at(b_prime)
-    d_image, d0 = at_bp.d - at_bp.d0, at_bp.d0
-    taken = np.zeros(len(grams.order), dtype=bool)
-    taken[grams.cols] = True
-    order = np.flatnonzero(~taken)  # the scan positions of the candidates left
+    at_bp, K = spec.at(b_prime), spec.resolvent(b_prime)
+    d0, H_ss = at_bp.d0, grams.H[grams.cols, :k]
+    left = np.ones(len(grams.order), dtype=bool)
+    left[grams.cols] = False
+    order = np.flatnonzero(left)  # the scan positions of the candidates left
 
     # NaN marks a candidate not reached, or a zero vector: it passes no test.
     quad = np.full(len(order), np.nan)
@@ -491,18 +513,17 @@ def select_next(
     start, size = 0, 1 if first else len(order)
     with np.errstate(divide="ignore", invalid="ignore"):
         while start < len(order):
-            block = slice(start, start + size)
-            idx = order[block]
-            grams.read(idx[-1] + 1)
-            WU, HU = grams.G[idx, :k] @ spec.R, grams.H[idx, :k] @ spec.R
-            a, w_sq = WU * d_image, grams.g[idx]
-            y_sq = (np.sum((a @ spec.M) * a, axis=1) + 2.0 * d0 * np.sum(a * HU, axis=1)
-                    + d0 * d0 * grams.h[idx])
-            quad[block] = q = np.where(w_sq > 0, (WU * WU) @ d_image + d0 * w_sq, np.nan)
-            after[block] = at_bp.phi - y_sq / (1.0 + q)
-            if first and _pick(q, after[block], phi_before, 0.0, first)[0] is not None:
+            end = min(start + size, len(order))
+            rows = slice(order[start], order[end - 1] + 1)
+            grams.read(rows.stop)
+            G, H, w_sq, keep = grams.G[rows, :k], grams.H[rows, :k], grams.g[rows], left[rows]
+            Z = G @ K
+            y_sq = _row_dots(Z @ H_ss, Z) + 2.0 * d0 * _row_dots(Z, H) + d0 * d0 * grams.h[rows]
+            q = np.where(w_sq > 0, _row_dots(Z, G) + d0 * w_sq, np.nan)[keep]
+            quad[start:end], after[start:end] = q, at_bp.phi - y_sq[keep] / (1.0 + q)
+            if first and _pick(q, after[start:end], phi_before, 0.0, first)[0] is not None:
                 break
-            start, size = start + size, 2 * size
+            start, size = end, 2 * size
 
     pos, scanned = _pick(quad, after, phi_before, 0.0, first)
     if pos is None:

@@ -23,7 +23,9 @@ from rinv import (
 )
 import rinv.selector
 from rinv.selector import (
+    Grams,
     SelectionState,
+    Spectrum,
     candidate_feasible,
     check_step_preconditions,
     potential,
@@ -252,6 +254,95 @@ def test_state_of_prefix_replays_each_step(pivot):
         assert chosen == tr.chosen_index
 
 
+def _duplicate_state(case):
+    """A LOW_RANK_CASES walk's first two indices and a copy of the first,
+    appended as a last row of V: the chosen Gram is singular, so the
+    spectrum's kernel band is not empty."""
+    dec = LOW_RANK_CASES[case]()
+    sigma = run_selection(dec, 0.5).sigma[:2]
+    dec = Decomposition(L=dec.L, V=np.vstack([dec.V, dec.V[sigma[0]]]))
+    sched = compute_schedule(dec.L, dec.m, 0.5)
+    return dec, sched, SelectionState.of(dec, sigma + [dec.m - 1], sched.b0 - 3 * sched.delta)
+
+
+def _padded_scan_state(k):
+    """The padded frame instance with the first k indices of its walk taken,
+    scanned in an order that starts with failing vectors, zero rows among
+    them, and puts the taken ones at positions 2, 5 and 8. First-feasible
+    reads the candidates left at positions 1 and 3 as the slice 1-3, and
+    those at 4, 6, 7 and 9 as the slice 4-9, so both slices hold taken rows."""
+    dec, failing = _padded_frame_instance(32)
+    sigma = run_selection(dec, 0.5).sigma[:k]
+    rest = np.setdiff1d(np.arange(dec.m), np.concatenate([failing, sigma]))
+    front = failing[::-1][:12].tolist()  # zero rows, the last ones of V
+    for position, i in zip((2, 5, 8), sigma):
+        front.insert(position, i)
+    order = np.array(front + np.setdiff1d(failing, front).tolist()
+                     + np.random.default_rng(4).permutation(rest).tolist())
+    sched = compute_schedule(dec.L, dec.m, 0.5)
+    grams = Grams.of(dec, sigma, scan_order=order)
+    state = SelectionState(sigma, sched.b0 - k * sched.delta, Spectrum.of(grams, TOL), grams)
+    return dec, sched, state
+
+
+HARD_STATES = {
+    "kernel-band-ramp": lambda: _duplicate_state("ramp-64x128"),
+    "kernel-band-rank-deficient": lambda: _duplicate_state("rank-deficient"),
+    "zero-rows-first": lambda: _padded_scan_state(0),
+    "taken-in-blocks": lambda: _padded_scan_state(3),
+}
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+@pytest.mark.parametrize("make_state", HARD_STATES)
+def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monkeypatch):
+    # select_next's arrays, read at slack 0 and at the retry slack, against
+    # one candidate_feasible call per candidate in the same scan order.
+    dec, sched, state = HARD_STATES[make_state]()
+    grams, first = state.grams, pivot == "first"
+    if make_state.startswith("kernel-band"):
+        assert len(state.spectrum.lam) < len(state.sigma)
+    if make_state == "taken-in-blocks":
+        assert grams.cols == [2, 5, 8]
+    picks, pick = [], rinv.selector._pick
+
+    def spy(quad, after, phi_before, slack, first):
+        picks.append((quad, after, phi_before))
+        return pick(quad, after, phi_before, slack, first)
+
+    monkeypatch.setattr(rinv.selector, "_pick", spy)
+    chosen = select_next(state, sched, pivot)[0]
+    quad, after, phi_before = picks[-1]
+    left = grams.order[np.setdiff1d(np.arange(len(grams.order)), grams.cols)]
+
+    A, b_prime = _gram(dec, state.sigma), state.barrier_b - sched.delta
+    M, W = shifted_inverse(A, b_prime), dec.mapped_vectors()
+    phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, b_prime, dec.L)
+    picked = []
+    for slack in (0.0, TOL.feasibility_retry):
+        pos, scanned = pick(quad, after, phi_before, slack, first)
+        want, rec, want_scanned, _ = _reference_scan(A, M, dec.L, W, state.sigma, grams.order,
+                                                     phi_b, phi_bp, pivot, slack)
+        assert want is not None and (int(left[pos]), scanned) == (want, want_scanned)
+        np.testing.assert_allclose([quad[pos], after[pos]],
+                                   [rec.quadform, rec.potential_after_add], rtol=1e-10)
+        picked.append(want)
+    assert chosen == picked[0]
+
+    # Every candidate of the blocks read (blocks of 1, 2, 4, ... for
+    # first-feasible, as in test_grams_filled_on_read_match_dense) is tested:
+    # zero vectors are NaN, the rest match the reference.
+    scanned = pick(quad, after, phi_before, 0.0, first)[1]
+    read = min(2 ** scanned.bit_length() - 1, len(left)) if first else len(left)
+    tested, zero = np.flatnonzero(np.isfinite(after)), ~W[left].any(axis=1)
+    assert np.isnan(quad[zero]).all() and np.isnan(after[zero]).all()
+    assert tested.tolist() == np.flatnonzero(~zero[:read]).tolist()
+    ref = np.array([[r.quadform, r.potential_after_add] for r in
+                    (candidate_feasible(A, M, dec.L, W[i], phi_b, phi_bp) for i in left[tested])])
+    np.testing.assert_allclose(np.column_stack([quad[tested], after[tested]]), ref,
+                               rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+
+
 def _recorded_walk(dec, eps, pivot, scan_order, monkeypatch):
     """run_selection with each step's state, the scan positions left to it,
     select_next's candidates scanned and the Grams' reach after the call."""
@@ -288,6 +379,9 @@ def test_grams_filled_on_read_match_dense(pivot, monkeypatch):
                                rtol=1e-12, atol=1e-12 * np.abs(H).max())
     np.testing.assert_allclose(grams.g[:grams.reach], np.diag(G)[rows], rtol=1e-12)
     np.testing.assert_allclose(grams.h[:grams.reach], np.diag(H)[rows], rtol=1e-12)
+    VG_s = VG[result.sigma]
+    J = VG_s @ dec.L.T @ dec.L @ VG_s.T
+    np.testing.assert_allclose(grams.J[:k, :k], J, rtol=1e-12, atol=1e-12 * np.abs(J).max())
     if pivot == "greedy":
         # One scan of every candidate at step 0; the indices order leaves out have no row.
         assert [reach for *_, reach in steps] == [len(order)] * k
@@ -306,16 +400,18 @@ def test_grams_filled_on_read_match_dense(pivot, monkeypatch):
 @pytest.mark.parametrize("pivot", PIVOTS)
 def test_state_of_matches_walk_under_scan_order(pivot, monkeypatch):
     # SelectionState.of reads sigma's rows in natural order, the walk in a
-    # permuted partial scan order; both must see the same spectrum.
+    # permuted partial scan order; both must see the same spectrum and J.
     dec = _ramp_instance(64, 256, 7)
     order = np.random.default_rng(9).permutation(dec.m)[:192]
     result, steps = _recorded_walk(dec, 0.5, pivot, order, monkeypatch)
     assert sorted(result.sigma) != result.sigma
     for state, *_ in steps:
         fresh = SelectionState.of(dec, state.sigma, state.barrier_b)
-        for name in ("lam", "M", "N"):
-            want = getattr(state.spectrum, name)
-            np.testing.assert_allclose(getattr(fresh.spectrum, name), want, rtol=1e-10,
+        k = len(state.sigma)
+        pairs = [(fresh.spectrum.lam, state.spectrum.lam), (fresh.spectrum.M, state.spectrum.M),
+                 (fresh.grams.J[:k, :k], state.grams.J[:k, :k])]
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want, rtol=1e-10,
                                        atol=1e-12 * np.abs(want).max(initial=1.0))
         assert fresh.spectrum.n0 == state.spectrum.n0
         assert fresh.spectrum.mass0 == pytest.approx(state.spectrum.mass0, rel=1e-10)
@@ -361,7 +457,7 @@ def test_walk_takes_no_eigh_of_order_n(pivot, monkeypatch):
 
 @pytest.mark.parametrize("case", LOW_RANK_CASES)
 def test_averaging_lhs_from_grams_matches_dense_T(case):
-    # ||T||_F^2 from the k x k matrices M and N against the dense
+    # ||T||_F^2 from the k x k matrices M, J and the resolvent K against the dense
     # T = L^T (A - b'I)^{-1} L, on the states of a recorded walk.
     dec = LOW_RANK_CASES[case]()
     result = run_selection(dec, 0.5)
@@ -373,7 +469,7 @@ def test_averaging_lhs_from_grams_matches_dense_T(case):
         b_prime = b - result.schedule.delta
         A = _gram(dec, state.sigma)
         T = dec.L.T @ shifted_inverse(A, b_prime) @ dec.L
-        lhs = rinv.selector._t_frob_sq(state, state.spectrum.at(b_prime))
+        lhs = rinv.selector._t_frob_sq(state, b_prime)
         assert lhs == pytest.approx(float(np.sum(T * T)), rel=1e-10)
         expected = _reference_preconditions(A, b, result.schedule, dec.L)
         assert asdict(check_step_preconditions(state, result.schedule)) == expected
