@@ -152,7 +152,8 @@ def _cmd_select(args):
 
 
 def _read_certificate(path):
-    """The stored JSON object, its epsilon and its 0-based sigma."""
+    """The stored JSON object, its epsilon and its 0-based sigma; its passes
+    must be a JSON boolean."""
     try:
         with open(path, encoding="utf-8") as fh:
             stored = json.load(fh)
@@ -169,6 +170,10 @@ def _read_certificate(path):
         raise CertificateFormatError(
             f"certificate {path}: sigma must be a list of 1-based integer indices"
         )
+    if type(stored.get("passes")) is not bool:
+        raise CertificateFormatError(
+            f"certificate {path}: passes must be true or false, got {stored.get('passes')!r}"
+        )
     return stored, float(epsilon), [i - 1 for i in sigma]
 
 
@@ -176,10 +181,10 @@ def _cmd_verify(args):
     dec = validate(_load_decomposition(args), default_tolerances())
     stored, epsilon, sigma = _read_certificate(args.certificate)
     cert = verify(dec, epsilon, sigma)
-    match = bool(stored.get("passes")) == cert.passes
+    match = stored["passes"] == cert.passes
     _emit(
         {
-            "stored_passes": bool(stored.get("passes")),
+            "stored_passes": stored["passes"],
             "recomputed_passes": cert.passes,
             "match": match,
             "recomputed": cert.to_json_dict(),

@@ -13,9 +13,9 @@ greedy forms all m. A step's Spectrum holds the k nonzero eigenpairs of A,
 from an eigh of the k x k Gram of the chosen rows L v_i, plus an implicit
 zero block on the other n - k directions, and every potential, candidate
 test, diagnostic and trace value is read from k x k matrices and the Gram
-columns of the chosen indices. The spectrum of the k + 1 rows taken after
-the step is the next step's; potential and potential_split are references
-from one eigh of a dense A.
+rows of the chosen indices, kept in the order they were chosen. The
+spectrum of the k + 1 rows taken after the step is the next step's;
+potential and potential_split are references from one eigh of a dense A.
 """
 
 import math
@@ -82,8 +82,15 @@ class AtShift(NamedTuple):
 
 
 def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The dot products of matching rows, with no temporary of their shape."""
+    """The dot products of matching rows, with no temporary of their shape:
+    g and h, from rows of length n."""
     return np.einsum("ij,ij->i", X, Y)
+
+
+def _col_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The dot products of matching columns, with no temporary of their
+    shape: the scan's tests, from k x B blocks."""
+    return np.einsum("ij,ij->j", X, Y)
 
 
 def _kernel_band(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -93,18 +100,21 @@ def _kernel_band(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 @dataclass
 class Grams:
-    """The candidates w = L v seen through LtL = L^T L, in scan order.
+    """The candidates w = L v seen through LtL = L^T L, in scan order and in
+    the order the walk chooses them.
 
     Row p belongs to the candidate order[p] (pos is the inverse, -1 for an
     index a partial scan_order leaves out, which has no row), and V holds
     dec.V's rows in that order, permuted only for a scan_order. Rows are
     filled on first read, up to the high-water mark reach: VG[p] = V[p] LtL,
-    g[p] = ||w||^2, h[p] = ||L^T w||^2 and, for the row c = cols[j] of the
-    j-th chosen index, G[p, j] = V[p] VG[c]^T and H[p, j] = VG[p] VG[c]^T,
-    entries of the Grams W W^T (rows w) and VG VG^T; J[:, j] =
-    VG[cols] LtL VG[c]^T. read(e) fills rows [reach, e) with every chosen
-    column and append the new column on rows [0, reach), up to `capacity`
-    columns, so each entry is computed once.
+    g[p] = ||w||^2 and h[p] = ||L^T w||^2. G and H are k-major: for c =
+    cols[j], the row of the j-th chosen index, CV[j] = VG[c], G[j, p] =
+    V[p] VG[c]^T and H[j, p] = VG[p] VG[c]^T, entries of the Grams W W^T
+    (rows w) and VG VG^T. The k x k blocks Gss = G[:, cols], Hss =
+    H[:, cols] and J = CV LtL CV^T are bordered once per chosen index.
+    read(e) fills columns [reach, e) of every chosen row and append the new
+    row on columns [0, reach), up to `capacity` rows, so each entry is
+    computed once and every block a step reads is a view.
     """
 
     V: np.ndarray
@@ -118,6 +128,9 @@ class Grams:
     ltl_sq: float
     G: np.ndarray
     H: np.ndarray
+    CV: np.ndarray
+    Gss: np.ndarray
+    Hss: np.ndarray
     J: np.ndarray
     cols: List[int] = field(default_factory=list)
     reach: int = 0
@@ -138,14 +151,16 @@ class Grams:
         cap = max(capacity, len(sigma))
         grams = cls(V, order, pos, LtL, np.empty((m, n)), np.empty(m), np.empty(m),
                     float(np.trace(LtL)), float(np.sum(LtL * LtL)),
-                    np.empty((m, cap)), np.empty((m, cap)), np.empty((cap, cap)))
+                    np.empty((cap, m)), np.empty((cap, m)), np.empty((cap, n)),
+                    *(np.empty((cap, cap)) for _ in range(3)))
         for i in sigma:
             grams.read(grams.pos[i] + 1)
             grams.append(i)
         return grams
 
     def read(self, end: int) -> None:
-        """Fill rows [reach, end) with VG, g, h and every chosen column, O((end - reach) n^2)."""
+        """Fill positions [reach, end): rows of VG, g, h and columns of every
+        chosen row of G and H, O((end - reach) n^2)."""
         start, k = self.reach, len(self.cols)
         if end <= start:
             return
@@ -153,23 +168,25 @@ class Grams:
         np.matmul(V, self.LtL, out=VG)
         self.g[start:end] = _row_dots(V, VG)
         self.h[start:end] = _row_dots(VG, VG)
-        chosen = self.VG[self.cols].T
-        self.G[start:end, :k] = V @ chosen
-        self.H[start:end, :k] = VG @ chosen
+        self.G[:k, start:end] = self.CV[:k] @ V.T
+        self.H[:k, start:end] = self.CV[:k] @ VG.T
         self.reach = int(end)
 
     def append(self, index: int) -> None:
-        """Fill the column of the chosen candidate `index` (already read) on
-        rows [0, reach), O(reach n), and J's border, O(n^2). With vg = VG[c]
-        and lv = LtL vg, which J's border needs anyway, G's column is V vg and
-        H's is V lv, so both stream V alone."""
-        k, c = len(self.cols), int(self.pos[index])
+        """Fill the row of the chosen candidate `index` (already read) on
+        columns [0, reach), O(reach n), and the borders of Gss, Hss and J,
+        O(n^2). With vg = VG[c] and lv = LtL vg, which J's border needs
+        anyway, G's row is V vg and H's is V lv, so both stream V alone and
+        are written in place."""
+        k, c, reach = len(self.cols), int(self.pos[index]), self.reach
         self.cols.append(c)
-        vg = self.VG[c]
+        vg = self.CV[k] = self.VG[c]
         lv = self.LtL @ vg
-        self.G[:self.reach, k] = self.V[:self.reach] @ vg
-        self.H[:self.reach, k] = self.V[:self.reach] @ lv
-        self.J[k, :k + 1] = self.J[:k + 1, k] = self.VG[self.cols] @ lv
+        np.matmul(self.V[:reach], vg, out=self.G[k, :reach])
+        np.matmul(self.V[:reach], lv, out=self.H[k, :reach])
+        self.Gss[k, :k + 1] = self.Gss[:k + 1, k] = self.G[:k + 1, c]
+        self.Hss[k, :k + 1] = self.Hss[:k + 1, k] = self.H[:k + 1, c]
+        self.J[k, :k + 1] = self.J[:k + 1, k] = self.CV[:k + 1] @ lv
 
 
 @dataclass(frozen=True)
@@ -179,14 +196,18 @@ class Spectrum:
     orthogonal to U, which holds the kernel band. With W_sigma the chosen
     rows and G[sigma, sigma] = P diag(lam) P^T, U = W_sigma^T R for
     R = P diag(lam)^{-1/2}. L is seen through M = U^T L L^T U, whose
-    diagonal holds the column masses ||L^T u_j||^2, and the block's mass
-    mass0 = ||L||_F^2 - tr M. at() uses of()'s tol and keeps each result per
-    shift, so a step evaluates each shift once; resolvent() keeps the k x k
-    K of a shift the same way."""
+    diagonal holds the column masses ||L^T u_j||^2 (kept as mass), and the
+    block's mass mass0 = ||L||_F^2 - tr M. poles is lam followed, for a
+    nonempty block, by its one eigenvalue 0, the values the shift-gap check
+    sees. at() uses of()'s tol and keeps each result per shift, so a step
+    evaluates each shift once; resolvent() keeps the k x k K of a shift the
+    same way."""
 
     lam: np.ndarray
     R: np.ndarray
     M: np.ndarray
+    mass: np.ndarray
+    poles: np.ndarray
     n0: int
     mass0: float
     tol: Tolerances = field(repr=False)
@@ -196,18 +217,18 @@ class Spectrum:
     @classmethod
     def of(cls, grams: Grams, tol: Tolerances) -> "Spectrum":
         """From an eigh of the k x k Gram G[sigma, sigma] of the k chosen
-        indices, read at their positions grams.cols; eigenpairs in the
-        kernel band join the zero block."""
-        rows, k = grams.cols, len(grams.cols)
-        lam, P = np.linalg.eigh(grams.G[rows, :k])
+        indices, grams.Gss, bordered once per index and so exactly
+        symmetric; eigenpairs in the kernel band join the zero block."""
+        k = len(grams.cols)
+        lam, P = np.linalg.eigh(grams.Gss[:k, :k])
         lam, P = lam[::-1], P[:, ::-1]
         keep = ~_kernel_band(lam, tol)
         lam = lam[keep]
         R = P[:, keep] / np.sqrt(lam)
-        M = R.T @ grams.H[rows, :k] @ R
+        M = R.T @ grams.Hss[:k, :k] @ R
         n0 = len(grams.LtL) - len(lam)
         mass0 = grams.tr_ltl - float(np.trace(M)) if n0 else 0.0
-        return cls(lam, R, M, n0, mass0, tol)
+        return cls(lam, R, M, np.diag(M), np.append(lam, np.zeros(min(n0, 1))), n0, mass0, tol)
 
     def padded(self) -> np.ndarray:
         """All n eigenvalues: lam followed by the block's n0 zeros."""
@@ -218,10 +239,9 @@ class Spectrum:
         SingularShiftError when the shift sits on an eigenvalue, the block's 0 included."""
         if shift not in self._at:
             k = len(self.lam)
-            # A nonempty block adds the one eigenvalue 0 to the shift-gap check.
-            d = shifted_spectrum(np.append(self.lam, np.zeros(min(self.n0, 1))), shift, self.tol)
+            d = shifted_spectrum(self.poles, shift, self.tol)
             d, d0 = d[:k], float(np.sum(d[k:]))
-            phi_image = float(np.sum(np.diag(self.M) * d))
+            phi_image = float(np.sum(self.mass * d))
             self._at[shift] = AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
                                       -self.mass0 / shift, self.mass0)
         return self._at[shift]
@@ -489,12 +509,13 @@ def select_next(
     are read: FirstFeasible tests blocks of 1, 2, 4, ... of the candidates
     left, in scan order, and stops at the first block with a hit, so it reads
     rows only up to that block; GreedyMinPotential reads all rows and tests
-    one block. A block is one slice of rows of G[:, sigma] and H[:, sigma],
-    its taken rows masked out. With K the resolvent at b', (A - b'I)^{-1} =
-    W_sigma^T K W_sigma + d0 I, so for w = L v with rows G_p, H_p and
-    Z = G_p K: quadform = Z G_p^T + d0 ||w||^2, and y = L^T (A - b'I)^{-1} w
-    has ||y||^2 = Z H[sigma, sigma] Z^T + 2 d0 Z H_p^T + d0^2 ||L^T w||^2, two
-    m x k x k products for greedy. The retry pass re-reads them with slack.
+    one block. A block is one k x B slice of columns of the k-major G and
+    H, its taken columns masked out. With K the resolvent at b',
+    (A - b'I)^{-1} = W_sigma^T K W_sigma + d0 I, so for w = L v with columns
+    G_p, H_p and Z = K G_p: quadform = G_p^T Z + d0 ||w||^2, and
+    y = L^T (A - b'I)^{-1} w has ||y||^2 = Z^T H[sigma, sigma] Z
+    + 2 d0 H_p^T Z + d0^2 ||L^T w||^2, two m x k x k products for greedy. The
+    retry pass re-reads them with slack.
     """
     tol = tol or default_tolerances()
     first = pivot_rule == PIVOT_FIRST
@@ -502,7 +523,7 @@ def select_next(
     b_prime = state.barrier_b - schedule.delta
     phi_before = spec.at(state.barrier_b).phi
     at_bp, K = spec.at(b_prime), spec.resolvent(b_prime)
-    d0, H_ss = at_bp.d0, grams.H[grams.cols, :k]
+    d0, H_ss = at_bp.d0, grams.Hss[:k, :k]
     left = np.ones(len(grams.order), dtype=bool)
     left[grams.cols] = False
     order = np.flatnonzero(left)  # the scan positions of the candidates left
@@ -516,10 +537,10 @@ def select_next(
             end = min(start + size, len(order))
             rows = slice(order[start], order[end - 1] + 1)
             grams.read(rows.stop)
-            G, H, w_sq, keep = grams.G[rows, :k], grams.H[rows, :k], grams.g[rows], left[rows]
-            Z = G @ K
-            y_sq = _row_dots(Z @ H_ss, Z) + 2.0 * d0 * _row_dots(Z, H) + d0 * d0 * grams.h[rows]
-            q = np.where(w_sq > 0, _row_dots(Z, G) + d0 * w_sq, np.nan)[keep]
+            G, H, w_sq, keep = grams.G[:k, rows], grams.H[:k, rows], grams.g[rows], left[rows]
+            Z = K @ G
+            y_sq = _col_dots(H_ss @ Z, Z) + 2.0 * d0 * _col_dots(Z, H) + d0 * d0 * grams.h[rows]
+            q = np.where(w_sq > 0, _col_dots(Z, G) + d0 * w_sq, np.nan)[keep]
             quad[start:end], after[start:end] = q, at_bp.phi - y_sq[keep] / (1.0 + q)
             if first and _pick(q, after[start:end], phi_before, 0.0, first)[0] is not None:
                 break

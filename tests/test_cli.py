@@ -291,8 +291,15 @@ class TestVerify:
             ({"sigma": ["x"], "epsilon": 0.5, "passes": True}, "sigma"),
             ([1, 2], "JSON object"),
             ({"sigma": [1], "epsilon": 3, "passes": True}, "epsilon"),
+            ({"sigma": [1], "epsilon": 0.5, "passes": "false"}, "passes"),
+            ({"sigma": [1], "epsilon": 0.5, "passes": "yes"}, "passes"),
+            ({"sigma": [1], "epsilon": 0.5, "passes": 1}, "passes"),
+            ({"sigma": [1], "epsilon": 0.5, "passes": None}, "passes"),
+            ({"sigma": [1], "epsilon": 0.5}, "passes"),
         ],
-        ids=["missing-epsilon", "non-integer-sigma", "top-level-list", "epsilon-out-of-range"],
+        ids=["missing-epsilon", "non-integer-sigma", "top-level-list", "epsilon-out-of-range",
+             "passes-string-false", "passes-string-yes", "passes-number", "passes-null",
+             "missing-passes"],
     )
     def test_malformed_certificate_exits_1(self, id4, tmp_path, capsys, stored, message):
         cert_path = tmp_path / "cert.json"

@@ -8,6 +8,7 @@ and record the same traces, within tol.sm_consistency.
 """
 
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -361,8 +362,10 @@ def _recorded_walk(dec, eps, pivot, scan_order, monkeypatch):
 
 @pytest.mark.parametrize("pivot", PIVOTS)
 def test_grams_filled_on_read_match_dense(pivot, monkeypatch):
-    # The Grams hold rows in scan order, filled on first read up to reach.
-    # Every filled row must equal the dense V LtL V^T, VG VG^T and row norms.
+    # The Grams hold columns in scan order, filled on first read up to reach,
+    # and rows in the order sigma was chosen. Every filled entry must equal
+    # the dense V LtL V^T, VG VG^T and row norms, and the chosen rows and
+    # k x k blocks their entries at sigma.
     dec = _ramp_instance(64, 256, 7)
     order = np.random.default_rng(8).permutation(dec.m)[:192]
     result, steps = _recorded_walk(dec, 0.5, pivot, order, monkeypatch)
@@ -372,16 +375,16 @@ def test_grams_filled_on_read_match_dense(pivot, monkeypatch):
     assert grams.order[grams.cols].tolist() == result.sigma
     VG = dec.V @ dec.L.T @ dec.L
     G, H = VG @ dec.V.T, VG @ VG.T
-    rows, k = grams.order[:grams.reach], len(result.sigma)
-    np.testing.assert_allclose(grams.G[:grams.reach, :k], G[np.ix_(rows, result.sigma)],
-                               rtol=1e-12, atol=1e-12 * np.abs(G).max())
-    np.testing.assert_allclose(grams.H[:grams.reach, :k], H[np.ix_(rows, result.sigma)],
-                               rtol=1e-12, atol=1e-12 * np.abs(H).max())
+    rows, s, k = grams.order[:grams.reach], result.sigma, len(result.sigma)
+    VG_s = VG[s]
+    J = VG_s @ dec.L.T @ dec.L @ VG_s.T
+    for got, want in [(grams.G[:k, :grams.reach], G[np.ix_(s, rows)]),
+                      (grams.H[:k, :grams.reach], H[np.ix_(s, rows)]),
+                      (grams.CV[:k], VG_s), (grams.Gss[:k, :k], G[np.ix_(s, s)]),
+                      (grams.Hss[:k, :k], H[np.ix_(s, s)]), (grams.J[:k, :k], J)]:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     np.testing.assert_allclose(grams.g[:grams.reach], np.diag(G)[rows], rtol=1e-12)
     np.testing.assert_allclose(grams.h[:grams.reach], np.diag(H)[rows], rtol=1e-12)
-    VG_s = VG[result.sigma]
-    J = VG_s @ dec.L.T @ dec.L @ VG_s.T
-    np.testing.assert_allclose(grams.J[:k, :k], J, rtol=1e-12, atol=1e-12 * np.abs(J).max())
     if pivot == "greedy":
         # One scan of every candidate at step 0; the indices order leaves out have no row.
         assert [reach for *_, reach in steps] == [len(order)] * k
@@ -395,6 +398,26 @@ def test_grams_filled_on_read_match_dense(pivot, monkeypatch):
         reach = max(reach, last + 1)
         assert after <= reach
     assert grams.reach < 2 * k < dec.m // 8  # about t, where greedy reads 192
+
+
+def test_append_fills_rows_in_place():
+    # Once every column is read, append writes the new rows of G and H
+    # straight into the k-major store: no length-m temporary.
+    m = 4096
+    dec = _ramp_instance(16, m, 3)
+    grams = Grams.of(dec, capacity=2)
+    grams.read(m)
+    grams.append(0)
+    tracemalloc.start()
+    try:
+        grams.append(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m
+    VG = dec.V @ dec.L.T @ dec.L
+    np.testing.assert_allclose(grams.G[:2], VG[:2] @ dec.V.T, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grams.H[:2], VG[:2] @ VG.T, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
