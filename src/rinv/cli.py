@@ -27,6 +27,8 @@ from .tolerances import default_tolerances
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CERT_FAIL = 2
+# The most entries (m * n) mmread allocates: 1 GiB of float64.
+MM_MAX_ENTRIES = 2**27
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,8 +52,8 @@ def mmread(path) -> np.ndarray:
 
     Reads the array and coordinate formats, real, integer or (coordinate
     only) pattern entries, and general, symmetric or skew-symmetric
-    symmetry. Repeated coordinate entries are summed. Anything else raises
-    ValueError.
+    symmetry. Repeated coordinate entries are summed. Anything else, and a
+    declared m * n above MM_MAX_ENTRIES, raises ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         banner = fh.readline().split()
@@ -71,6 +73,8 @@ def mmread(path) -> np.ndarray:
     if len(size) != (3 if fmt == "coordinate" else 2) or min(size) < 0:
         raise ValueError(f"bad size line {line.strip()!r}")
     m, n = size[:2]
+    if m * n > MM_MAX_ENTRIES:
+        raise ValueError(f"declared size {m} x {n} exceeds {MM_MAX_ENTRIES} entries")
     skew = symmetry == "skew-symmetric"
     if symmetry != "general" and m != n:
         raise ValueError(f"a {symmetry} matrix must be square, got {m} x {n}")

@@ -47,20 +47,14 @@ class Decomposition:
         return self.V @ self.L.T
 
 
-def _check_shapes(L, V):
+def square_operator(L) -> np.ndarray:
+    """L as a float array; DimensionError unless it is square and 2-D."""
     L = np.asarray(L, dtype=float)
-    V = np.asarray(V, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimensionError(
             f"L must be square (got {L.shape}); zero-pad rectangular inputs first"
         )
-    if V.ndim != 2 or V.shape[1] != L.shape[0]:
-        raise DimensionError(
-            f"V rows must live in R^{L.shape[0]}, got V shape {V.shape}"
-        )
-    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(V))):
-        raise DimensionError("inputs contain non-finite entries")
-    return L, V
+    return L
 
 
 def validate(dec: Decomposition, tol: Tolerances | None = None) -> Decomposition:
@@ -71,7 +65,13 @@ def validate(dec: Decomposition, tol: Tolerances | None = None) -> Decomposition
     columns.
     """
     tol = tol or default_tolerances()
-    L, V = _check_shapes(dec.L, dec.V)
+    L, V = square_operator(dec.L), np.asarray(dec.V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != L.shape[0]:
+        raise DimensionError(
+            f"V rows must live in R^{L.shape[0]}, got V shape {V.shape}"
+        )
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(V))):
+        raise DimensionError("inputs contain non-finite entries")
     n = L.shape[0]
     if dec.mode == Mode.CLASSICAL_COLUMNS:
         if V.shape[0] != n or not np.array_equal(V, np.eye(n)):

@@ -8,7 +8,7 @@ eigenvalue of A stays above the barrier, which at the end sits above
 
 A has rank k <= t after k steps. The walk works in Gram space: a
 candidate's row of V L^T L and its Gram entries are formed the first time
-the scan reads it, in scan order, so first-feasible forms about t rows where
+the scan reads it, in index order, so first-feasible forms about t rows where
 greedy forms all m. A step's Spectrum holds the k nonzero eigenpairs of A,
 from an eigh of the k x k Gram of the chosen rows L v_i, plus an implicit
 zero block on the other n - k directions, and every potential, candidate
@@ -24,7 +24,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .decomposition import Decomposition, checked_indices, validate
+from .decomposition import Decomposition, checked_indices, square_operator, validate
 from .errors import (
     InfeasibilityError,
     InvariantViolation,
@@ -100,26 +100,22 @@ def _kernel_band(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 @dataclass
 class Grams:
-    """The candidates w = L v seen through LtL = L^T L, in scan order and in
+    """The candidates w = L v seen through LtL = L^T L, in index order and in
     the order the walk chooses them.
 
-    Row p belongs to the candidate order[p] (pos is the inverse, -1 for an
-    index a partial scan_order leaves out, which has no row), and V holds
-    dec.V's rows in that order, permuted only for a scan_order. Rows are
-    filled on first read, up to the high-water mark reach: VG[p] = V[p] LtL,
-    g[p] = ||w||^2 and h[p] = ||L^T w||^2. G and H are k-major: for c =
-    cols[j], the row of the j-th chosen index, CV[j] = VG[c], G[j, p] =
-    V[p] VG[c]^T and H[j, p] = VG[p] VG[c]^T, entries of the Grams W W^T
-    (rows w) and VG VG^T. The k x k blocks Gss = G[:, cols], Hss =
-    H[:, cols] and J = CV LtL CV^T are bordered once per chosen index.
+    Row p belongs to the candidate p and is filled on first read, up to the
+    high-water mark reach: VG[p] = V[p] LtL, g[p] = ||w||^2 and h[p] =
+    ||L^T w||^2. G and H are k-major: for c = cols[j], the j-th chosen
+    index, CV[j] = VG[c], G[j, p] = V[p] VG[c]^T and H[j, p] = VG[p]
+    VG[c]^T, entries of the Grams W W^T (rows w) and VG VG^T. The k x k
+    blocks Gss = G[:, cols], Hss = H[:, cols] and J = CV LtL CV^T are
+    bordered once per chosen index.
     read(e) fills columns [reach, e) of every chosen row and append the new
     row on columns [0, reach), up to `capacity` rows, so each entry is
     computed once and every block a step reads is a view.
     """
 
     V: np.ndarray
-    order: np.ndarray
-    pos: np.ndarray
     LtL: np.ndarray
     VG: np.ndarray
     g: np.ndarray
@@ -137,24 +133,18 @@ class Grams:
 
     @classmethod
     def of(cls, dec: Decomposition, sigma: Sequence[int] = (), capacity: int = 0,
-           LtL: Optional[np.ndarray] = None, scan_order: Optional[np.ndarray] = None) -> "Grams":
-        """The Grams of dec with sigma's columns filled; LtL, if given, is L^T L,
-        and scan_order, if given, a checked index array."""
+           LtL: Optional[np.ndarray] = None) -> "Grams":
+        """The Grams of dec with sigma's columns filled; LtL, if given, is L^T L."""
         V, L = np.asarray(dec.V, dtype=float), np.asarray(dec.L, dtype=float)
-        order = np.arange(dec.m)
-        if scan_order is not None:
-            order, V = scan_order, V[scan_order]
         m, n = V.shape
-        pos = np.full(dec.m, -1)
-        pos[order] = np.arange(m)
         LtL = L.T @ L if LtL is None else LtL
         cap = max(capacity, len(sigma))
-        grams = cls(V, order, pos, LtL, np.empty((m, n)), np.empty(m), np.empty(m),
+        grams = cls(V, LtL, np.empty((m, n)), np.empty(m), np.empty(m),
                     float(np.trace(LtL)), float(np.sum(LtL * LtL)),
                     np.empty((cap, m)), np.empty((cap, m)), np.empty((cap, n)),
                     *(np.empty((cap, cap)) for _ in range(3)))
         for i in sigma:
-            grams.read(grams.pos[i] + 1)
+            grams.read(i + 1)
             grams.append(i)
         return grams
 
@@ -178,7 +168,7 @@ class Grams:
         O(n^2). With vg = VG[c] and lv = LtL vg, which J's border needs
         anyway, G's row is V vg and H's is V lv, so both stream V alone and
         are written in place."""
-        k, c, reach = len(self.cols), int(self.pos[index]), self.reach
+        k, c, reach = len(self.cols), int(index), self.reach
         self.cols.append(c)
         vg = self.CV[k] = self.VG[c]
         lv = self.LtL @ vg
@@ -340,10 +330,13 @@ def compute_schedule(L, m: int, epsilon: float) -> Schedule:
     b0 = (1-eps) ||L||_F^2 / m, delta = (1-eps) ||L||_2^2 / (eps m), and
     t = floor(eps^2 ||L||_F^2 / ||L||_2^2), with ||L||_2^2 the largest
     eigenvalue of L^T L. When eps^2 times the stable rank is below 1 the
-    schedule is vacuous (t = 0). NormRangeError when ||L||_F^2 is outside
-    FROB_SQ_RANGE.
+    schedule is vacuous (t = 0). ParameterError unless m is a positive
+    integer, DimensionError unless L is square, NormRangeError when
+    ||L||_F^2 is outside FROB_SQ_RANGE.
     """
-    return _schedule(L, m, epsilon)[0]
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ParameterError(f"m must be a positive integer, got {m!r}")
+    return _schedule(square_operator(L), m, epsilon)[0]
 
 
 def _schedule(L, m: int, epsilon: float):
@@ -480,7 +473,7 @@ def check_step_preconditions(
 
 
 def _pick(quad, after, phi_before: float, slack: float, first: bool):
-    """Scan position of the chosen candidate (None if none passes), candidates scanned."""
+    """The chosen candidate's place among those left (None if none passes), candidates scanned."""
     ok = (quad < -1.0 + slack) & (after <= phi_before + slack * abs(phi_before))
     hits = np.flatnonzero(ok)
     if hits.size == 0:
@@ -499,15 +492,14 @@ def select_next(
     """Choose the next index to add at the lowered barrier b - delta;
     returns (index, FeasibilityRecord, candidates scanned).
 
-    FirstFeasible returns the earliest feasible index in the scan order of
-    state.grams; GreedyMinPotential the feasible index with smallest updated
-    potential, ties broken by scan order; pivot_rule comes checked from
-    run_selection. Raises InfeasibilityError when nothing passes even with
-    the retry slack.
+    FirstFeasible returns the smallest feasible index; GreedyMinPotential
+    the feasible index with smallest updated potential, ties broken by the
+    smaller index; pivot_rule comes checked from run_selection. Raises
+    InfeasibilityError when nothing passes even with the retry slack.
 
     Blocks of candidates are tested at once, each O(k^2) once its Gram rows
     are read: FirstFeasible tests blocks of 1, 2, 4, ... of the candidates
-    left, in scan order, and stops at the first block with a hit, so it reads
+    left, in index order, and stops at the first block with a hit, so it reads
     rows only up to that block; GreedyMinPotential reads all rows and tests
     one block. A block is one k x B slice of columns of the k-major G and
     H, its taken columns masked out. With K the resolvent at b',
@@ -524,9 +516,9 @@ def select_next(
     phi_before = spec.at(state.barrier_b).phi
     at_bp, K = spec.at(b_prime), spec.resolvent(b_prime)
     d0, H_ss = at_bp.d0, grams.Hss[:k, :k]
-    left = np.ones(len(grams.order), dtype=bool)
+    left = np.ones(len(grams.V), dtype=bool)
     left[grams.cols] = False
-    order = np.flatnonzero(left)  # the scan positions of the candidates left
+    order = np.flatnonzero(left)  # the indices of the candidates left
 
     # NaN marks a candidate not reached, or a zero vector: it passes no test.
     quad = np.full(len(order), np.nan)
@@ -561,7 +553,7 @@ def select_next(
             best_quadform_margin=margins[0], best_potential_margin=margins[1],
         )
     rec = FeasibilityRecord(float(quad[pos]), float(after[pos]), True)
-    return int(grams.order[order[pos]]), rec, scanned
+    return int(order[pos]), rec, scanned
 
 
 def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):
@@ -583,7 +575,7 @@ def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_bef
     denom = max(abs(phi_fresh), 1.0)
     if abs(phi_fresh - rec.potential_after_add) > tol.sm_consistency * denom:
         raise InvariantViolation(
-            "rank-one potential update disagrees with fresh recomputation: "
+            f"rank-one potential update disagrees with fresh recomputation at step {k_next}: "
             f"{rec.potential_after_add} vs {phi_fresh}"
         )
 
@@ -593,11 +585,11 @@ def run_selection(
     epsilon: float,
     pivot_rule: str = PIVOT_FIRST,
     tol: Tolerances | None = None,
-    scan_order: Optional[Sequence[int]] = None,
 ) -> SelectionResult:
     """Run the full barrier walk and return the selected index list.
 
-    Deterministic for fixed inputs, pivot rule, and scan order. Every step
+    Deterministic for fixed inputs and pivot rule; candidates are scanned in
+    index order, so permuted(dec, perm) sets the order. Every step
     records its existence-precondition diagnostics in the traces, and after
     every step the barrier count, eigenvalue interlacing, potential
     monotonicity and the rank-one update identity are checked on the
@@ -606,14 +598,13 @@ def run_selection(
     """
     tol = tol or default_tolerances()
     dec = validate(dec, tol)
-    order = None if scan_order is None else checked_indices(scan_order, dec.m, "scan_order")
     if pivot_rule not in (PIVOT_FIRST, PIVOT_GREEDY):
         raise ParameterError(f"unknown pivot rule {pivot_rule!r}")
     schedule, LtL = _schedule(dec.L, dec.m, epsilon)
     if schedule.vacuous:
         return SelectionResult(sigma=[], schedule=schedule)
 
-    grams = Grams.of(dec, capacity=schedule.steps_t, LtL=LtL, scan_order=order)
+    grams = Grams.of(dec, capacity=schedule.steps_t, LtL=LtL)
     state = SelectionState([], schedule.b0, Spectrum.of(grams, tol), grams)
     traces: List[StepTrace] = []
 

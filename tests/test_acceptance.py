@@ -224,18 +224,18 @@ def test_criterion_6_determinism_and_symmetry(tmp_path, capsys):
                 assert scaled.sigma == base.sigma
                 scale_checked += 1
 
-    # selected vector set maps through a random permutation of V
+    # selected vector set maps through a random permutation of V: greedy's
+    # pick does not depend on the scan order, barring exact ties
     perm_checked = 0
     rng = np.random.default_rng(99)
     for n, eps in ((5, 0.8), (8, 0.6), (8, 0.9)):
         dec = Decomposition(L=make_L(n, "random_normalized"), V=random_tight_frame(n, 2 * n, 5))
-        res = run_selection(dec, eps)
+        res = run_selection(dec, eps, pivot_rule="greedy")
         if res.vacuous:
             continue
         perm = rng.permutation(dec.m)
-        inv = np.argsort(perm)
-        res_p = run_selection(permuted(dec, perm), eps, scan_order=inv)
-        assert sorted(res_p.sigma) == sorted(int(inv[i]) for i in res.sigma)
+        res_p = run_selection(permuted(dec, perm), eps, pivot_rule="greedy")
+        assert sorted(int(perm[i]) for i in res_p.sigma) == sorted(res.sigma)
         perm_checked += 1
     assert perm_checked > 0
     print(f"\ncriterion 6: PASS (byte-identical reruns, {scale_checked} scale checks, "

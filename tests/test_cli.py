@@ -214,11 +214,12 @@ class TestMatrixMarket:
             "%%MatrixMarket matrix coordinate real general\n2 3 1\n3 1 1\n",
             "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 4 1\n",
             "%%MatrixMarket matrix coordinate real general\n100000000000000000000 1 0\n",
+            "%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1\n",
             "",
         ],
         ids=["bad-banner", "complex", "hermitian", "too-few-entries", "too-many-entries",
              "not-a-number", "index-zero", "index-above-m", "index-above-n", "size-overflow",
-             "empty-file"],
+             "size-above-cap", "empty-file"],
     )
     def test_malformed_exits_1(self, id4, tmp_path, capsys, text):
         bad = tmp_path / "bad.mtx"
@@ -229,6 +230,18 @@ class TestMatrixMarket:
             assert captured.out == ""
             assert captured.err.startswith(f"rinv: error: cannot parse Matrix Market file {bad}: ")
             assert captured.err.count("\n") == 1
+
+    def test_declared_size_cap(self, tmp_path, monkeypatch):
+        # m * n at the cap is read; one entry more is rejected before any allocation.
+        monkeypatch.setattr(rinv.cli, "MM_MAX_ENTRIES", 6)
+        path = tmp_path / "coo.mtx"
+        for (m, n), ok in (((2, 3), True), ((7, 1), False)):
+            path.write_text(f"%%MatrixMarket matrix coordinate real general\n{m} {n} 1\n1 1 5\n")
+            if ok:
+                assert rinv.cli.mmread(str(path)).shape == (m, n)
+                continue
+            with pytest.raises(ValueError, match="declared size 7 x 1 exceeds 6 entries"):
+                rinv.cli.mmread(str(path))
 
     def test_cli_import_leaves_scipy_out(self):
         env = dict(os.environ)

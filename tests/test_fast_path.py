@@ -18,6 +18,7 @@ from rinv import (
     Decomposition,
     compute_schedule,
     default_tolerances,
+    permuted,
     random_tight_frame,
     run_selection,
     verify,
@@ -47,10 +48,11 @@ def _gram(dec, sigma):
     return W.T @ W
 
 
-def _reference_scan(A, M, L, W, taken, order, phi_b, phi_bp, pivot, slack):
-    """One pass of candidate_feasible calls: (index, record, scanned, best margins)."""
+def _reference_scan(A, M, L, W, taken, phi_b, phi_bp, pivot, slack):
+    """One pass of candidate_feasible calls in index order: (index, record,
+    scanned, best margins)."""
     best, scanned, margins = None, 0, (-np.inf, -np.inf)
-    for j in order:
+    for j in range(len(W)):
         if j in taken:
             continue
         scanned += 1
@@ -84,21 +86,20 @@ def _reference_preconditions(A, b, sched, L):
     }
 
 
-def reference_walk(dec, epsilon, pivot, scan_order=None):
+def reference_walk(dec, epsilon, pivot):
     """Selected indices and trace dicts of the scalar barrier walk."""
     L, W = dec.L, dec.mapped_vectors()
     sched = compute_schedule(L, dec.m, epsilon)
-    order = range(dec.m) if scan_order is None else [int(j) for j in scan_order]
     A, b, sigma, traces = np.zeros((dec.n, dec.n)), sched.b0, [], []
     for k in range(sched.steps_t):
         b_prime = b - sched.delta
         M = shifted_inverse(A, b_prime)
         phi_b, phi_bp = potential(A, b, L), potential(A, b_prime, L)
         phi_P, phi_Q, qL = potential_split(A, b_prime, L)
-        chosen, rec, scanned, _ = _reference_scan(A, M, L, W, sigma, order, phi_b, phi_bp,
+        chosen, rec, scanned, _ = _reference_scan(A, M, L, W, sigma, phi_b, phi_bp,
                                                   pivot, 0.0)
         if chosen is None:
-            chosen, rec, retried, _ = _reference_scan(A, M, L, W, sigma, order, phi_b, phi_bp,
+            chosen, rec, retried, _ = _reference_scan(A, M, L, W, sigma, phi_b, phi_bp,
                                                       pivot, TOL.feasibility_retry)
             scanned += retried
         traces.append({
@@ -131,9 +132,9 @@ def _assert_plain(value, expected):
         assert value == expected
 
 
-def _check_against_reference(dec, epsilon, pivot, scan_order=None):
-    result = run_selection(dec, epsilon, pivot_rule=pivot, scan_order=scan_order)
-    sigma, traces = reference_walk(dec, epsilon, pivot, scan_order)
+def _check_against_reference(dec, epsilon, pivot):
+    result = run_selection(dec, epsilon, pivot_rule=pivot)
+    sigma, traces = reference_walk(dec, epsilon, pivot)
     assert result.sigma == sigma
     assert all(type(i) is int for i in result.sigma)
     assert len(result.traces) == len(traces)
@@ -141,7 +142,7 @@ def _check_against_reference(dec, epsilon, pivot, scan_order=None):
         got = tr.to_dict()
         json.dumps(got)
         _assert_plain(got, expected)
-    return len(traces)
+    return result
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
@@ -149,7 +150,7 @@ def test_acceptance_grid_matches_reference(pivot):
     steps = 0
     for label, dec in build_grid():
         for eps in EPS_GRID:
-            steps += _check_against_reference(dec, eps, pivot)
+            steps += len(_check_against_reference(dec, eps, pivot).traces)
     assert steps > 0
 
 
@@ -170,43 +171,28 @@ def _padded_frame_instance(n):
 @pytest.mark.parametrize("n", [8, 16, 24])
 @pytest.mark.parametrize("block", [1, 7, 128, "nowhere"])
 def test_permuted_scan_order_matches_reference(pivot, n, block):
-    # First-feasible tests blocks of 1, 2, 4, ... in scan order. With block
-    # = s the first hit of step 0 sits at position s - 1, after s - 1 failing
+    # The walk scans in index order, so permuted(dec, order) scans dec in
+    # order. First-feasible tests blocks of 1, 2, 4, ... With block = s the
+    # first hit of step 0 sits at position s - 1, after s - 1 failing
     # vectors: the first block (s = 1), the last slot of the third (positions
     # 3-6) or the first slot of the eighth (positions 127-254), so the scan
-    # reads exactly s candidates. "nowhere" is an order of the failing vectors
-    # alone: it takes the retry pass and then raises with the reference margins.
+    # reads exactly s candidates. "nowhere" raises the barrier above every
+    # candidate, zero rows included: the scan takes the retry pass and then
+    # raises with the reference margins.
     dec, failing = _padded_frame_instance(n)
     rng = np.random.default_rng(n + 1)
     if block == "nowhere":
-        order = rng.permutation(failing)
+        dec = permuted(dec, rng.permutation(dec.m))
         for eps in (0.5, 0.8):
-            _check_infeasible_start(dec, eps, pivot, order)
+            _check_infeasible_state(pivot, dec, *_raised_barrier(dec, [], eps))
         return
     order = np.concatenate([failing[:block - 1], rng.permutation(3 * n), failing[block - 1:]])
     for eps in (0.5, 0.8):
-        assert _check_against_reference(dec, eps, pivot, scan_order=order) > 0
-        result = run_selection(dec, eps, pivot_rule=pivot, scan_order=order)
+        result = _check_against_reference(permuted(dec, order), eps, pivot)
+        assert result.sigma and not np.isin(order[result.sigma], failing).any()
         scanned = [tr.candidates_scanned for tr in result.traces]
         if pivot == "first":
             assert scanned[0] == block and min(scanned) >= block
-
-
-def _check_infeasible_start(dec, eps, pivot, order):
-    """No candidate in order passes at the first step, with or without the
-    retry slack: run_selection raises with the reference scan's margins."""
-    sched = compute_schedule(dec.L, dec.m, eps)
-    A, b_prime = np.zeros((dec.n, dec.n)), sched.b0 - sched.delta
-    phi_b, phi_bp = potential(A, sched.b0, dec.L), potential(A, b_prime, dec.L)
-    for slack in (0.0, TOL.feasibility_retry):
-        chosen, _, scanned, margins = _reference_scan(
-            A, shifted_inverse(A, b_prime), dec.L, dec.mapped_vectors(), [], order,
-            phi_b, phi_bp, pivot, slack)
-        assert chosen is None and scanned == len(order)
-    with pytest.raises(InfeasibilityError, match="at step 0") as err:
-        run_selection(dec, eps, pivot_rule=pivot, scan_order=order)
-    assert err.value.best_quadform_margin == pytest.approx(margins[0], rel=1e-9)
-    assert err.value.best_potential_margin == pytest.approx(margins[1], rel=1e-9)
 
 
 def _ramp_instance(n, m, seed):
@@ -238,7 +224,7 @@ LOW_RANK_CASES = {
 def test_low_rank_walk_matches_reference(pivot, case):
     dec = LOW_RANK_CASES[case]()
     for eps in (0.5, 0.8):
-        assert _check_against_reference(dec, eps, pivot) > 1
+        assert len(_check_against_reference(dec, eps, pivot).traces) > 1
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
@@ -268,7 +254,7 @@ def _duplicate_state(case):
 
 def _padded_scan_state(k):
     """The padded frame instance with the first k indices of its walk taken,
-    scanned in an order that starts with failing vectors, zero rows among
+    permuted into an order that starts with failing vectors, zero rows among
     them, and puts the taken ones at positions 2, 5 and 8. First-feasible
     reads the candidates left at positions 1 and 3 as the slice 1-3, and
     those at 4, 6, 7 and 9 as the slice 4-9, so both slices hold taken rows."""
@@ -281,7 +267,8 @@ def _padded_scan_state(k):
     order = np.array(front + np.setdiff1d(failing, front).tolist()
                      + np.random.default_rng(4).permutation(rest).tolist())
     sched = compute_schedule(dec.L, dec.m, 0.5)
-    grams = Grams.of(dec, sigma, scan_order=order)
+    dec, sigma = permuted(dec, order), np.argsort(order)[sigma].tolist()
+    grams = Grams.of(dec, sigma)
     state = SelectionState(sigma, sched.b0 - k * sched.delta, Spectrum.of(grams, TOL), grams)
     return dec, sched, state
 
@@ -298,7 +285,7 @@ HARD_STATES = {
 @pytest.mark.parametrize("make_state", HARD_STATES)
 def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monkeypatch):
     # select_next's arrays, read at slack 0 and at the retry slack, against
-    # one candidate_feasible call per candidate in the same scan order.
+    # one candidate_feasible call per candidate in index order.
     dec, sched, state = HARD_STATES[make_state]()
     grams, first = state.grams, pivot == "first"
     if make_state.startswith("kernel-band"):
@@ -314,7 +301,7 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
     monkeypatch.setattr(rinv.selector, "_pick", spy)
     chosen = select_next(state, sched, pivot)[0]
     quad, after, phi_before = picks[-1]
-    left = grams.order[np.setdiff1d(np.arange(len(grams.order)), grams.cols)]
+    left = np.setdiff1d(np.arange(dec.m), grams.cols)
 
     A, b_prime = _gram(dec, state.sigma), state.barrier_b - sched.delta
     M, W = shifted_inverse(A, b_prime), dec.mapped_vectors()
@@ -322,8 +309,8 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
     picked = []
     for slack in (0.0, TOL.feasibility_retry):
         pos, scanned = pick(quad, after, phi_before, slack, first)
-        want, rec, want_scanned, _ = _reference_scan(A, M, dec.L, W, state.sigma, grams.order,
-                                                     phi_b, phi_bp, pivot, slack)
+        want, rec, want_scanned, _ = _reference_scan(A, M, dec.L, W, state.sigma, phi_b, phi_bp,
+                                                     pivot, slack)
         assert want is not None and (int(left[pos]), scanned) == (want, want_scanned)
         np.testing.assert_allclose([quad[pos], after[pos]],
                                    [rec.quadform, rec.potential_after_add], rtol=1e-10)
@@ -344,38 +331,38 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
                                rtol=1e-10, atol=1e-12 * np.abs(ref).max())
 
 
-def _recorded_walk(dec, eps, pivot, scan_order, monkeypatch):
-    """run_selection with each step's state, the scan positions left to it,
+def _recorded_walk(dec, eps, pivot, monkeypatch):
+    """run_selection with each step's state, the indices left to it,
     select_next's candidates scanned and the Grams' reach after the call."""
     steps, select_next = [], rinv.selector.select_next
 
     def spy(state, *args):
         grams = state.grams
-        left = np.setdiff1d(np.arange(len(grams.order)), grams.cols)
+        left = np.setdiff1d(np.arange(dec.m), grams.cols)
         chosen, rec, scanned = select_next(state, *args)
         steps.append((state, left, scanned, grams.reach))
         return chosen, rec, scanned
 
     monkeypatch.setattr(rinv.selector, "select_next", spy)
-    return run_selection(dec, eps, pivot_rule=pivot, scan_order=scan_order), steps
+    return run_selection(dec, eps, pivot_rule=pivot), steps
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
 def test_grams_filled_on_read_match_dense(pivot, monkeypatch):
-    # The Grams hold columns in scan order, filled on first read up to reach,
-    # and rows in the order sigma was chosen. Every filled entry must equal
-    # the dense V LtL V^T, VG VG^T and row norms, and the chosen rows and
-    # k x k blocks their entries at sigma.
+    # The Grams hold columns in index order, filled on first read up to
+    # reach, and rows in the order sigma was chosen. The walk runs on dec
+    # permuted by order, so its index p is dec's order[p]. Every filled entry
+    # must equal dec's dense V LtL V^T, VG VG^T and row norms, and the chosen
+    # rows and k x k blocks their entries at sigma.
     dec = _ramp_instance(64, 256, 7)
-    order = np.random.default_rng(8).permutation(dec.m)[:192]
-    result, steps = _recorded_walk(dec, 0.5, pivot, order, monkeypatch)
+    order = np.random.default_rng(8).permutation(dec.m)
+    result, steps = _recorded_walk(permuted(dec, order), 0.5, pivot, monkeypatch)
     grams = steps[-1][0].grams
     assert len(result.sigma) == result.schedule.steps_t > 1
-    assert grams.order.tolist() == order.tolist()
-    assert grams.order[grams.cols].tolist() == result.sigma
+    assert grams.cols == result.sigma
     VG = dec.V @ dec.L.T @ dec.L
     G, H = VG @ dec.V.T, VG @ VG.T
-    rows, s, k = grams.order[:grams.reach], result.sigma, len(result.sigma)
+    rows, s, k = order[:grams.reach], order[result.sigma], len(result.sigma)
     VG_s = VG[s]
     J = VG_s @ dec.L.T @ dec.L @ VG_s.T
     for got, want in [(grams.G[:k, :grams.reach], G[np.ix_(s, rows)]),
@@ -386,8 +373,8 @@ def test_grams_filled_on_read_match_dense(pivot, monkeypatch):
     np.testing.assert_allclose(grams.g[:grams.reach], np.diag(G)[rows], rtol=1e-12)
     np.testing.assert_allclose(grams.h[:grams.reach], np.diag(H)[rows], rtol=1e-12)
     if pivot == "greedy":
-        # One scan of every candidate at step 0; the indices order leaves out have no row.
-        assert [reach for *_, reach in steps] == [len(order)] * k
+        # One scan of every candidate at step 0.
+        assert [reach for *_, reach in steps] == [dec.m] * k
         return
     # First-feasible reads blocks of 1, 2, 4, ... of the positions left and
     # stops after the block of its hit: s scanned means 2^b - 1 read, with b
@@ -397,7 +384,7 @@ def test_grams_filled_on_read_match_dense(pivot, monkeypatch):
         last = left[min(2 ** scanned.bit_length() - 1, len(left)) - 1]
         reach = max(reach, last + 1)
         assert after <= reach
-    assert grams.reach < 2 * k < dec.m // 8  # about t, where greedy reads 192
+    assert grams.reach < 2 * k < dec.m // 8  # about t, where greedy reads all m
 
 
 def test_append_fills_rows_in_place():
@@ -422,14 +409,15 @@ def test_append_fills_rows_in_place():
 
 @pytest.mark.parametrize("pivot", PIVOTS)
 def test_state_of_matches_walk_under_scan_order(pivot, monkeypatch):
-    # SelectionState.of reads sigma's rows in natural order, the walk in a
-    # permuted partial scan order; both must see the same spectrum and J.
+    # The walk scans dec permuted by order; SelectionState.of reads sigma's
+    # rows of dec, mapped back through order, in their own order. Both must
+    # see the same spectrum and J.
     dec = _ramp_instance(64, 256, 7)
-    order = np.random.default_rng(9).permutation(dec.m)[:192]
-    result, steps = _recorded_walk(dec, 0.5, pivot, order, monkeypatch)
-    assert sorted(result.sigma) != result.sigma
+    order = np.random.default_rng(9).permutation(dec.m)
+    result, steps = _recorded_walk(permuted(dec, order), 0.5, pivot, monkeypatch)
+    assert sorted(order[result.sigma]) != order[result.sigma].tolist()
     for state, *_ in steps:
-        fresh = SelectionState.of(dec, state.sigma, state.barrier_b)
+        fresh = SelectionState.of(dec, order[state.sigma], state.barrier_b)
         k = len(state.sigma)
         pairs = [(fresh.spectrum.lam, state.spectrum.lam), (fresh.spectrum.M, state.spectrum.M),
                  (fresh.grams.J[:k, :k], state.grams.J[:k, :k])]
@@ -516,18 +504,22 @@ def test_walk_evaluates_each_potential_once(pivot, monkeypatch):
     assert len(calls) == 2 * t + 1
 
 
-def _raised_barrier_state():
-    """Two vectors taken and the barrier lifted so far above A that every
+def _raised_barrier(dec, sigma, eps):
+    """sigma taken and the barrier lifted so far above A that every
     candidate fails the rank test, even with the retry slack."""
+    W = dec.mapped_vectors()
+    sched = compute_schedule(dec.L, dec.m, eps)
+    b_prime = (np.linalg.eigvalsh(_gram(dec, sigma))[-1]
+               + 2.0 * float(np.max(np.sum(W * W, axis=1))))
+    return sched, SelectionState.of(dec, sigma, b_prime + sched.delta)
+
+
+def _raised_barrier_state():
     n = 6
     rng = np.random.default_rng(21)
     L = rng.standard_normal((n, n))
     dec = Decomposition(L=L / np.linalg.norm(L, 2), V=random_tight_frame(n, 2 * n, 21))
-    W = dec.mapped_vectors()
-    sched = compute_schedule(dec.L, dec.m, 0.8)
-    b_prime = (np.linalg.eigvalsh(_gram(dec, [0, 1]))[-1]
-               + 2.0 * float(np.max(np.sum(W * W, axis=1))))
-    return dec, sched, SelectionState.of(dec, [0, 1], b_prime + sched.delta)
+    return (dec, *_raised_barrier(dec, [0, 1], 0.8))
 
 
 def _split_failure_state():
@@ -553,12 +545,17 @@ def _potential_failure_state():
     "make_state", [_raised_barrier_state, _split_failure_state, _potential_failure_state]
 )
 def test_infeasible_step_reports_reference_margins(pivot, make_state):
-    dec, sched, state = make_state()
+    _check_infeasible_state(pivot, *make_state())
+
+
+def _check_infeasible_state(pivot, dec, sched, state):
+    """No candidate passes, with or without the retry slack: select_next
+    raises with the reference scan's margins."""
     A = _gram(dec, state.sigma)
     diag = check_step_preconditions(state, sched)
     expected = _reference_preconditions(A, state.barrier_b, sched, dec.L)
     assert asdict(diag) == expected
-    with pytest.raises(InfeasibilityError) as err:
+    with pytest.raises(InfeasibilityError, match=f"at step {len(state.sigma)} ") as err:
         select_next(state, sched, pivot)
     b_prime = state.barrier_b - sched.delta
     M = shifted_inverse(A, b_prime)
@@ -566,7 +563,7 @@ def test_infeasible_step_reports_reference_margins(pivot, make_state):
     W = dec.mapped_vectors()
     for slack in (0.0, TOL.feasibility_retry):
         chosen, _, scanned, margins = _reference_scan(A, M, dec.L, W, state.sigma,
-                                                      range(dec.m), phi_b, phi_bp, pivot, slack)
+                                                      phi_b, phi_bp, pivot, slack)
         assert chosen is None and scanned == dec.m - len(state.sigma)
     assert err.value.best_quadform_margin == pytest.approx(margins[0], rel=1e-9)
     assert err.value.best_potential_margin == pytest.approx(margins[1], rel=1e-9)

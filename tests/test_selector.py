@@ -10,17 +10,27 @@ from rinv import (
     Decomposition,
     compare_to_guarantee,
     compute_schedule,
+    default_tolerances,
     from_standard_basis,
     permuted,
     random_tight_frame,
     run_selection,
     verify,
 )
-from rinv.errors import IndexRangeError, NormRangeError, ParameterError, ZeroOperatorError
+from rinv.errors import (
+    DimensionError,
+    IndexRangeError,
+    InvariantViolation,
+    NormRangeError,
+    ParameterError,
+    ZeroOperatorError,
+)
 from rinv.matrix_core import gram_min_eigenvalue
 from rinv.selector import (
     FROB_SQ_RANGE,
+    FeasibilityRecord,
     SelectionState,
+    _check_post_step,
     candidate_feasible,
     check_step_preconditions,
     potential,
@@ -63,6 +73,27 @@ class TestComputeSchedule:
     def test_zero_operator(self):
         with pytest.raises(ZeroOperatorError):
             compute_schedule(np.zeros((2, 2)), 2, 0.5)
+
+    @pytest.mark.parametrize("m", [2.5, 0, -3, True, "4", None],
+                             ids=["float", "zero", "negative", "bool", "str", "none"])
+    def test_bad_m(self, m):
+        with pytest.raises(ParameterError, match="m must be a positive integer"):
+            compute_schedule(np.eye(4), m, 0.5)
+
+    def test_numpy_integer_m(self):
+        assert compute_schedule(np.eye(4), np.int64(4), 0.5) == compute_schedule(np.eye(4), 4, 0.5)
+
+    def test_verify_without_vectors(self):
+        # m = 0 is named, where it divided by zero.
+        dec = Decomposition(L=np.eye(4), V=np.empty((0, 4)))
+        with pytest.raises(ParameterError, match="m must be a positive integer, got 0"):
+            verify(dec, 0.5, [])
+
+    @pytest.mark.parametrize("L", [np.ones((3, 4)), np.ones(4), np.ones((2, 2, 2))],
+                             ids=["3x4", "1-D", "3-D"])
+    def test_non_square_L(self, L):
+        with pytest.raises(DimensionError, match="L must be square"):
+            compute_schedule(L, 4, 0.5)
 
     def test_step_budget_below_b0(self):
         for eps in (0.3, 0.5, 0.9):
@@ -279,19 +310,17 @@ class TestRunSelection:
             assert scaled.sigma == base.sigma
 
     def test_permutation_equivariance(self):
+        # Greedy's pick does not depend on the scan order (barring exact
+        # ties), so index j of dec_p, dec's perm[j], is chosen as dec's is.
         dec = Decomposition(L=np.eye(5), V=random_tight_frame(5, 10, 6))
-        res = run_selection(dec, 0.8)
+        res = run_selection(dec, 0.8, pivot_rule="greedy")
         rng = np.random.default_rng(0)
         perm = rng.permutation(dec.m)
         dec_p = permuted(dec, perm)
-        # scan the permuted rows in their original-vector order
-        res_p = run_selection(dec_p, 0.8, scan_order=np.argsort(perm))
-        inv = np.argsort(perm)
-        assert sorted(res_p.sigma) == sorted(inv[i] for i in res.sigma)
+        res_p = run_selection(dec_p, 0.8, pivot_rule="greedy")
+        assert perm[res_p.sigma].tolist() == res.sigma
         # same underlying vectors were selected
-        np.testing.assert_array_equal(
-            dec_p.V[[inv[i] for i in sorted(res.sigma)]], dec.V[sorted(res.sigma)]
-        )
+        np.testing.assert_array_equal(dec_p.V[res_p.sigma], dec.V[res.sigma])
 
     @pytest.mark.parametrize(
         "order, message",
@@ -307,16 +336,21 @@ class TestRunSelection:
         ids=["negative", "past-m", "repeated", "float", "bool", "str", "two-dimensional"],
     )
     def test_bad_scan_order(self, order, message):
+        # permuted sets the scan order; verify's sigma follows the same rule.
         dec = Decomposition(L=np.eye(5), V=random_tight_frame(5, 10, 6))
         with pytest.raises(IndexRangeError, match=message):
-            run_selection(dec, 0.8, scan_order=order)
+            permuted(dec, order)
+        with pytest.raises(IndexRangeError, match=message):
+            verify(dec, 0.8, order)
 
     def test_partial_scan_order(self):
-        # Indices left out of the order are never scanned.
+        # The walk scans in index order: a permutation that puts these six
+        # first makes first-feasible take its t = 3 among them, in this order.
         dec = Decomposition(L=np.eye(5), V=random_tight_frame(5, 10, 6))
         order = [9, 3, 5, 0, 7, 1]
-        res = run_selection(dec, 0.8, scan_order=order)
-        assert len(res.sigma) == 3 and set(res.sigma) <= set(order)
+        perm = np.array(order + [2, 4, 6, 8])
+        res = run_selection(permuted(dec, perm), 0.8)
+        assert perm[res.sigma].tolist() == [9, 3, 5]
 
     def test_greedy_pivot(self):
         dec = from_standard_basis(np.eye(4))
@@ -339,15 +373,15 @@ class TestRunSelection:
     @given(n=st.integers(2, 8), extra=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
            epsilon=st.floats(0.3, 0.9, exclude_min=True, exclude_max=True))
     def test_index_list_forms_agree(self, n, extra, seed, epsilon):
-        # A list, a tuple and int32 and int64 arrays name the same indices;
-        # verify also ignores the order of sigma.
+        # A list, a tuple and int32 and int64 arrays name the same indices
+        # to permuted and to verify; verify also ignores the order of sigma.
         rng = np.random.default_rng(seed)
         m = n + extra
         dec = Decomposition(L=rng.standard_normal((n, n)), V=random_tight_frame(n, m, seed))
         order = rng.permutation(m).tolist()
-        base = run_selection(dec, epsilon, scan_order=order)
+        base = run_selection(permuted(dec, order), epsilon)
         for form in (tuple(order), np.array(order, np.int32), np.array(order, np.int64)):
-            assert run_selection(dec, epsilon, scan_order=form) == base
+            assert run_selection(permuted(dec, form), epsilon) == base
         sigma = rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False).tolist()
         cert = verify(dec, epsilon, sigma)
         for form in (tuple(sigma), np.array(sigma, np.int32), np.array(sigma, np.int64),
@@ -363,6 +397,49 @@ class TestRunSelection:
             A = A + np.outer(W[tr.chosen_index], W[tr.chosen_index])
             fresh = potential(A, tr.barrier_after, dec.L)
             assert tr.phi_after == pytest.approx(fresh, rel=1e-8)
+
+
+class TestPostStepChecks:
+    """Each InvariantViolation raised after a step, from the spectra of
+    SelectionState.of before and after a walk's second step and a hand-set
+    FeasibilityRecord."""
+
+    TOL = default_tolerances()
+
+    @staticmethod
+    def _second_step():
+        dec = Decomposition(L=np.diag(np.linspace(1.0, 2.0, 6)), V=random_tight_frame(6, 12, 3))
+        res = run_selection(dec, 0.8)
+        assert len(res.sigma) == 2
+        tr = res.traces[1]
+        old = SelectionState.of(dec, res.sigma[:1], tr.barrier_before).spectrum
+        new = SelectionState.of(dec, res.sigma, tr.barrier_after).spectrum
+        return old, new, tr, FeasibilityRecord(-1.0 - tr.quadform_margin, tr.phi_after, True)
+
+    def test_recorded_step_passes(self):
+        old, new, tr, rec = self._second_step()
+        _check_post_step(old, new, 2, tr.barrier_after, rec, tr.phi_before, self.TOL)
+
+    def test_barrier_count(self):
+        old, new, tr, rec = self._second_step()
+        b_prime = float(np.mean(new.lam))  # above the smaller of the two eigenvalues
+        with pytest.raises(InvariantViolation,
+                           match="barrier invariant failed at step 2: 1 eigenvalues above"):
+            _check_post_step(old, new, 2, b_prime, rec, tr.phi_before, self.TOL)
+
+    def test_potential_increase(self):
+        old, new, tr, rec = self._second_step()
+        rec = FeasibilityRecord(rec.quadform, tr.phi_before + abs(tr.phi_before), True)
+        with pytest.raises(InvariantViolation, match="potential increased at step 2"):
+            _check_post_step(old, new, 2, tr.barrier_after, rec, tr.phi_before, self.TOL)
+
+    def test_rank_one_update_disagrees(self):
+        old, new, tr, rec = self._second_step()
+        lower = tr.phi_after - 1e-3 * max(abs(tr.phi_after), 1.0)
+        rec = FeasibilityRecord(rec.quadform, lower, True)
+        with pytest.raises(InvariantViolation,
+                           match="disagrees with fresh recomputation at step 2"):
+            _check_post_step(old, new, 2, tr.barrier_after, rec, tr.phi_before, self.TOL)
 
 
 class TestPotentialSplit:
