@@ -1,7 +1,10 @@
 """Post-hoc verification of a selected subset.
 
 Everything here is recomputed from the raw inputs; nothing from the
-selector's internal state is trusted. The lambda_min claim is discharged
+selector's internal state is trusted, save ||L||_2^2 for an L whose bits
+equal the last operator scheduled in the process: the schedule keeps that
+one value, so a verify after a run on the same L takes no second eigvalsh.
+The lambda_min claim is discharged
 exactly through the Gram matrix: for all coefficient choices,
 || sum a_i w_i ||^2 >= lambda_min(Gram) * sum a_i^2.
 """
@@ -12,7 +15,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .decomposition import Decomposition, checked_indices, from_standard_basis
+from .decomposition import Decomposition, checked_arrays, checked_indices, from_standard_basis
 from .matrix_core import gram_min_eigenvalue
 from .selector import compute_schedule
 from .tolerances import Tolerances, default_tolerances
@@ -62,17 +65,19 @@ def verify(
     are linearly independent, and the Gram lambda_min strictly exceeds
     (1 - eps)^2 ||L||_F^2 / m. Strictness carries no added slack: the
     guarantee holds with margin, so a borderline value signals genuine
-    numerical trouble. t, the bound, b0 and delta come from compute_schedule,
-    so an all-zero L raises ZeroOperatorError and an epsilon outside (0, 1)
-    ParameterError; sigma must hold distinct integers in [0, m), or
-    IndexRangeError.
+    numerical trouble. L and V pass validate's shape and finiteness checks,
+    or DimensionError; the frame identity is not checked. t, the bound, b0
+    and delta come from compute_schedule, so an all-zero L raises
+    ZeroOperatorError and an epsilon outside (0, 1) ParameterError; sigma
+    must hold distinct integers in [0, m), or IndexRangeError.
     """
     tol = tol or default_tolerances()
-    sigma = sorted(checked_indices(sigma, dec.m, "sigma").tolist())
-    schedule = compute_schedule(dec.L, dec.m, epsilon)
+    L, V = checked_arrays(dec)
+    sigma = sorted(checked_indices(sigma, len(V), "sigma").tolist())
+    schedule = compute_schedule(L, len(V), epsilon)
 
     if sigma:
-        W = dec.V[sigma] @ np.asarray(dec.L, dtype=float).T
+        W = V[sigma] @ L.T
         lam_min = gram_min_eigenvalue(W)
         row_sq = float(np.max(np.sum(W * W, axis=1)))
         independent = lam_min > tol.independence * row_sq

@@ -57,6 +57,19 @@ def square_operator(L) -> np.ndarray:
     return L
 
 
+def checked_arrays(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
+    """(L, V) as float arrays; DimensionError unless L is square, V's rows
+    live in R^n and every entry is finite."""
+    L, V = square_operator(dec.L), np.asarray(dec.V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != L.shape[0]:
+        raise DimensionError(
+            f"V rows must live in R^{L.shape[0]}, got V shape {V.shape}"
+        )
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(V))):
+        raise DimensionError("inputs contain non-finite entries")
+    return L, V
+
+
 def validate(dec: Decomposition, tol: Tolerances | None = None) -> Decomposition:
     """Check the mode's invariant and return the decomposition unchanged.
 
@@ -65,13 +78,7 @@ def validate(dec: Decomposition, tol: Tolerances | None = None) -> Decomposition
     columns.
     """
     tol = tol or default_tolerances()
-    L, V = square_operator(dec.L), np.asarray(dec.V, dtype=float)
-    if V.ndim != 2 or V.shape[1] != L.shape[0]:
-        raise DimensionError(
-            f"V rows must live in R^{L.shape[0]}, got V shape {V.shape}"
-        )
-    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(V))):
-        raise DimensionError("inputs contain non-finite entries")
+    L, V = checked_arrays(dec)
     n = L.shape[0]
     if dec.mode == Mode.CLASSICAL_COLUMNS:
         if V.shape[0] != n or not np.array_equal(V, np.eye(n)):

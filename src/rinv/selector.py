@@ -46,6 +46,9 @@ PIVOT_GREEDY = "greedy"
 # The walk forms Grams up to the third power of L^T L (J), so ||L||_F^2 must
 # lie where its cube is a normal float.
 FROB_SQ_RANGE = (np.finfo(float).tiny ** (1 / 3), np.finfo(float).max ** (1 / 3))
+# ||L||_2^2 of the last L scheduled, as (a read-only C-ordered copy of L,
+# spec_sq): a verify after a run on the same L takes no second eigvalsh.
+_last_spec_sq: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -340,7 +343,10 @@ def compute_schedule(L, m: int, epsilon: float) -> Schedule:
 
 
 def _schedule(L, m: int, epsilon: float):
-    """compute_schedule's Schedule and the L^T L it took ||L||_2^2 from."""
+    """compute_schedule's Schedule and the L^T L it took ||L||_2^2 from,
+    or None when L's bits (-0.0 and 0.0 differ) equal the last L scheduled
+    and ||L||_2^2 is that run's."""
+    global _last_spec_sq
     if not (0.0 < epsilon < 1.0):
         raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
     L = np.asarray(L, dtype=float)
@@ -354,8 +360,15 @@ def _schedule(L, m: int, epsilon: float):
             f"||L||_F^2 = {frob_sq:.3e} is outside the float range [{lo:.3e}, {hi:.3e}] "
             "of the walk; rescale L"
         )
-    LtL = L.T @ L
-    spec_sq = float(np.linalg.eigvalsh(LtL)[-1])
+    entry = _last_spec_sq
+    if entry is not None and np.array_equal(entry[0].view(np.uint64), L.view(np.uint64)):
+        LtL, spec_sq = None, entry[1]
+    else:
+        LtL = L.T @ L
+        spec_sq = float(np.linalg.eigvalsh(LtL)[-1])
+        key = np.array(L, order="C")
+        key.flags.writeable = False
+        _last_spec_sq = (key, spec_sq)
     t = int(math.floor(epsilon * epsilon * (frob_sq / spec_sq)))
     b0 = (1.0 - epsilon) * frob_sq / m
     delta = (1.0 - epsilon) * spec_sq / (epsilon * m)

@@ -13,7 +13,7 @@ from rinv import (
     verify,
     verify_classical,
 )
-from rinv.errors import IndexRangeError, ModeError, ZeroOperatorError
+from rinv.errors import DimensionError, IndexRangeError, ModeError, ZeroOperatorError
 
 
 class TestVerify:
@@ -53,6 +53,18 @@ class TestVerify:
         for sigma in ([0.7], [True], ["1"], [[0, 1]], [[0, 1], [2]]):
             with pytest.raises(IndexRangeError, match="integer indices"):
                 verify(dec, 0.5, sigma)
+
+    def test_vectors_outside_R_n_are_typed(self):
+        dec = Decomposition(L=np.eye(4), V=np.ones((5, 3)))
+        with pytest.raises(DimensionError, match="R\\^4"):
+            verify(dec, 0.5, [0, 4])
+
+    def test_non_finite_vector_is_typed(self):
+        # Not a certificate with lambda_min = nan.
+        V = random_tight_frame(4, 8, 1)
+        V[2] = np.nan
+        with pytest.raises(DimensionError, match="non-finite"):
+            verify(Decomposition(L=np.eye(4), V=V), 0.5, [0, 2])
 
     def test_zero_operator_is_typed(self):
         dec = Decomposition(L=np.zeros((3, 3)), V=np.eye(3))

@@ -429,7 +429,7 @@ def test_state_of_matches_walk_under_scan_order(pivot, monkeypatch):
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
-def test_walk_takes_no_eigh_of_order_n(pivot, monkeypatch):
+def test_walk_takes_no_eigh_of_order_n(pivot, monkeypatch, empty_schedule_cache):
     # Each spectrum is one eigh of the k x k Gram of the chosen rows, and the
     # schedule one eigvalsh of L^T L; nothing takes an SVD. np.linalg.norm
     # calls the svd of numpy's implementation module, so that is counted too.
@@ -459,7 +459,13 @@ def test_walk_takes_no_eigh_of_order_n(pivot, monkeypatch):
     # The post-step checks still see every step, on spectra padded to length n.
     assert interlaced == [(dec.n, dec.n)] * result.schedule.steps_t
 
-    # verify takes its own eigvalsh of L^T L, then one of the t x t Gram.
+    # verify of the same L reuses the schedule's ||L||_2^2 and takes only the
+    # eigvalsh of the t x t Gram; after another L is scheduled it takes its own.
+    for calls in orders.values():
+        calls.clear()
+    verify(dec, 0.5, result.sigma)
+    assert orders == {"eigh": [], "eigvalsh": [t], "svd": []}
+    compute_schedule(2.0 * dec.L, dec.m, 0.5)
     for calls in orders.values():
         calls.clear()
     verify(dec, 0.5, result.sigma)
