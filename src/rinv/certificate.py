@@ -89,7 +89,7 @@ def verify(
     passes = len(sigma) >= schedule.steps_t and independent and lam_min > bound
     return Certificate(
         sigma=sigma,
-        epsilon=epsilon,
+        epsilon=schedule.epsilon,
         subset_size_bound=schedule.steps_t,
         lambda_min=lam_min,
         guarantee_bound=bound,

@@ -36,15 +36,15 @@ class Decomposition:
 
     @property
     def n(self) -> int:
-        return self.L.shape[0]
+        return np.shape(self.L)[0]
 
     @property
     def m(self) -> int:
-        return self.V.shape[0]
+        return np.shape(self.V)[0]
 
     def mapped_vectors(self) -> np.ndarray:
         """Rows are L v_i."""
-        return self.V @ self.L.T
+        return np.asarray(self.V, dtype=float) @ np.asarray(self.L, dtype=float).T
 
 
 def square_operator(L) -> np.ndarray:
@@ -157,4 +157,4 @@ def permuted(dec: Decomposition, perm) -> Decomposition:
     perm = checked_indices(perm, dec.m, "perm")
     if len(perm) != dec.m:
         raise DimensionError(f"perm must have m = {dec.m} entries, got {len(perm)}")
-    return replace(dec, V=dec.V[perm])
+    return replace(dec, V=np.asarray(dec.V)[perm])

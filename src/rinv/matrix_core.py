@@ -56,13 +56,14 @@ def shifted_spectrum(lam, shift: float, tol: Tolerances | None = None) -> np.nda
     """
     tol = tol or default_tolerances()
     lam = np.asarray(lam, dtype=float)
+    diff = lam - shift
     scale = max(abs(shift), float(np.abs(lam).max(initial=0.0)))
-    gap = float(np.abs(lam - shift).min())
+    gap = float(np.abs(diff).min())
     if gap <= tol.shift_gap * scale:
         raise SingularShiftError(
             f"shift {shift} is within {gap:.3e} of an eigenvalue"
         )
-    return 1.0 / (lam - shift)
+    return 1.0 / diff
 
 
 def shifted_inverse(S, shift: float, tol: Tolerances | None = None) -> np.ndarray:
@@ -122,9 +123,9 @@ def check_interlacing(evals_before, evals_after, slack: float) -> None:
     if a.shape != b.shape:
         raise DimensionError("spectra must have equal length")
     slack = slack * float(np.abs(np.concatenate([a, b])).max(initial=0.0))
-    if np.any(b < a - slack):
+    if (b < a - slack).any():
         worst = float((a - b).max())
         raise InvariantViolation(f"interlacing violated: new eigenvalue below old by {worst:.3e}")
-    if np.any(a[:-1] < b[1:] - slack):
+    if (a[:-1] < b[1:] - slack).any():
         worst = float((b[1:] - a[:-1]).max())
         raise InvariantViolation(f"interlacing violated: shifted eigenvalue above old by {worst:.3e}")

@@ -19,6 +19,7 @@ potential and potential_split are references from one eigh of a dense A.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import List, NamedTuple, Optional, Sequence
 
@@ -96,9 +97,11 @@ def _col_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", X, Y)
 
 
-def _kernel_band(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Eigenvalues of A at or below kernel_threshold * ||A||."""
-    return lam <= tol.kernel_threshold * float(np.abs(lam).max(initial=0.0))
+def _band_edge(lam: np.ndarray, tol: Tolerances) -> float:
+    """kernel_threshold * ||A||, with ||A|| read from the two ends of the
+    sorted eigenvalues lam: an eigenvalue at or below it is in the kernel band."""
+    top = max(abs(float(lam[0])), abs(float(lam[-1]))) if len(lam) else 0.0
+    return tol.kernel_threshold * top
 
 
 @dataclass
@@ -191,10 +194,10 @@ class Spectrum:
     R = P diag(lam)^{-1/2}. L is seen through M = U^T L L^T U, whose
     diagonal holds the column masses ||L^T u_j||^2 (kept as mass), and the
     block's mass mass0 = ||L||_F^2 - tr M. poles is lam followed, for a
-    nonempty block, by its one eigenvalue 0, the values the shift-gap check
-    sees. at() uses of()'s tol and keeps each result per shift, so a step
-    evaluates each shift once; resolvent() keeps the k x k K of a shift the
-    same way."""
+    nonempty block, by its one eigenvalue 0: the values the shift-gap check
+    sees, descending. at() uses of()'s tol and keeps each result per shift,
+    so a step evaluates each shift once; resolvent() keeps the k x k K of a
+    shift the same way."""
 
     lam: np.ndarray
     R: np.ndarray
@@ -215,17 +218,13 @@ class Spectrum:
         k = len(grams.cols)
         lam, P = np.linalg.eigh(grams.Gss[:k, :k])
         lam, P = lam[::-1], P[:, ::-1]
-        keep = ~_kernel_band(lam, tol)
+        keep = lam > _band_edge(lam, tol)
         lam = lam[keep]
         R = P[:, keep] / np.sqrt(lam)
         M = R.T @ grams.Hss[:k, :k] @ R
         n0 = len(grams.LtL) - len(lam)
         mass0 = grams.tr_ltl - float(np.trace(M)) if n0 else 0.0
-        return cls(lam, R, M, np.diag(M), np.append(lam, np.zeros(min(n0, 1))), n0, mass0, tol)
-
-    def padded(self) -> np.ndarray:
-        """All n eigenvalues: lam followed by the block's n0 zeros."""
-        return np.concatenate([self.lam, np.zeros(self.n0)])
+        return cls(lam, R, M, M.diagonal(), np.append(lam, 0.0) if n0 else lam, n0, mass0, tol)
 
     def at(self, shift: float) -> AtShift:
         """Phi = sum_j mass_j / (lam_j - shift) - mass0 / shift and its split;
@@ -233,8 +232,8 @@ class Spectrum:
         if shift not in self._at:
             k = len(self.lam)
             d = shifted_spectrum(self.poles, shift, self.tol)
-            d, d0 = d[:k], float(np.sum(d[k:]))
-            phi_image = float(np.sum(self.mass * d))
+            d, d0 = d[:k], (float(d[k]) if self.n0 else 0.0)
+            phi_image = float((self.mass * d).sum())
             self._at[shift] = AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
                                       -self.mass0 / shift, self.mass0)
         return self._at[shift]
@@ -334,8 +333,8 @@ def compute_schedule(L, m: int, epsilon: float) -> Schedule:
     t = floor(eps^2 ||L||_F^2 / ||L||_2^2), with ||L||_2^2 the largest
     eigenvalue of L^T L. When eps^2 times the stable rank is below 1 the
     schedule is vacuous (t = 0). ParameterError unless m is a positive
-    integer, DimensionError unless L is square, NormRangeError when
-    ||L||_F^2 is outside FROB_SQ_RANGE.
+    integer and epsilon a real number in (0, 1), DimensionError unless L is
+    square, NormRangeError when ||L||_F^2 is outside FROB_SQ_RANGE.
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ParameterError(f"m must be a positive integer, got {m!r}")
@@ -347,9 +346,13 @@ def _schedule(L, m: int, epsilon: float):
     or None when L's bits (-0.0 and 0.0 differ) equal the last L scheduled
     and ||L||_2^2 is that run's."""
     global _last_spec_sq
-    if not (0.0 < epsilon < 1.0):
+    if not isinstance(epsilon, numbers.Real):
+        raise ParameterError(f"epsilon must be a real number in (0, 1), got {epsilon!r}")
+    # A real inside (0, 1) may still round to 0.0 or 1.0 as a float; one
+    # outside it is rejected before float() could overflow.
+    if not (0.0 < epsilon < 1.0 and 0.0 < float(epsilon) < 1.0):
         raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-    L = np.asarray(L, dtype=float)
+    epsilon, L = float(epsilon), np.asarray(L, dtype=float)
     with np.errstate(over="ignore"):
         frob_sq = frobenius_norm_sq(L)
     if frob_sq == 0.0 and not L.any():
@@ -399,7 +402,7 @@ def potential_split(A, b_prime: float, L, tol: Tolerances | None = None):
     lam, U = sym_eigendecomposition(A, tol)
     LtU = np.asarray(L, dtype=float).T @ U
     mass = np.sum(LtU * LtU, axis=0)
-    kernel = _kernel_band(lam, tol)
+    kernel = lam <= _band_edge(lam, tol)
     qL = float(np.sum(mass[kernel]))
     phi_P = float(np.sum((mass * shifted_spectrum(lam, b_prime, tol))[~kernel]))
     return phi_P, -qL / b_prime, qL
@@ -448,7 +451,7 @@ def _t_frob_sq(state: SelectionState, shift: float) -> float:
     spec, grams = state.spectrum, state.grams
     at, k = spec.at(shift), len(grams.cols)
     DM = (at.d - at.d0)[:, None] * spec.M
-    return float(np.sum(DM * DM.T) + 2.0 * at.d0 * np.sum(grams.J[:k, :k] * spec.resolvent(shift))
+    return float((DM * DM.T).sum() + 2.0 * at.d0 * (grams.J[:k, :k] * spec.resolvent(shift)).sum()
                  + at.d0 * at.d0 * grams.ltl_sq)
 
 
@@ -488,7 +491,7 @@ def check_step_preconditions(
 def _pick(quad, after, phi_before: float, slack: float, first: bool):
     """The chosen candidate's place among those left (None if none passes), candidates scanned."""
     ok = (quad < -1.0 + slack) & (after <= phi_before + slack * abs(phi_before))
-    hits = np.flatnonzero(ok)
+    hits = ok.nonzero()[0]
     if hits.size == 0:
         return None, len(quad)
     if first:
@@ -531,11 +534,12 @@ def select_next(
     d0, H_ss = at_bp.d0, grams.Hss[:k, :k]
     left = np.ones(len(grams.V), dtype=bool)
     left[grams.cols] = False
-    order = np.flatnonzero(left)  # the indices of the candidates left
+    order = left.nonzero()[0]  # the indices of the candidates left
 
     # NaN marks a candidate not reached, or a zero vector: it passes no test.
     quad = np.full(len(order), np.nan)
     after = np.full(len(order), np.nan)
+    pos, scanned = None, len(order)
     start, size = 0, 1 if first else len(order)
     with np.errstate(divide="ignore", invalid="ignore"):
         while start < len(order):
@@ -547,11 +551,14 @@ def select_next(
             y_sq = _col_dots(H_ss @ Z, Z) + 2.0 * d0 * _col_dots(Z, H) + d0 * d0 * grams.h[rows]
             q = np.where(w_sq > 0, _col_dots(Z, G) + d0 * w_sq, np.nan)[keep]
             quad[start:end], after[start:end] = q, at_bp.phi - y_sq[keep] / (1.0 + q)
-            if first and _pick(q, after[start:end], phi_before, 0.0, first)[0] is not None:
+            hit = _pick(q, after[start:end], phi_before, 0.0, first)[0] if first else None
+            if hit is not None:
+                pos, scanned = start + hit, start + hit + 1
                 break
             start, size = end, 2 * size
 
-    pos, scanned = _pick(quad, after, phi_before, 0.0, first)
+    if not first:
+        pos, scanned = _pick(quad, after, phi_before, 0.0, first)
     if pos is None:
         pos, retried = _pick(quad, after, phi_before, tol.feasibility_retry, first)
         scanned += retried
@@ -569,11 +576,23 @@ def select_next(
     return int(order[pos]), rec, scanned
 
 
+def _interlace(before: np.ndarray, after: np.ndarray, n: int, slack: float) -> None:
+    """check_interlacing on two spectra of length n given by their p and q
+    explicit eigenvalues, descending, followed by zeros. It reads the first
+    j = min(n, max(p, q) + 1) entries: past them both spectra are zero, so
+    the verdict and the slack's scale are those of length n."""
+    p, q = len(before), len(after)
+    j = min(n, max(p, q) + 1)
+    a, b = np.zeros(j), np.zeros(j)
+    a[:p], b[:q] = before, after
+    check_interlacing(a, b, slack)
+
+
 def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):
     """Runtime invariant checks after a rank-one acceptance, on the spectra of A and A + w w^T."""
-    check_interlacing(old.padded(), new.padded(), tol.interlacing_slack)
-    above, below = int(np.sum(new.lam > b_prime)), new.n0
-    n = len(new.lam) + new.n0
+    above, below = int(np.count_nonzero(new.lam > b_prime)), new.n0
+    n = len(new.lam) + below
+    _interlace(old.lam, new.lam, n, tol.interlacing_slack)
     if above != k_next or below != n - k_next:
         raise InvariantViolation(
             f"barrier invariant failed at step {k_next}: {above} eigenvalues above "

@@ -6,9 +6,11 @@ import pytest
 from rinv import (
     Decomposition,
     Mode,
+    compare_to_guarantee,
     from_standard_basis,
     permuted,
     random_tight_frame,
+    run_selection,
     validate,
 )
 from rinv.errors import (
@@ -125,3 +127,23 @@ class TestPermuted:
         dec = Decomposition(L=np.eye(2), V=frame_120())
         with pytest.raises(IndexRangeError, match="perm must be a sequence of integer indices"):
             permuted(dec, [0.2, 1, 2])
+
+
+class TestNestedLists:
+    @pytest.mark.parametrize("pivot", ["first", "greedy"])
+    def test_walk_and_oracle_match_array_input(self, pivot):
+        # L and V given as nested lists select and sandwich as the arrays do.
+        rng = np.random.default_rng(2)
+        Q, _ = np.linalg.qr(rng.standard_normal((24, 24)))
+        dec = Decomposition(L=Q * np.linspace(1.0, 2.0, 24), V=random_tight_frame(24, 48, 2))
+        nested = Decomposition(L=dec.L.tolist(), V=dec.V.tolist())
+        assert validate(nested) is nested
+        assert (nested.n, nested.m) == (24, 48)
+        np.testing.assert_array_equal(nested.mapped_vectors(), dec.mapped_vectors())
+        result = run_selection(nested, 0.5, pivot_rule=pivot)
+        assert result.sigma == run_selection(dec, 0.5, pivot_rule=pivot).sigma
+        assert len(result.sigma) == result.schedule.steps_t > 1
+        assert (compare_to_guarantee(nested, 0.5, pivot_rule=pivot)
+                == compare_to_guarantee(dec, 0.5, pivot_rule=pivot))
+        perm = np.random.default_rng(3).permutation(48)
+        np.testing.assert_array_equal(permuted(nested, perm).V, dec.V[perm])

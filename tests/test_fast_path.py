@@ -295,13 +295,20 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
     picks, pick = [], rinv.selector._pick
 
     def spy(quad, after, phi_before, slack, first):
-        picks.append((quad, after, phi_before))
+        picks.append((quad.copy(), after.copy(), phi_before, slack))
         return pick(quad, after, phi_before, slack, first)
 
     monkeypatch.setattr(rinv.selector, "_pick", spy)
     chosen = select_next(state, sched, pivot)[0]
-    quad, after, phi_before = picks[-1]
     left = np.setdiff1d(np.arange(dec.m), grams.cols)
+    # The arrays of every block tested at slack 0, in scan order, laid end to
+    # end: greedy's one block, or first-feasible's blocks up to its hit. NaN
+    # marks the candidates no block reached.
+    blocks = [p for p in picks if p[3] == 0.0]
+    phi_before, scan_read = blocks[0][2], sum(len(p[0]) for p in blocks)
+    quad, after = np.full(len(left), np.nan), np.full(len(left), np.nan)
+    quad[:scan_read] = np.concatenate([p[0] for p in blocks])
+    after[:scan_read] = np.concatenate([p[1] for p in blocks])
 
     A, b_prime = _gram(dec, state.sigma), state.barrier_b - sched.delta
     M, W = shifted_inverse(A, b_prime), dec.mapped_vectors()
@@ -322,6 +329,7 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
     # zero vectors are NaN, the rest match the reference.
     scanned = pick(quad, after, phi_before, 0.0, first)[1]
     read = min(2 ** scanned.bit_length() - 1, len(left)) if first else len(left)
+    assert scan_read == read
     tested, zero = np.flatnonzero(np.isfinite(after)), ~W[left].any(axis=1)
     assert np.isnan(quad[zero]).all() and np.isnan(after[zero]).all()
     assert tested.tolist() == np.flatnonzero(~zero[:read]).tolist()
@@ -456,8 +464,9 @@ def test_walk_takes_no_eigh_of_order_n(pivot, monkeypatch, empty_schedule_cache)
     t = result.schedule.steps_t
     assert len(result.sigma) == t > 1
     assert orders == {"eigh": list(range(t + 1)), "eigvalsh": [dec.n], "svd": []}
-    # The post-step checks still see every step, on spectra padded to length n.
-    assert interlaced == [(dec.n, dec.n)] * result.schedule.steps_t
+    # The post-step checks still see every step: step s compares s - 1 and s
+    # explicit eigenvalues on their first s + 1 entries.
+    assert interlaced == [(s + 1, s + 1) for s in range(1, t + 1)]
 
     # verify of the same L reuses the schedule's ||L||_2^2 and takes only the
     # eigvalsh of the t x t Gram; after another L is scheduled it takes its own.

@@ -1,6 +1,8 @@
 """Barrier selection loop: schedule, potential, feasibility, invariants."""
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,9 +68,38 @@ class TestComputeSchedule:
         assert s.delta == pytest.approx(0.2 / (0.8 * 3))
 
     def test_bad_epsilon(self):
-        for eps in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ParameterError):
+        # The last three are reals that overflow a float, or lie inside (0, 1)
+        # but round to 0.0 or 1.0 as one.
+        tiny = Fraction(1, 10**400)
+        for eps in (0.0, 1.0, -0.5, 1.5, math.nan, 10**400, tiny, 1 - tiny):
+            with pytest.raises(ParameterError, match=r"epsilon must be in \(0, 1\)"):
                 compute_schedule(np.eye(2), 2, eps)
+
+    @pytest.mark.parametrize("entry", ["compute_schedule", "run_selection", "verify",
+                                       "compare_to_guarantee"])
+    @pytest.mark.parametrize("eps", ["0.5", None, [0.5], np.array([0.5]), 0.5 + 0j],
+                             ids=["str", "none", "list", "array", "complex"])
+    def test_epsilon_not_a_real_number(self, entry, eps):
+        dec = Decomposition(L=np.eye(4), V=random_tight_frame(4, 8, 0))
+        calls = {
+            "compute_schedule": lambda: compute_schedule(dec.L, dec.m, eps),
+            "run_selection": lambda: run_selection(dec, eps),
+            "verify": lambda: verify(dec, eps, [0]),
+            "compare_to_guarantee": lambda: compare_to_guarantee(dec, eps),
+        }
+        with pytest.raises(ParameterError, match="epsilon must be a real number"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("eps", [np.float64(0.5), np.float32(0.5), Fraction(1, 2)],
+                             ids=["float64", "float32", "fraction"])
+    def test_real_epsilon_is_read_as_a_float(self, eps):
+        # Any real epsilon passes the gate; the walk and the certificate,
+        # down to its JSON bytes, are those of the float it equals.
+        dec = Decomposition(L=np.eye(4), V=random_tight_frame(4, 8, 0))
+        sigma = run_selection(dec, eps).sigma
+        assert sigma == run_selection(dec, 0.5).sigma
+        assert (json.dumps(verify(dec, eps, sigma).to_json_dict())
+                == json.dumps(verify(dec, 0.5, sigma).to_json_dict()))
 
     def test_zero_operator(self):
         with pytest.raises(ZeroOperatorError):
