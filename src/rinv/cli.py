@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage or I/O error, 2 certificate failure.
 
 import argparse
 import json
-import statistics
 import sys
 
 import numpy as np
@@ -228,7 +227,7 @@ def _cmd_bench(args):
         "barrier_lambda": None if t == 0 else cert.lambda_min,
         "random_trials": len(random_vals),
         "random_lambda_min": min(random_vals) if random_vals else None,
-        "random_lambda_median": statistics.median(random_vals) if random_vals else None,
+        "random_lambda_median": float(np.median(random_vals)) if random_vals else None,
         "random_lambda_max": max(random_vals) if random_vals else None,
         "random_above_bound": sum(v > cert.guarantee_bound for v in random_vals),
         "vacuous": result.vacuous,

@@ -47,6 +47,8 @@ PIVOT_GREEDY = "greedy"
 # The walk forms Grams up to the third power of L^T L (J), so ||L||_F^2 must
 # lie where its cube is a normal float.
 FROB_SQ_RANGE = (np.finfo(float).tiny ** (1 / 3), np.finfo(float).max ** (1 / 3))
+# Rows a short Grams.read fills at once, with their L^T L products for append.
+READ_AHEAD = 16
 # ||L||_2^2 of the last L scheduled, as (a read-only C-ordered copy of L,
 # spec_sq): a verify after a run on the same L takes no second eigvalsh.
 _last_spec_sq: Optional[tuple] = None
@@ -118,12 +120,17 @@ class Grams:
     bordered once per chosen index.
     read(e) fills columns [reach, e) of every chosen row and append the new
     row on columns [0, reach), up to `capacity` rows, so each entry is
-    computed once and every block a step reads is a view.
+    computed once and every block a step reads is a view. A read of at most
+    READ_AHEAD rows that stops short of m, first-feasible's, reads ahead to
+    reach + READ_AHEAD and forms the block's LV = VG LtL rows, which append
+    takes as lv: LtL is streamed twice per block, not twice per step.
     """
 
     V: np.ndarray
     LtL: np.ndarray
     VG: np.ndarray
+    LV: np.ndarray
+    has_lv: np.ndarray
     g: np.ndarray
     h: np.ndarray
     tr_ltl: float
@@ -145,7 +152,8 @@ class Grams:
         m, n = V.shape
         LtL = L.T @ L if LtL is None else LtL
         cap = max(capacity, len(sigma))
-        grams = cls(V, LtL, np.empty((m, n)), np.empty(m), np.empty(m),
+        grams = cls(V, LtL, np.empty((m, n)), np.empty((m, n)), np.zeros(m, dtype=bool),
+                    np.empty(m), np.empty(m),
                     float(np.trace(LtL)), float(np.sum(LtL * LtL)),
                     np.empty((cap, m)), np.empty((cap, m)), np.empty((cap, n)),
                     *(np.empty((cap, cap)) for _ in range(3)))
@@ -156,12 +164,19 @@ class Grams:
 
     def read(self, end: int) -> None:
         """Fill positions [reach, end): rows of VG, g, h and columns of every
-        chosen row of G and H, O((end - reach) n^2)."""
-        start, k = self.reach, len(self.cols)
+        chosen row of G and H, O((end - reach) n^2). A read of at most
+        READ_AHEAD rows that ends before m fills [reach, min(m, reach +
+        READ_AHEAD)) instead, and those rows of LV."""
+        start, k, m = self.reach, len(self.cols), len(self.V)
         if end <= start:
             return
+        ahead = end - start <= READ_AHEAD and end < m
+        end = min(m, start + READ_AHEAD) if ahead else end
         V, VG = self.V[start:end], self.VG[start:end]
         np.matmul(V, self.LtL, out=VG)
+        if ahead:
+            np.matmul(VG, self.LtL, out=self.LV[start:end])
+            self.has_lv[start:end] = True
         self.g[start:end] = _row_dots(V, VG)
         self.h[start:end] = _row_dots(VG, VG)
         self.G[:k, start:end] = self.CV[:k] @ V.T
@@ -171,13 +186,13 @@ class Grams:
     def append(self, index: int) -> None:
         """Fill the row of the chosen candidate `index` (already read) on
         columns [0, reach), O(reach n), and the borders of Gss, Hss and J,
-        O(n^2). With vg = VG[c] and lv = LtL vg, which J's border needs
-        anyway, G's row is V vg and H's is V lv, so both stream V alone and
-        are written in place."""
+        O(n^2). With vg = VG[c] and lv = LtL vg (LV[c] if read ahead), which
+        J's border needs anyway, G's row is V vg and H's is V lv, so both
+        stream V alone and are written in place."""
         k, c, reach = len(self.cols), int(index), self.reach
         self.cols.append(c)
         vg = self.CV[k] = self.VG[c]
-        lv = self.LtL @ vg
+        lv = self.LV[c] if self.has_lv[c] else self.LtL @ vg
         np.matmul(self.V[:reach], vg, out=self.G[k, :reach])
         np.matmul(self.V[:reach], lv, out=self.H[k, :reach])
         self.Gss[k, :k + 1] = self.Gss[:k + 1, k] = self.G[:k + 1, c]

@@ -5,8 +5,11 @@ so a single knob (the RI_TOLERANCE_SCALE environment variable) can widen
 or tighten all of them uniformly for numerical experiments.
 """
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
+
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,15 @@ class Tolerances:
 
 
 def default_tolerances() -> Tolerances:
-    """Tolerances scaled by the RI_TOLERANCE_SCALE environment variable."""
-    scale = float(os.environ.get("RI_TOLERANCE_SCALE", "1"))
+    """Tolerances scaled by the RI_TOLERANCE_SCALE environment variable, a
+    finite number above 0; ParameterError otherwise."""
+    text = os.environ.get("RI_TOLERANCE_SCALE", "1")
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not 0.0 < scale < math.inf:
+        raise ParameterError(f"RI_TOLERANCE_SCALE must be a finite number above 0, got {text!r}")
     base = Tolerances()
     if scale == 1.0:
         return base

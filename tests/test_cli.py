@@ -2,6 +2,7 @@
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -244,10 +245,12 @@ class TestMatrixMarket:
                 rinv.cli.mmread(str(path))
 
     def test_cli_import_leaves_scipy_out(self):
+        # Nor statistics, which pulls in decimal and fractions.
         env = dict(os.environ)
         src = str(Path(rinv.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, rinv.cli; print([k for k in sys.modules if k.split('.')[0] == 'scipy'])"
+        code = ("import sys, rinv.cli; print([k for k in sys.modules "
+                "if k.split('.')[0] in ('scipy', 'statistics')])")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -411,6 +414,30 @@ class TestOracleAndBench:
                 for _ in range(20)]
         assert stats["random_lambda_min"] == min(vals)
         assert stats["random_lambda_max"] == max(vals)
+
+    def test_bench_json_bytes(self, tmp_path, capsys):
+        # An even trial count, so the median is the mean of the two middle
+        # values: the bytes must be those of statistics.median's float.
+        L, V = np.diag(np.linspace(1.0, 2.0, 6)), rinv.random_tight_frame(6, 12, 1)
+        lpath, vpath = tmp_path / "L.mtx", tmp_path / "V.mtx"
+        mmwrite(str(lpath), L, precision=17)
+        mmwrite(str(vpath), V, precision=17)
+        code = main(["bench", "--L", str(lpath), "--V", str(vpath), "--epsilon", "0.8",
+                     "--trials", "20", "--seed", "3"])
+        assert code == 0
+        dec = rinv.Decomposition(L=L, V=V)
+        cert = rinv.verify(dec, 0.8, rinv.run_selection(dec, 0.8).sigma)
+        t, rng = len(cert.sigma), np.random.default_rng(3)
+        vals = [rinv.verify(dec, 0.8, sorted(rng.choice(12, size=t, replace=False).tolist())).lambda_min
+                for _ in range(20)]
+        assert t > 1 and len(set(vals)) > 2
+        expected = {
+            "t": t, "bound": cert.guarantee_bound, "barrier_lambda": cert.lambda_min,
+            "random_trials": 20, "random_lambda_min": min(vals),
+            "random_lambda_median": statistics.median(vals), "random_lambda_max": max(vals),
+            "random_above_bound": sum(v > cert.guarantee_bound for v in vals), "vacuous": False,
+        }
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 class TestUsage:

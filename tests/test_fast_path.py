@@ -25,6 +25,7 @@ from rinv import (
 )
 import rinv.selector
 from rinv.selector import (
+    READ_AHEAD,
     Grams,
     SelectionState,
     Spectrum,
@@ -386,13 +387,68 @@ def test_grams_filled_on_read_match_dense(pivot, monkeypatch):
         return
     # First-feasible reads blocks of 1, 2, 4, ... of the positions left and
     # stops after the block of its hit: s scanned means 2^b - 1 read, with b
-    # the bit length of s. Reach never passes the last position read.
+    # the bit length of s. A read of at most READ_AHEAD positions fills
+    # READ_AHEAD from the reach before it, so reach passes the last position
+    # read by less than READ_AHEAD, capped at m, or stays where it was.
     reach = 0
     for _, left, scanned, after in steps:
         last = left[min(2 ** scanned.bit_length() - 1, len(left)) - 1]
-        reach = max(reach, last + 1)
-        assert after <= reach
-    assert grams.reach < 2 * k < dec.m // 8  # about t, where greedy reads all m
+        assert last < after <= max(reach, min(dec.m, last + READ_AHEAD))
+        reach = after
+    assert grams.reach < k + READ_AHEAD < dec.m // 8  # about t, where greedy reads all m
+
+
+def test_first_feasible_takes_both_lv_paths(monkeypatch):
+    # 60 failing vectors come first. Step 0 reads positions 0-15, with LV
+    # rows, ahead of its first block, and 16-31 with the 15-position block
+    # 15-30, extended to READ_AHEAD and given LV rows too. It reads 32-62 in
+    # the 31-position block 31-62, which is longer than READ_AHEAD: its hit
+    # at 60, and the next steps' 61 and 62, take lv = LtL vg. Position 63
+    # and on are read ahead one READ_AHEAD block at a time, with LV rows.
+    dec, failing = _padded_frame_instance(24)
+    rng = np.random.default_rng(25)
+    order = np.concatenate([failing[:60], rng.permutation(3 * 24), failing[60:]])
+    dec = permuted(dec, order)
+    calls, append = [], Grams.append
+
+    def spy(self, index):
+        calls.append((self, bool(self.has_lv[index])))  # whether lv is an LV row
+        return append(self, index)
+
+    monkeypatch.setattr(Grams, "append", spy)
+    result = _check_against_reference(dec, 0.8, "first")
+    assert result.sigma[:4] == [60, 61, 62, 63]
+    assert [had for _, had in calls] == [False] * 3 + [True] * (len(result.sigma) - 3)
+    grams = calls[-1][0]
+    LtL = dec.L.T @ dec.L
+    rows = np.flatnonzero(grams.has_lv)
+    assert rows.tolist() == list(range(32)) + list(range(63, grams.reach))
+    want = (dec.V @ LtL @ LtL)[rows]
+    np.testing.assert_allclose(grams.LV[rows], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+def test_reads_that_advance_reach(pivot, monkeypatch):
+    # First-feasible on a ramp takes one candidate per step, so a read per
+    # step would advance reach t times; read ahead, it advances once per
+    # READ_AHEAD rows. Greedy reads all m rows at step 0, once.
+    advances, read = [], Grams.read
+
+    def spy(self, end):
+        before = self.reach
+        read(self, end)
+        if self.reach > before:
+            advances.append(self.reach)
+
+    monkeypatch.setattr(Grams, "read", spy)
+    dec = _ramp_instance(256, 512, 11)
+    result = run_selection(dec, 0.5, pivot_rule=pivot)
+    t = len(result.sigma)
+    assert t > 2 * READ_AHEAD
+    if pivot == "greedy":
+        assert advances == [dec.m]
+        return
+    assert len(advances) <= -(-advances[-1] // READ_AHEAD) < t
 
 
 def test_append_fills_rows_in_place():
