@@ -17,6 +17,8 @@ from .errors import (
     DimensionError,
     IndexRangeError,
     InfeasibleFrameError,
+    ModeError,
+    ParameterError,
 )
 from .tolerances import Tolerances, default_tolerances
 
@@ -47,9 +49,20 @@ class Decomposition:
         return np.asarray(self.V, dtype=float) @ np.asarray(self.L, dtype=float).T
 
 
+def _real_array(X, name: str) -> np.ndarray:
+    """X as a float array; DimensionError if it is complex, text, objects or ragged."""
+    try:
+        X = np.asarray(X)
+    except ValueError:  # ragged nesting
+        X = np.empty(0, dtype=object)
+    if X.dtype.kind not in "biuf":
+        raise DimensionError(f"{name} must be a rectangular array of real numbers")
+    return X.astype(float, copy=False)
+
+
 def square_operator(L) -> np.ndarray:
-    """L as a float array; DimensionError unless it is square and 2-D."""
-    L = np.asarray(L, dtype=float)
+    """L as a float array; DimensionError unless it is a square 2-D real array."""
+    L = _real_array(L, "L")
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimensionError(
             f"L must be square (got {L.shape}); zero-pad rectangular inputs first"
@@ -58,9 +71,9 @@ def square_operator(L) -> np.ndarray:
 
 
 def checked_arrays(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
-    """(L, V) as float arrays; DimensionError unless L is square, V's rows
-    live in R^n and every entry is finite."""
-    L, V = square_operator(dec.L), np.asarray(dec.V, dtype=float)
+    """(L, V) as float arrays; DimensionError unless both are arrays of real
+    numbers, L is square, V's rows live in R^n and every entry is finite."""
+    L, V = square_operator(dec.L), _real_array(dec.V, "V")
     if V.ndim != 2 or V.shape[1] != L.shape[0]:
         raise DimensionError(
             f"V rows must live in R^{L.shape[0]}, got V shape {V.shape}"
@@ -75,9 +88,11 @@ def validate(dec: Decomposition, tol: Tolerances | None = None) -> Decomposition
 
     Frame mode: || sum_i v_i v_i^T - I ||_F <= tol * n.
     Classical mode: V is exactly the standard basis and L has unit-norm
-    columns.
+    columns. ModeError unless dec.mode is a Mode.
     """
     tol = tol or default_tolerances()
+    if not isinstance(dec.mode, Mode):
+        raise ModeError(f"mode must be a Mode, got {dec.mode!r}")
     L, V = checked_arrays(dec)
     n = L.shape[0]
     if dec.mode == Mode.CLASSICAL_COLUMNS:
@@ -105,12 +120,12 @@ def validate(dec: Decomposition, tol: Tolerances | None = None) -> Decomposition
 def from_standard_basis(L, classical: bool = False, tol: Tolerances | None = None) -> Decomposition:
     """Decomposition with V the standard basis of R^n.
 
-    With classical=True the unit-column requirement on L is enforced; a
-    non-square L fails validate's shape check.
+    With classical=True the unit-column requirement on L is enforced; an L
+    that is not a square array of real numbers raises DimensionError.
     """
-    L = np.asarray(L, dtype=float)
+    L = square_operator(L)
     mode = Mode.CLASSICAL_COLUMNS if classical else Mode.FRAME
-    return validate(Decomposition(L=L, V=np.eye(len(np.atleast_1d(L))), mode=mode), tol)
+    return validate(Decomposition(L=L, V=np.eye(len(L)), mode=mode), tol)
 
 
 def random_tight_frame(n: int, m: int, seed: int, tol: Tolerances | None = None) -> np.ndarray:
@@ -118,9 +133,12 @@ def random_tight_frame(n: int, m: int, seed: int, tol: Tolerances | None = None)
 
     Construction: orthonormalize the columns of an m x n matrix of standard
     normal draws (PCG64 seeded by `seed`) and take the rows. Deterministic
-    for a given seed.
+    for a given seed. ParameterError unless n, m and seed are integers >= 0.
     """
     tol = tol or default_tolerances()
+    for name, value in (("n", n), ("m", m), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
     if m < n:
         raise InfeasibleFrameError(f"a tight frame needs m >= n (got m={m}, n={n})")
     rng = np.random.default_rng(seed)

@@ -21,10 +21,6 @@ class SingularShiftError(RinvError):
     """The requested shift coincides with an eigenvalue of the matrix."""
 
 
-class SingularUpdateError(RinvError):
-    """Rank-one inverse update denominator is too close to zero."""
-
-
 class ZeroOperatorError(RinvError):
     """An all-zero operator was given where a nonzero one is required."""
 

@@ -9,41 +9,30 @@ from typing import Sequence
 
 import numpy as np
 
+from .decomposition import square_operator
 from .errors import (
     DimensionError,
     EmptySetError,
     InvariantViolation,
     SingularShiftError,
-    SingularUpdateError,
     SymmetryError,
 )
 from .tolerances import Tolerances, default_tolerances
-
-
-def _as_square(S, name="matrix"):
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {S.shape}")
-    if not np.all(np.isfinite(S)):
-        raise DimensionError(f"{name} contains non-finite entries")
-    return S
-
-
-def _require_symmetric(S, rtol, name="matrix"):
-    scale = float(np.abs(S).max(initial=0.0))
-    asym = float(np.abs(S - S.T).max(initial=0.0))
-    if asym > rtol * scale:
-        raise SymmetryError(
-            f"{name} is not symmetric: relative asymmetry {asym / scale:.3e}"
-        )
 
 
 def sym_eigendecomposition(S, tol: Tolerances | None = None):
     """(lam, U) of a symmetric matrix: eigenvalues descending, column U[:, i]
     the orthonormal eigenvector of lam[i]."""
     tol = tol or default_tolerances()
-    S = _as_square(S)
-    _require_symmetric(S, tol.symmetry_rtol)
+    S = square_operator(S)
+    if not np.all(np.isfinite(S)):
+        raise DimensionError("matrix contains non-finite entries")
+    scale = float(np.abs(S).max(initial=0.0))
+    asym = float(np.abs(S - S.T).max(initial=0.0))
+    if asym > tol.symmetry_rtol * scale:
+        raise SymmetryError(
+            f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}"
+        )
     lam, U = np.linalg.eigh(S)
     return lam[::-1].copy(), U[:, ::-1].copy()
 
@@ -73,23 +62,6 @@ def shifted_inverse(S, shift: float, tol: Tolerances | None = None) -> np.ndarra
     """
     lam, U = sym_eigendecomposition(S, tol)
     return (U * shifted_spectrum(lam, shift, tol)) @ U.T
-
-
-def sherman_morrison_inverse(M_inv, w, tol: Tolerances | None = None) -> np.ndarray:
-    """Inverse after a rank-one update: (M + w w^T)^-1 given M^-1.
-
-    Uses M_inv - (M_inv w w^T M_inv) / (1 + w^T M_inv w).
-    """
-    tol = tol or default_tolerances()
-    M_inv = _as_square(M_inv, "M_inv")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (M_inv.shape[0],):
-        raise DimensionError(f"vector shape {w.shape} incompatible with {M_inv.shape}")
-    u = M_inv @ w
-    denom = 1.0 + float(w @ u)
-    if abs(denom) <= tol.sm_denominator:
-        raise SingularUpdateError(f"update denominator {denom:.3e} too close to zero")
-    return M_inv - np.outer(u, u) / denom
 
 
 def frobenius_norm_sq(L) -> float:

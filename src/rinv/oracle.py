@@ -12,7 +12,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .decomposition import Decomposition
+from .decomposition import Decomposition, checked_arrays
 from .errors import InvariantViolation, ParameterError, SubsetTooLargeError
 from .tolerances import Tolerances, default_tolerances
 
@@ -30,11 +30,13 @@ def exhaustive_best_subset(
     last-ulp noise. t = 0 returns ([], inf): the empty subset vacuously
     satisfies any lower bound, so its value is a +inf sentinel.
     Enumeration order is lexicographic and the merge keeps the earliest
-    maximizer, so the result is independent of _BATCH. ParameterError unless
-    t is an integer (not a bool) in [0, m].
+    maximizer, so the result is independent of _BATCH. L and V pass
+    validate's shape and finiteness checks, or DimensionError; ParameterError
+    unless t is an integer (not a bool) in [0, m].
     """
     tol = tol or default_tolerances()
-    m = dec.m
+    L, V = checked_arrays(dec)
+    m = len(V)
     if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t <= m:
         raise ParameterError(f"t must be an integer in [0, {m}], got {t!r}")
     if t == 0:
@@ -44,7 +46,7 @@ def exhaustive_best_subset(
         raise SubsetTooLargeError(
             f"C({m},{t}) = {count} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
-    W = dec.mapped_vectors()
+    W = V @ L.T
     best_val = -math.inf
     best_sigma: List[int] = []
     combos = itertools.combinations(range(m), t)

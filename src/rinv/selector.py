@@ -20,6 +20,7 @@ potential and potential_split are references from one eigh of a dense A.
 
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, NamedTuple, Optional, Sequence
 
@@ -84,7 +85,7 @@ class AtShift(NamedTuple):
     phi: float
     phi_image: float
     phi_kernel: float  # -kernel_mass / shift
-    kernel_mass: float  # ||L^T Q||_F^2, Q the projection on the kernel band of A
+    kernel_mass: float  # ||L^T Q||_F^2, Q the projection on the kernel of A
 
 
 def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -202,9 +203,9 @@ class Grams:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A = U diag(lam) U^T on its explicit eigenpairs (lam descending, above
-    the kernel band) plus an implicit zero block on the n0 directions
-    orthogonal to U, which holds the kernel band. With W_sigma the chosen
+    """A = U diag(lam) U^T on its k explicit eigenpairs (lam descending, one
+    per chosen index) plus an implicit zero block on the n0 = n - k
+    directions orthogonal to U. With W_sigma the chosen
     rows and G[sigma, sigma] = P diag(lam) P^T, U = W_sigma^T R for
     R = P diag(lam)^{-1/2}. L is seen through M = U^T L L^T U, whose
     diagonal holds the column masses ||L^T u_j||^2 (kept as mass), and the
@@ -229,15 +230,19 @@ class Spectrum:
     def of(cls, grams: Grams, tol: Tolerances) -> "Spectrum":
         """From an eigh of the k x k Gram G[sigma, sigma] of the k chosen
         indices, grams.Gss, bordered once per index and so exactly
-        symmetric; eigenpairs in the kernel band join the zero block."""
+        symmetric. A has rank k, as the barrier keeps its nonzero eigenvalues
+        above it: InvariantViolation if one is in the kernel band."""
         k = len(grams.cols)
         lam, P = np.linalg.eigh(grams.Gss[:k, :k])
         lam, P = lam[::-1], P[:, ::-1]
-        keep = lam > _band_edge(lam, tol)
-        lam = lam[keep]
-        R = P[:, keep] / np.sqrt(lam)
+        if k and lam[-1] <= _band_edge(lam, tol):
+            raise InvariantViolation(
+                f"barrier invariant failed: the Gram of the {k} chosen vectors has "
+                f"eigenvalue {lam[-1]:.3e} in the kernel band"
+            )
+        R = np.asfortranarray(P) / np.sqrt(lam)  # column-major: M's rounding depends on R's layout
         M = R.T @ grams.Hss[:k, :k] @ R
-        n0 = len(grams.LtL) - len(lam)
+        n0 = len(grams.LtL) - k
         mass0 = grams.tr_ltl - float(np.trace(M)) if n0 else 0.0
         return cls(lam, R, M, M.diagonal(), np.append(lam, 0.0) if n0 else lam, n0, mass0, tol)
 
@@ -298,14 +303,6 @@ class PreconditionDiagnostics:
     kernel_mass_ok: bool
     averaging_ok: bool
 
-    def all_ok(self) -> bool:
-        return (
-            self.potential_ok
-            and self.barrier_window_ok
-            and self.kernel_mass_ok
-            and self.averaging_ok
-        )
-
 
 @dataclass(frozen=True)
 class StepTrace:
@@ -348,11 +345,13 @@ def compute_schedule(L, m: int, epsilon: float) -> Schedule:
     t = floor(eps^2 ||L||_F^2 / ||L||_2^2), with ||L||_2^2 the largest
     eigenvalue of L^T L. When eps^2 times the stable rank is below 1 the
     schedule is vacuous (t = 0). ParameterError unless m is a positive
-    integer and epsilon a real number in (0, 1), DimensionError unless L is
-    square, NormRangeError when ||L||_F^2 is outside FROB_SQ_RANGE.
+    integer at most the largest float and epsilon a real in (0, 1), DimensionError
+    unless L is square, NormRangeError when ||L||_F^2 is outside FROB_SQ_RANGE.
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ParameterError(f"m must be a positive integer, got {m!r}")
+    if m > sys.float_info.max:
+        raise ParameterError(f"m must be at most the largest float, {sys.float_info.max:.3e}")
     return _schedule(square_operator(L), m, epsilon)[0]
 
 
@@ -591,27 +590,15 @@ def select_next(
     return int(order[pos]), rec, scanned
 
 
-def _interlace(before: np.ndarray, after: np.ndarray, n: int, slack: float) -> None:
-    """check_interlacing on two spectra of length n given by their p and q
-    explicit eigenvalues, descending, followed by zeros. It reads the first
-    j = min(n, max(p, q) + 1) entries: past them both spectra are zero, so
-    the verdict and the slack's scale are those of length n."""
-    p, q = len(before), len(after)
-    j = min(n, max(p, q) + 1)
-    a, b = np.zeros(j), np.zeros(j)
-    a[:p], b[:q] = before, after
-    check_interlacing(a, b, slack)
-
-
 def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):
-    """Runtime invariant checks after a rank-one acceptance, on the spectra of A and A + w w^T."""
-    above, below = int(np.count_nonzero(new.lam > b_prime)), new.n0
-    n = len(new.lam) + below
-    _interlace(old.lam, new.lam, n, tol.interlacing_slack)
-    if above != k_next or below != n - k_next:
+    """Runtime invariant checks after a rank-one acceptance, on the spectra of
+    A and A + w w^T, both zero past old.poles (k_next - 1 eigenvalues and a 0)."""
+    check_interlacing(old.poles, new.lam, tol.interlacing_slack)
+    above = int(np.count_nonzero(new.lam > b_prime))
+    if above != k_next:
         raise InvariantViolation(
             f"barrier invariant failed at step {k_next}: {above} eigenvalues above "
-            f"b'={b_prime:.6g}, {below} in the kernel band (expected {k_next} and {n - k_next})"
+            f"b'={b_prime:.6g} (expected {k_next})"
         )
     if rec.potential_after_add > phi_before + tol.potential_slack * abs(phi_before):
         raise InvariantViolation(

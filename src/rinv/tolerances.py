@@ -17,7 +17,6 @@ class Tolerances:
     # matrix primitives
     symmetry_rtol: float = 1e-12       # x max |S_ij|
     shift_gap: float = 1e-12           # x max(|shift|, ||S||_2)
-    sm_denominator: float = 1e-12
     # decomposition validation
     identity_defect: float = 1e-8      # x n
     unit_column: float = 1e-8

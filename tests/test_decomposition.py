@@ -19,7 +19,10 @@ from rinv.errors import (
     DimensionError,
     IndexRangeError,
     InfeasibleFrameError,
+    ModeError,
+    ParameterError,
 )
+from rinv.decomposition import square_operator
 
 
 def frame_120():
@@ -59,6 +62,22 @@ class TestValidate:
         with pytest.raises(DimensionError, match="zero-pad"):
             validate(Decomposition(L=np.ones((2, 3)), V=np.eye(3)))
 
+    @pytest.mark.parametrize("bad", [np.eye(2) * 1j, "x", [[1.0], [0.0, 1.0]], [[None, 0.0], [0.0, 1.0]]],
+                             ids=["complex", "str", "ragged", "object"])
+    def test_non_real_L_or_V_rejected(self, bad):
+        # Not cast: a complex entry would lose its imaginary part.
+        with pytest.raises(DimensionError, match="L must be a rectangular array of real numbers"):
+            square_operator(bad)
+        with pytest.raises(DimensionError, match="L must be a rectangular array of real numbers"):
+            validate(Decomposition(L=bad, V=np.eye(2)))
+        with pytest.raises(DimensionError, match="V must be a rectangular array of real numbers"):
+            validate(Decomposition(L=np.eye(2), V=bad))
+
+    @pytest.mark.parametrize("mode", ["bogus", "frame", None])
+    def test_mode_not_a_mode(self, mode):
+        with pytest.raises(ModeError, match="mode must be a Mode"):
+            validate(Decomposition(L=np.eye(2), V=np.eye(2), mode=mode))
+
 
 class TestFromStandardBasis:
     def test_identity(self):
@@ -94,6 +113,13 @@ class TestRandomTightFrame:
     def test_infeasible(self):
         with pytest.raises(InfeasibleFrameError):
             random_tight_frame(4, 3, 0)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True, "2", None])
+    @pytest.mark.parametrize("name", ["n", "m", "seed"])
+    def test_bad_counts(self, name, bad):
+        args = {"n": 2, "m": 3, "seed": 0, name: bad}
+        with pytest.raises(ParameterError, match=f"{name} must be a non-negative integer"):
+            random_tight_frame(**args)
 
     def test_trace_equals_n(self):
         for n, m, seed in [(2, 4, 0), (5, 9, 4), (6, 6, 11)]:

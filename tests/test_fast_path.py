@@ -242,17 +242,6 @@ def test_state_of_prefix_replays_each_step(pivot):
         assert chosen == tr.chosen_index
 
 
-def _duplicate_state(case):
-    """A LOW_RANK_CASES walk's first two indices and a copy of the first,
-    appended as a last row of V: the chosen Gram is singular, so the
-    spectrum's kernel band is not empty."""
-    dec = LOW_RANK_CASES[case]()
-    sigma = run_selection(dec, 0.5).sigma[:2]
-    dec = Decomposition(L=dec.L, V=np.vstack([dec.V, dec.V[sigma[0]]]))
-    sched = compute_schedule(dec.L, dec.m, 0.5)
-    return dec, sched, SelectionState.of(dec, sigma + [dec.m - 1], sched.b0 - 3 * sched.delta)
-
-
 def _padded_scan_state(k):
     """The padded frame instance with the first k indices of its walk taken,
     permuted into an order that starts with failing vectors, zero rows among
@@ -275,8 +264,6 @@ def _padded_scan_state(k):
 
 
 HARD_STATES = {
-    "kernel-band-ramp": lambda: _duplicate_state("ramp-64x128"),
-    "kernel-band-rank-deficient": lambda: _duplicate_state("rank-deficient"),
     "zero-rows-first": lambda: _padded_scan_state(0),
     "taken-in-blocks": lambda: _padded_scan_state(3),
 }
@@ -289,8 +276,6 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
     # one candidate_feasible call per candidate in index order.
     dec, sched, state = HARD_STATES[make_state]()
     grams, first = state.grams, pivot == "first"
-    if make_state.startswith("kernel-band"):
-        assert len(state.spectrum.lam) < len(state.sigma)
     if make_state == "taken-in-blocks":
         assert grams.cols == [2, 5, 8]
     picks, pick = [], rinv.selector._pick
@@ -520,9 +505,9 @@ def test_walk_takes_no_eigh_of_order_n(pivot, monkeypatch, empty_schedule_cache)
     t = result.schedule.steps_t
     assert len(result.sigma) == t > 1
     assert orders == {"eigh": list(range(t + 1)), "eigvalsh": [dec.n], "svd": []}
-    # The post-step checks still see every step: step s compares s - 1 and s
-    # explicit eigenvalues on their first s + 1 entries.
-    assert interlaced == [(s + 1, s + 1) for s in range(1, t + 1)]
+    # The post-step checks still see every step: step s compares the s - 1
+    # explicit eigenvalues before it and a 0 with the s after it.
+    assert interlaced == [(s, s) for s in range(1, t + 1)]
 
     # verify of the same L reuses the schedule's ||L||_2^2 and takes only the
     # eigvalsh of the t x t Gram; after another L is scheduled it takes its own.

@@ -7,7 +7,6 @@ from rinv.matrix_core import (
     check_interlacing,
     frobenius_norm_sq,
     gram_min_eigenvalue,
-    sherman_morrison_inverse,
     shifted_inverse,
     sym_eigendecomposition,
 )
@@ -16,9 +15,9 @@ from rinv.errors import (
     EmptySetError,
     InvariantViolation,
     SingularShiftError,
-    SingularUpdateError,
     SymmetryError,
 )
+from rinv.selector import candidate_feasible, potential
 from rinv.tolerances import default_tolerances
 
 
@@ -79,30 +78,36 @@ class TestShiftedInverse:
 
 
 class TestShermanMorrison:
+    """The rank-one update as the candidate test applies it, through
+    candidate_feasible, the scalar reference of the walk's scan: with
+    M = (A - b'I)^{-1}, Phi_b'(A + w w^T) = Phi_b'(A) - ||L^T M w||^2 /
+    (1 + w^T M w)."""
+
     def test_diagonal_rank_one(self):
-        out = sherman_morrison_inverse(0.5 * np.eye(2), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(out, np.diag([1.0 / 3.0, 0.5]))
+        # A = 0, b' = 2, L = I, w = e1: -1 - 0.25 / 0.5 = 1 / (1 - 2) + 1 / (0 - 2).
+        A, w = np.zeros((2, 2)), np.array([1.0, 0.0])
+        rec = candidate_feasible(A, shifted_inverse(A, 2.0), np.eye(2), w, 0.0, -1.0)
+        assert (rec.quadform, rec.potential_after_add) == (-0.5, -1.5)
 
     def test_zero_update(self):
-        M_inv = np.diag([2.0, 3.0])
-        out = sherman_morrison_inverse(M_inv, np.zeros(2))
-        np.testing.assert_allclose(out, M_inv)
+        # A zero vector adds no rank: it is rejected, not updated.
+        A = np.diag([2.0, 3.0])
+        rec = candidate_feasible(A, shifted_inverse(A, 1.0), np.eye(2), np.zeros(2), 0.0, 0.0)
+        assert not rec.feasible and rec.reason == "zero-vector"
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_direct_inverse(self, seed):
+        # A of rank r < n, b' halfway to its smallest nonzero eigenvalue.
         rng = np.random.default_rng(seed)
-        n = rng.integers(2, 9)
-        B = rng.standard_normal((n, n))
-        M = B @ B.T + np.eye(n)  # SPD, denominator >= 1
-        w = rng.standard_normal(n)
-        out = sherman_morrison_inverse(np.linalg.inv(M), w)
-        direct = np.linalg.inv(M + np.outer(w, w))
-        assert np.abs(out - direct).max() <= 1e-9 * max(1.0, np.abs(direct).max())
-
-    def test_singular_denominator(self):
-        # M_inv = -I, w = e1: denominator 1 + w^T M_inv w = 0
-        with pytest.raises(SingularUpdateError):
-            sherman_morrison_inverse(-np.eye(1), np.array([1.0]))
+        n = int(rng.integers(2, 9))
+        B = rng.standard_normal((n, int(rng.integers(0, n))))
+        A, w, L = B @ B.T, rng.standard_normal(n), rng.standard_normal((n, n))
+        lam = np.linalg.eigvalsh(A)
+        b_prime = 0.5 * (lam[lam > 1e-9].min() if B.size else 1.0)
+        rec = candidate_feasible(A, shifted_inverse(A, b_prime), L, w, 0.0,
+                                 potential(A, b_prime, L))
+        direct = potential(A + np.outer(w, w), b_prime, L)
+        assert rec.potential_after_add == pytest.approx(direct, rel=1e-9)
 
 
 class TestNorms:

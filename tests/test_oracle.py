@@ -14,7 +14,7 @@ from rinv import (
     random_tight_frame,
 )
 import rinv.oracle
-from rinv.errors import ParameterError, SubsetTooLargeError
+from rinv.errors import DimensionError, ParameterError, SubsetTooLargeError
 from rinv.tolerances import default_tolerances
 
 
@@ -53,6 +53,15 @@ class TestExhaustiveBestSubset:
         dec = from_standard_basis(np.eye(3))
         with pytest.raises(ParameterError, match=r"t must be an integer in \[0, 3\]"):
             exhaustive_best_subset(dec, t)
+
+    @pytest.mark.parametrize("L, V", [
+        (np.ones((2, 3)), np.eye(3)),
+        (np.eye(3), np.diag([np.nan, 1.0, 1.0])),
+        (np.eye(3), np.eye(4)[:, :2]),
+    ], ids=["2x3-L", "nan-in-V", "V-width"])
+    def test_malformed_instance(self, L, V):
+        with pytest.raises(DimensionError):
+            exhaustive_best_subset(Decomposition(L=L, V=V), 1)
 
     def test_batch_size_irrelevant(self, monkeypatch):
         dec = Decomposition(L=np.eye(4), V=random_tight_frame(4, 9, 5))

@@ -3,7 +3,8 @@ formulas they were first written with, and the post-step interlacing check
 on the explicit eigenvalues against the check on spectra padded to length n.
 
 The reference below keeps the original forms: the kernel band masked by
-P[:, keep] on every step, the shift gap scaled by max |poles| over the whole
+P[:, keep] on every step (a mask that keeps every column, as a Gram with an
+eigenvalue in the band now raises), the shift gap scaled by max |poles| over the whole
 array, d0 summed from the tail of 1 / (poles - shift), and mass0 through
 np.trace. The walk must reproduce its floats exactly, not within a tolerance:
 sigma, the certificates and the traces are pinned to them.
@@ -13,11 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rinv import compute_schedule, default_tolerances, run_selection
+from rinv import Decomposition, compute_schedule, default_tolerances, run_selection
 from rinv.errors import InvariantViolation, SingularShiftError
 from rinv.matrix_core import check_interlacing
-from rinv.selector import SelectionState, Spectrum, _interlace
-from test_fast_path import LOW_RANK_CASES, _duplicate_state, _ramp_instance
+from rinv.selector import SelectionState, Spectrum
+from test_fast_path import LOW_RANK_CASES, _ramp_instance
 
 TOL = default_tolerances()
 
@@ -104,11 +105,16 @@ def test_walk_spectra_match_reference_bits(case, pivot, monkeypatch):
 
 
 @pytest.mark.parametrize("case", LOW_RANK_CASES)
-def test_kernel_band_state_matches_reference_bits(case):
-    dec, sched, state = _duplicate_state(case)
-    assert len(state.spectrum.lam) < len(state.sigma)
-    b = state.barrier_b
-    _assert_same_bits(state.spectrum, _grams_of(state.grams), [b, b - sched.delta])
+def test_kernel_band_state_raises(case):
+    # A LOW_RANK_CASES walk's first two indices and a copy of the first,
+    # appended as a last row of V: the Gram of the three chosen rows is
+    # singular, so A would have rank 2 after 3 steps.
+    dec = LOW_RANK_CASES[case]()
+    sigma = run_selection(dec, 0.5).sigma[:2]
+    dec = Decomposition(L=dec.L, V=np.vstack([dec.V, dec.V[sigma[0]]]))
+    sched = compute_schedule(dec.L, dec.m, 0.5)
+    with pytest.raises(InvariantViolation, match="the Gram of the 3 chosen vectors has eigenvalue"):
+        SelectionState.of(dec, sigma + [dec.m - 1], sched.b0 - 3 * sched.delta)
 
 
 def test_empty_state_matches_reference_bits():
@@ -134,42 +140,41 @@ def _padded(lam, n):
 
 @st.composite
 def _spectrum_pairs(draw):
-    """n, p and q explicit eigenvalues (descending, positive) of A and of
-    A + w w^T, and a slack. Half the pairs interlace by construction and then
-    drop some of their smallest new eigenvalues, as a spectrum does when they
-    fall into the kernel band; so q < p - 1 occurs."""
+    """n, the p explicit eigenvalues (descending, positive) of A and the
+    p + 1 of A + w w^T, p < n, and a slack. Half the pairs interlace by
+    construction."""
     n = draw(st.integers(1, 10))
-    p = draw(st.integers(0, n))
+    p = draw(st.integers(0, n - 1))
     values = st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0])
     before = sorted(draw(st.lists(values, min_size=p, max_size=p)), reverse=True)
     if draw(st.booleans()):
-        q = draw(st.integers(0, n))
-        after = sorted(draw(st.lists(values, min_size=q, max_size=q)), reverse=True)
+        after = sorted(draw(st.lists(values, min_size=p + 1, max_size=p + 1)), reverse=True)
     else:
         # l'_i in [l_i, l_{i-1}], l'_1 >= l_1, and one more below l_p.
         tops = [before[0] + 1.0 if before else 1.0] + before
         after = [draw(st.sampled_from([lo, (lo + hi) / 2, hi]))
-                 for lo, hi in zip(before + [0.125], tops)][:n]
-        after = after[:draw(st.integers(0, len(after)))]
+                 for lo, hi in zip(before + [0.125], tops)]
     slack = draw(st.sampled_from([0.0, 1e-3, 0.2]))
     return n, np.array(before), np.array(after), slack
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_spectrum_pairs())
-@example((6, np.array([3.0, 2.0, 1.0, 0.5]), np.array([3.0, 2.0]), 0.0))  # q = p - 2
 @example((6, np.array([3.0, 2.0, 1.0]), np.array([3.0, 2.5, 1.5, 0.75]), 0.0))  # interlaced
-@example((3, np.array([2.0, 1.0, 0.5]), np.array([3.0, 1.5, 0.75]), 0.0))  # p = q = n
+@example((6, np.array([3.0, 2.0, 1.0]), np.array([3.0, 2.0, 2.0, 0.5]), 0.0))  # l'_3 > l_2
+@example((3, np.array([2.0, 1.0]), np.array([3.0, 1.5, 0.75]), 0.0))  # p + 1 = n
 def test_head_interlacing_matches_padded_check(pair):
-    # The check on the first min(n, max(p, q) + 1) entries raises exactly
-    # when the check on the spectra padded to length n does, with the same
-    # message, in either order; a pair that interlaces with a gap above the
-    # slack fails in the swapped order.
+    # check_interlacing on the post-step check's p + 1 entries, A's poles
+    # (its p eigenvalues and a 0) and the p + 1 eigenvalues of A + w w^T,
+    # raises exactly when the check on the spectra padded to length n does,
+    # with the same message, in either order; a pair that interlaces with a
+    # gap above the slack fails in the swapped order.
     n, before, after, slack = pair
-    for a, b in [(before, after), (after, before)]:
+    poles = np.append(before, 0.0)
+    for a, b in [(poles, after), (after, poles)]:
         padded = _raises(check_interlacing, _padded(a, n), _padded(b, n), slack)
-        assert _raises(_interlace, a, b, n, slack) == padded
+        assert _raises(check_interlacing, a, b, slack) == padded
     scale = slack * np.abs(np.concatenate([before, after])).max(initial=0.0)
     gap = (_padded(after, n) - _padded(before, n)).max()
-    if _raises(_interlace, before, after, n, slack) is None and gap > scale:
-        assert _raises(_interlace, after, before, n, slack) is not None
+    if _raises(check_interlacing, poles, after, slack) is None and gap > scale:
+        assert _raises(check_interlacing, after, poles, slack) is not None
