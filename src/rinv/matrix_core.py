@@ -24,7 +24,7 @@ def sym_eigendecomposition(S, tol: Tolerances | None = None):
     """(lam, U) of a symmetric matrix: eigenvalues descending, column U[:, i]
     the orthonormal eigenvector of lam[i]."""
     tol = tol or default_tolerances()
-    S = square_operator(S)
+    S = square_operator(S, "matrix")
     if not np.all(np.isfinite(S)):
         raise DimensionError("matrix contains non-finite entries")
     scale = float(np.abs(S).max(initial=0.0))
@@ -88,13 +88,14 @@ def check_interlacing(evals_before, evals_after, slack: float) -> None:
 
     Both inputs are full spectra sorted descending. A rank-one PSD update
     forces l'_1 >= l_1 >= l'_2 >= l_2 >= ... >= l'_n >= l_n; checked
-    within slack times the largest |eigenvalue| of either spectrum.
+    within slack times the largest |eigenvalue| of either spectrum, read
+    from their ends.
     """
     a = np.asarray(evals_before, dtype=float)
     b = np.asarray(evals_after, dtype=float)
     if a.shape != b.shape:
         raise DimensionError("spectra must have equal length")
-    slack = slack * float(np.abs(np.concatenate([a, b])).max(initial=0.0))
+    slack = slack * float(max(abs(a[0]), abs(a[-1]), abs(b[0]), abs(b[-1]))) if a.size else 0.0
     if (b < a - slack).any():
         worst = float((a - b).max())
         raise InvariantViolation(f"interlacing violated: new eigenvalue below old by {worst:.3e}")

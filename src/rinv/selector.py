@@ -21,6 +21,7 @@ potential and potential_split are references from one eigh of a dense A.
 import math
 import numbers
 import sys
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from typing import List, NamedTuple, Optional, Sequence
 
@@ -118,7 +119,7 @@ class Grams:
     index, CV[j] = VG[c], G[j, p] = V[p] VG[c]^T and H[j, p] = VG[p]
     VG[c]^T, entries of the Grams W W^T (rows w) and VG VG^T. The k x k
     blocks Gss = G[:, cols], Hss = H[:, cols] and J = CV LtL CV^T are
-    bordered once per chosen index.
+    bordered once per chosen index, and taken[p] is set once p is chosen.
     read(e) fills columns [reach, e) of every chosen row and append the new
     row on columns [0, reach), up to `capacity` rows, so each entry is
     computed once and every block a step reads is a view. A read of at most
@@ -132,6 +133,7 @@ class Grams:
     VG: np.ndarray
     LV: np.ndarray
     has_lv: np.ndarray
+    taken: np.ndarray
     g: np.ndarray
     h: np.ndarray
     tr_ltl: float
@@ -154,7 +156,7 @@ class Grams:
         LtL = L.T @ L if LtL is None else LtL
         cap = max(capacity, len(sigma))
         grams = cls(V, LtL, np.empty((m, n)), np.empty((m, n)), np.zeros(m, dtype=bool),
-                    np.empty(m), np.empty(m),
+                    np.zeros(m, dtype=bool), np.empty(m), np.empty(m),
                     float(np.trace(LtL)), float(np.sum(LtL * LtL)),
                     np.empty((cap, m)), np.empty((cap, m)), np.empty((cap, n)),
                     *(np.empty((cap, cap)) for _ in range(3)))
@@ -192,6 +194,7 @@ class Grams:
         stream V alone and are written in place."""
         k, c, reach = len(self.cols), int(index), self.reach
         self.cols.append(c)
+        self.taken[c] = True
         vg = self.CV[k] = self.VG[c]
         lv = self.LV[c] if self.has_lv[c] else self.LtL @ vg
         np.matmul(self.V[:reach], vg, out=self.G[k, :reach])
@@ -209,9 +212,9 @@ class Spectrum:
     rows and G[sigma, sigma] = P diag(lam) P^T, U = W_sigma^T R for
     R = P diag(lam)^{-1/2}. L is seen through M = U^T L L^T U, whose
     diagonal holds the column masses ||L^T u_j||^2 (kept as mass), and the
-    block's mass mass0 = ||L||_F^2 - tr M. poles is lam followed, for a
-    nonempty block, by its one eigenvalue 0: the values the shift-gap check
-    sees, descending. at() uses of()'s tol and keeps each result per shift,
+    block's mass mass0 = ||L||_F^2 - tr M. poles is lam (a view of its
+    head) followed, for a nonempty block, by its one eigenvalue 0: the values
+    the shift-gap check sees, descending. at() uses of()'s tol and keeps each result per shift,
     so a step evaluates each shift once; resolvent() keeps the k x k K of a
     shift the same way."""
 
@@ -232,9 +235,11 @@ class Spectrum:
         indices, grams.Gss, bordered once per index and so exactly
         symmetric. A has rank k, as the barrier keeps its nonzero eigenvalues
         above it: InvariantViolation if one is in the kernel band."""
-        k = len(grams.cols)
-        lam, P = np.linalg.eigh(grams.Gss[:k, :k])
-        lam, P = lam[::-1], P[:, ::-1]
+        k, n0 = len(grams.cols), len(grams.LtL) - len(grams.cols)
+        ascending, P = np.linalg.eigh(grams.Gss[:k, :k])
+        poles = np.zeros(k + (n0 > 0))  # lam, then the block's 0
+        lam, P = poles[:k], P[:, ::-1]
+        lam[:] = ascending[::-1]
         if k and lam[-1] <= _band_edge(lam, tol):
             raise InvariantViolation(
                 f"barrier invariant failed: the Gram of the {k} chosen vectors has "
@@ -242,9 +247,8 @@ class Spectrum:
             )
         R = np.asfortranarray(P) / np.sqrt(lam)  # column-major: M's rounding depends on R's layout
         M = R.T @ grams.Hss[:k, :k] @ R
-        n0 = len(grams.LtL) - k
-        mass0 = grams.tr_ltl - float(np.trace(M)) if n0 else 0.0
-        return cls(lam, R, M, M.diagonal(), np.append(lam, 0.0) if n0 else lam, n0, mass0, tol)
+        mass0 = grams.tr_ltl - float(M.trace()) if n0 else 0.0
+        return cls(lam, R, M, M.diagonal(), poles, n0, mass0, tol)
 
     def at(self, shift: float) -> AtShift:
         """Phi = sum_j mass_j / (lam_j - shift) - mass0 / shift and its split;
@@ -449,8 +453,10 @@ def candidate_feasible(
     Mw = M @ w
     quadform = float(w @ Mw)
     y = L.T @ Mw
-    numerator = float(y @ y)
-    potential_after_add = phi_after_shift - numerator / (1.0 + quadform)
+    # As in select_next's arrays, 1 + quadform = 0 divides to -inf (or NaN),
+    # and quadform = -1 fails the rank test without slack.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        potential_after_add = float(phi_after_shift - (y @ y) / (1.0 + quadform))
     rank_ok = quadform < -1.0 + slack
     potential_ok = potential_after_add <= phi_before + slack * abs(phi_before)
     feasible = rank_ok and potential_ok
@@ -502,15 +508,13 @@ def check_step_preconditions(
     return PreconditionDiagnostics(potential_ok, barrier_window_ok, kernel_mass_ok, averaging_ok)
 
 
-def _pick(quad, after, phi_before: float, slack: float, first: bool):
-    """The chosen candidate's place among those left (None if none passes), candidates scanned."""
-    ok = (quad < -1.0 + slack) & (after <= phi_before + slack * abs(phi_before))
-    hits = ok.nonzero()[0]
-    if hits.size == 0:
-        return None, len(quad)
-    if first:
-        return int(hits[0]), int(hits[0]) + 1
-    return int(hits[np.argmin(after[hits])]), len(quad)
+def _pick(quad, after, phi_before: float, slack: float, first: bool, free=True):
+    """The place of the chosen candidate among the free places of quad and
+    after, or None if none passes: the first hit, or for greedy the first
+    with the least after."""
+    ok = (quad < -1.0 + slack) & (after <= phi_before + slack * abs(phi_before)) & free
+    i = ok.argmax() if first else np.where(ok, after, np.inf).argmin()
+    return int(i) if ok[i] else None
 
 
 def select_next(
@@ -532,12 +536,15 @@ def select_next(
     left, in index order, and stops at the first block with a hit, so it reads
     rows only up to that block; GreedyMinPotential reads all rows and tests
     one block. A block is one k x B slice of columns of the k-major G and
-    H, its taken columns masked out. With K the resolvent at b',
+    H, tested in place: its arrays have the slice's width, and one masked
+    pick skips the columns grams.taken marks. With K the resolvent at b',
     (A - b'I)^{-1} = W_sigma^T K W_sigma + d0 I, so for w = L v with columns
     G_p, H_p and Z = K G_p: quadform = G_p^T Z + d0 ||w||^2, and
     y = L^T (A - b'I)^{-1} w has ||y||^2 = Z^T H[sigma, sigma] Z
-    + 2 d0 H_p^T Z + d0^2 ||L^T w||^2, two m x k x k products for greedy. The
-    retry pass re-reads them with slack.
+    + 2 d0 H_p^T Z + d0^2 ||L^T w||^2, two m x k x k products for greedy.
+    Only when no block has a hit are the blocks' free columns gathered into
+    arrays over all the candidates left, which the retry pass re-reads with
+    slack and the error's margins come from.
     """
     tol = tol or default_tolerances()
     first = pivot_rule == PIVOT_FIRST
@@ -546,36 +553,35 @@ def select_next(
     phi_before = spec.at(state.barrier_b).phi
     at_bp, K = spec.at(b_prime), spec.resolvent(b_prime)
     d0, H_ss = at_bp.d0, grams.Hss[:k, :k]
-    left = np.ones(len(grams.V), dtype=bool)
-    left[grams.cols] = False
-    order = left.nonzero()[0]  # the indices of the candidates left
+    # The candidates left below the j-th smallest taken index number gaps[j],
+    # so the p-th candidate left is index p + bisect_right(gaps, p).
+    gaps = [c - j for j, c in enumerate(sorted(grams.cols))]
+    n_left = len(grams.V) - k
 
-    # NaN marks a candidate not reached, or a zero vector: it passes no test.
-    quad = np.full(len(order), np.nan)
-    after = np.full(len(order), np.nan)
-    pos, scanned = None, len(order)
-    start, size = 0, 1 if first else len(order)
+    # NaN marks a zero vector: it passes no test.
+    blocks, hit, start, size = [], None, 0, 1 if first else n_left
     with np.errstate(divide="ignore", invalid="ignore"):
-        while start < len(order):
-            end = min(start + size, len(order))
-            rows = slice(order[start], order[end - 1] + 1)
+        while start < n_left:
+            end = min(start + size, n_left)
+            lo = start + bisect_right(gaps, start)
+            rows = slice(lo, end + bisect_right(gaps, end - 1))
             grams.read(rows.stop)
-            G, H, w_sq, keep = grams.G[:k, rows], grams.H[:k, rows], grams.g[rows], left[rows]
+            G, H, w_sq, free = grams.G[:k, rows], grams.H[:k, rows], grams.g[rows], ~grams.taken[rows]
             Z = K @ G
             y_sq = _col_dots(H_ss @ Z, Z) + 2.0 * d0 * _col_dots(Z, H) + d0 * d0 * grams.h[rows]
-            q = np.where(w_sq > 0, _col_dots(Z, G) + d0 * w_sq, np.nan)[keep]
-            quad[start:end], after[start:end] = q, at_bp.phi - y_sq[keep] / (1.0 + q)
-            hit = _pick(q, after[start:end], phi_before, 0.0, first)[0] if first else None
+            q = np.where(w_sq > 0, _col_dots(Z, G) + d0 * w_sq, np.nan)
+            after = at_bp.phi - y_sq / (1.0 + q)
+            blocks.append((q, after, free))
+            hit = _pick(q, after, phi_before, 0.0, first, free)
             if hit is not None:
-                pos, scanned = start + hit, start + hit + 1
                 break
             start, size = end, 2 * size
 
-    if not first:
-        pos, scanned = _pick(quad, after, phi_before, 0.0, first)
-    if pos is None:
-        pos, retried = _pick(quad, after, phi_before, tol.feasibility_retry, first)
-        scanned += retried
+    if hit is not None:
+        scanned = start + int(np.count_nonzero(free[:hit])) + 1 if first else n_left
+        return lo + hit, FeasibilityRecord(float(q[hit]), float(after[hit]), True), scanned
+    quad, after = (np.concatenate([b[i][b[2]] for b in blocks] or [np.empty(0)]) for i in (0, 1))
+    pos = _pick(quad, after, phi_before, tol.feasibility_retry, first) if n_left else None
     if pos is None:
         qm, pm = -1.0 - quad, phi_before - after
         score = np.nan_to_num(np.minimum(qm, pm), nan=-np.inf, neginf=-np.inf)
@@ -587,7 +593,8 @@ def select_next(
             best_quadform_margin=margins[0], best_potential_margin=margins[1],
         )
     rec = FeasibilityRecord(float(quad[pos]), float(after[pos]), True)
-    return int(order[pos]), rec, scanned
+    scanned = n_left + (pos + 1 if first else n_left)
+    return int(np.flatnonzero(~grams.taken)[pos]), rec, scanned
 
 
 def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):

@@ -4,12 +4,14 @@ The reference forms the dense A, recomputes (A - bI)^{-1} with shifted_inverse
 and the potentials with potential and potential_split (each its own eigh of A)
 at every step, and tests one candidate at a time with candidate_feasible, the
 way the walk is written in the paper. The selector must choose the same sigma
-and record the same traces, within tol.sm_consistency.
+and record the same traces, within tol.sm_consistency. array_select_next keeps
+the scan over arrays of all the candidates left, which select_next's in-place
+blocks must match bit for bit.
 """
 
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from rinv import (
 import rinv.selector
 from rinv.selector import (
     READ_AHEAD,
+    FeasibilityRecord,
     Grams,
     SelectionState,
     Spectrum,
@@ -242,17 +245,82 @@ def test_state_of_prefix_replays_each_step(pivot):
         assert chosen == tr.chosen_index
 
 
-def _padded_scan_state(k):
+def _array_pick(quad, after, phi_before, slack, first):
+    """array_select_next's pick: the chosen candidate's place among those
+    left (None if none passes), candidates scanned."""
+    ok = (quad < -1.0 + slack) & (after <= phi_before + slack * abs(phi_before))
+    hits = ok.nonzero()[0]
+    if hits.size == 0:
+        return None, len(quad)
+    if first:
+        return int(hits[0]), int(hits[0]) + 1
+    return int(hits[np.argmin(after[hits])]), len(quad)
+
+
+def array_select_next(state, schedule, pivot_rule, tol=TOL):
+    """select_next written over arrays of all the candidates left: a mask of
+    them, their indices in order and NaN-filled quad and after, into which
+    each block's columns are gathered through the mask before one pick over
+    all of them. The reference for select_next's in-place blocks, which must
+    match it bit for bit."""
+    first = pivot_rule == "first"
+    spec, grams, k = state.spectrum, state.grams, len(state.sigma)
+    b_prime = state.barrier_b - schedule.delta
+    phi_before = spec.at(state.barrier_b).phi
+    at_bp, K = spec.at(b_prime), spec.resolvent(b_prime)
+    d0, H_ss = at_bp.d0, grams.Hss[:k, :k]
+    left = np.ones(len(grams.V), dtype=bool)
+    left[grams.cols] = False
+    order = left.nonzero()[0]
+    quad, after = np.full(len(order), np.nan), np.full(len(order), np.nan)
+    pos, scanned = None, len(order)
+    start, size = 0, 1 if first else len(order)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while start < len(order):
+            end = min(start + size, len(order))
+            rows = slice(order[start], order[end - 1] + 1)
+            grams.read(rows.stop)
+            G, H, w_sq, keep = grams.G[:k, rows], grams.H[:k, rows], grams.g[rows], left[rows]
+            Z = K @ G
+            y_sq = (rinv.selector._col_dots(H_ss @ Z, Z) + 2.0 * d0 * rinv.selector._col_dots(Z, H)
+                    + d0 * d0 * grams.h[rows])
+            q = np.where(w_sq > 0, rinv.selector._col_dots(Z, G) + d0 * w_sq, np.nan)[keep]
+            quad[start:end], after[start:end] = q, at_bp.phi - y_sq[keep] / (1.0 + q)
+            hit = _array_pick(q, after[start:end], phi_before, 0.0, first)[0] if first else None
+            if hit is not None:
+                pos, scanned = start + hit, start + hit + 1
+                break
+            start, size = end, 2 * size
+    if not first:
+        pos, scanned = _array_pick(quad, after, phi_before, 0.0, first)
+    if pos is None:
+        pos, retried = _array_pick(quad, after, phi_before, tol.feasibility_retry, first)
+        scanned += retried
+    if pos is None:
+        qm, pm = -1.0 - quad, phi_before - after
+        score = np.nan_to_num(np.minimum(qm, pm), nan=-np.inf, neginf=-np.inf)
+        j = int(np.argmax(score)) if score.max(initial=-np.inf) > -np.inf else None
+        margins = (-np.inf, -np.inf) if j is None else (float(qm[j]), float(pm[j]))
+        raise InfeasibilityError(
+            f"no feasible candidate at step {len(state.sigma)} (best quadform margin "
+            f"{margins[0]:.3e}, best potential margin {margins[1]:.3e})",
+            best_quadform_margin=margins[0], best_potential_margin=margins[1],
+        )
+    rec = FeasibilityRecord(float(quad[pos]), float(after[pos]), True)
+    return int(order[pos]), rec, scanned
+
+
+def _padded_scan_state(k, positions=(2, 5, 8), front_zeros=12):
     """The padded frame instance with the first k indices of its walk taken,
-    permuted into an order that starts with failing vectors, zero rows among
-    them, and puts the taken ones at positions 2, 5 and 8. First-feasible
+    permuted into an order that starts with front_zeros zero rows and puts
+    the taken ones at the given positions. With the defaults, first-feasible
     reads the candidates left at positions 1 and 3 as the slice 1-3, and
     those at 4, 6, 7 and 9 as the slice 4-9, so both slices hold taken rows."""
     dec, failing = _padded_frame_instance(32)
     sigma = run_selection(dec, 0.5).sigma[:k]
     rest = np.setdiff1d(np.arange(dec.m), np.concatenate([failing, sigma]))
-    front = failing[::-1][:12].tolist()  # zero rows, the last ones of V
-    for position, i in zip((2, 5, 8), sigma):
+    front = failing[::-1][:front_zeros].tolist()  # zero rows, the last ones of V
+    for position, i in zip(positions, sigma):
         front.insert(position, i)
     order = np.array(front + np.setdiff1d(failing, front).tolist()
                      + np.random.default_rng(4).permutation(rest).tolist())
@@ -267,29 +335,38 @@ HARD_STATES = {
     "zero-rows-first": lambda: _padded_scan_state(0),
     "taken-in-blocks": lambda: _padded_scan_state(3),
 }
+# All 160 failing vectors come first, 45 zero rows in front. Index 3 is
+# taken between first-feasible's blocks of left positions 1-2 and 3-6, so no
+# block reads it; index 20 falls inside the block 15-30 and 40 inside 31-62.
+# The first hit, left position 160, is in the last block, 127-252.
+SCAN_STATES = {
+    **HARD_STATES,
+    "taken-in-later-blocks": lambda: _padded_scan_state(3, (3, 20, 40), 45),
+}
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
-@pytest.mark.parametrize("make_state", HARD_STATES)
+@pytest.mark.parametrize("make_state", SCAN_STATES)
 def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monkeypatch):
     # select_next's arrays, read at slack 0 and at the retry slack, against
     # one candidate_feasible call per candidate in index order.
-    dec, sched, state = HARD_STATES[make_state]()
+    dec, sched, state = SCAN_STATES[make_state]()
     grams, first = state.grams, pivot == "first"
     if make_state == "taken-in-blocks":
         assert grams.cols == [2, 5, 8]
-    picks, pick = [], rinv.selector._pick
+    picks, pick, masked_pick = [], _array_pick, rinv.selector._pick
 
-    def spy(quad, after, phi_before, slack, first):
-        picks.append((quad.copy(), after.copy(), phi_before, slack))
-        return pick(quad, after, phi_before, slack, first)
+    def spy(quad, after, phi_before, slack, first, free=True):
+        free = np.broadcast_to(free, quad.shape)  # False on a block's taken columns
+        picks.append((quad[free], after[free], phi_before, slack, len(quad)))
+        return masked_pick(quad, after, phi_before, slack, first, free)
 
     monkeypatch.setattr(rinv.selector, "_pick", spy)
     chosen = select_next(state, sched, pivot)[0]
     left = np.setdiff1d(np.arange(dec.m), grams.cols)
-    # The arrays of every block tested at slack 0, in scan order, laid end to
-    # end: greedy's one block, or first-feasible's blocks up to its hit. NaN
-    # marks the candidates no block reached.
+    # The free columns of every block tested at slack 0, in scan order, laid
+    # end to end: greedy's one block, or first-feasible's blocks up to its
+    # hit. NaN marks the candidates no block reached.
     blocks = [p for p in picks if p[3] == 0.0]
     phi_before, scan_read = blocks[0][2], sum(len(p[0]) for p in blocks)
     quad, after = np.full(len(left), np.nan), np.full(len(left), np.nan)
@@ -316,6 +393,11 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
     scanned = pick(quad, after, phi_before, 0.0, first)[1]
     read = min(2 ** scanned.bit_length() - 1, len(left)) if first else len(left)
     assert scan_read == read
+    # Each block is the slice of indices from its first candidate left to its
+    # last, taken ones between them included.
+    ends = np.cumsum([len(p[0]) for p in blocks])
+    starts = np.concatenate([[0], ends[:-1]])
+    assert [p[4] for p in blocks] == (left[ends - 1] + 1 - left[starts]).tolist()
     tested, zero = np.flatnonzero(np.isfinite(after)), ~W[left].any(axis=1)
     assert np.isnan(quad[zero]).all() and np.isnan(after[zero]).all()
     assert tested.tolist() == np.flatnonzero(~zero[:read]).tolist()
@@ -323,6 +405,106 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
                     (candidate_feasible(A, M, dec.L, W[i], phi_b, phi_bp) for i in left[tested])])
     np.testing.assert_allclose(np.column_stack([quad[tested], after[tested]]), ref,
                                rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+
+
+def _scan_outcome(scan, state, sched, pivot, tol):
+    """What scan(state, ...) returns, floats as hex so that == is bit for
+    bit, or the InfeasibilityError it raises, and the Grams' reach after it."""
+    try:
+        chosen, rec, scanned = scan(state, sched, pivot, tol)
+        rec = (rec.quadform.hex(), rec.potential_after_add.hex(), rec.feasible, rec.reason)
+        outcome = (chosen, rec, scanned)
+    except InfeasibilityError as err:
+        outcome = (str(err), err.best_quadform_margin.hex(), err.best_potential_margin.hex())
+    return outcome, state.grams.reach
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+@pytest.mark.parametrize("make_state", SCAN_STATES)
+@pytest.mark.parametrize("barrier", ["walk", "raised", "raised-wide-retry"])
+def test_in_place_scan_matches_array_scan_bits(pivot, make_state, barrier):
+    # select_next and array_select_next, each on its own fresh state, must
+    # choose the same index with the same record bits and candidates
+    # scanned, read the same rows, and raise with the same margins. At the
+    # walk's barrier the slack-0 pass has a hit. Raised, every candidate
+    # fails with and without the retry slack. Raised with a retry slack of 1
+    # every nonzero candidate passes the retry (quadform >= -1/2 there, and
+    # the potential test holds for b' above A), so the retry pass chooses.
+    tol = replace(TOL, feasibility_retry=1.0) if barrier == "raised-wide-retry" else TOL
+    outcomes = []
+    for scan in (select_next, array_select_next):
+        dec, sched, state = SCAN_STATES[make_state]()
+        if barrier != "walk":
+            sched, state = _raised_barrier(dec, state.sigma, 0.5)
+        outcomes.append(_scan_outcome(scan, state, sched, pivot, tol))
+    assert outcomes[0] == outcomes[1]
+    (outcome, reach), n_left = outcomes[0], dec.m - len(state.sigma)
+    if barrier == "raised":
+        assert outcome[0].startswith("no feasible candidate")
+        return
+    chosen, rec, scanned = outcome
+    assert rec[2:] == (True, "") and chosen not in state.sigma
+    if barrier == "raised-wide-retry":
+        assert scanned > n_left if pivot == "first" else scanned == 2 * n_left
+        assert reach == dec.m
+    elif pivot == "greedy":
+        assert scanned == n_left and reach == dec.m
+    elif make_state == "taken-in-later-blocks":
+        # The hit at left position 160 is read in the last block, 127-252,
+        # which ends at index m - 1.
+        assert scanned == 161 and reach == dec.m
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+@pytest.mark.parametrize("make_state", ["taken-in-blocks", "taken-in-later-blocks"])
+def test_scan_skips_taken_indices_that_pass(pivot, make_state):
+    # With b' a little above the spectrum of A and delta = 1, the chosen
+    # vectors pass both tests again, and they lie inside first-feasible's
+    # blocks and greedy's one block: only the taken mask keeps them out.
+    outcomes = []
+    for scan in (select_next, array_select_next):
+        dec, sched, state = SCAN_STATES[make_state]()
+        A = _gram(dec, state.sigma)
+        b_prime = 1.1 * np.linalg.eigvalsh(A)[-1]
+        sched, state = replace(sched, delta=1.0), SelectionState.of(dec, state.sigma, b_prime + 1.0)
+        outcomes.append(_scan_outcome(scan, state, sched, pivot, TOL))
+    assert outcomes[0] == outcomes[1]
+    (chosen, rec, _), _ = outcomes[0]
+    assert chosen not in state.sigma and rec[2] is True
+    M, W = shifted_inverse(A, b_prime), dec.mapped_vectors()
+    phi_b, phi_bp = potential(A, b_prime + 1.0, dec.L), potential(A, b_prime, dec.L)
+    assert all(candidate_feasible(A, M, dec.L, W[c], phi_b, phi_bp).feasible for c in state.sigma)
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+def test_scan_with_no_candidate_left_matches_array_scan(pivot):
+    # Every index taken: both scans raise with -inf margins.
+    dec = Decomposition(L=np.eye(2), V=np.eye(2))
+    sched = compute_schedule(dec.L, dec.m, 0.5)
+    outcomes = [_scan_outcome(scan, SelectionState.of(dec, [1, 0], 0.75), sched, pivot, TOL)
+                for scan in (select_next, array_select_next)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][1:] == ((-np.inf).hex(),) * 2
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+def test_grams_taken_is_the_chosen_set(pivot, monkeypatch):
+    # After every append, taken marks exactly the chosen indices: in the
+    # Grams of a sigma given in any order, and along a walk.
+    seen, append = [], Grams.append
+
+    def spy(self, index):
+        append(self, index)
+        seen.append(np.flatnonzero(self.taken).tolist() == sorted(self.cols))
+
+    monkeypatch.setattr(Grams, "append", spy)
+    dec = _ramp_instance(64, 128, 3)
+    grams = Grams.of(dec, [70, 3, 127, 0, 64])
+    assert grams.cols == [70, 3, 127, 0, 64] and seen == [True] * 5
+    seen.clear()
+    result = run_selection(permuted(dec, np.random.default_rng(5).permutation(dec.m)), 0.5,
+                           pivot_rule=pivot)
+    assert len(seen) == len(result.sigma) > 1 and all(seen)
 
 
 def _recorded_walk(dec, eps, pivot, monkeypatch):

@@ -45,6 +45,16 @@ class TestEigendecomposition:
         with pytest.raises(DimensionError):
             sym_eigendecomposition(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.ones((2, 3)), r"matrix must be square \(got \(2, 3\)\)$"),
+        (np.eye(2) * 1j, "matrix must be a rectangular array of real numbers$"),
+    ])
+    def test_shape_errors_name_the_matrix(self, bad, message):
+        # Not "L must be ...": the matrix is not the operator L.
+        for call in (sym_eigendecomposition, lambda S: shifted_inverse(S, 0.5)):
+            with pytest.raises(DimensionError, match=f"^{message}"):
+                call(bad)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(SymmetryError):
             sym_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -163,3 +173,17 @@ class TestInterlacing:
         check_interlacing(before, after, slack)
         with pytest.raises(InvariantViolation):
             check_interlacing(after, before, slack)
+
+    @pytest.mark.parametrize("before, after, gap, top", [
+        ([5.0, 1.0], [4.0, 1.0], 1.0, 5.0),  # the largest |value| is before[0]
+        ([1.0, 0.5], [3.0, 0.48], 0.02, 3.0),  # after[0]
+        ([0.5, -3.0], [0.48, -2.9], 0.02, 3.0),  # before[-1]
+        ([1.0, -1.0], [1.0, -3.0], 2.0, 3.0),  # after[-1]
+    ])
+    def test_slack_scale_reads_each_end(self, before, after, gap, top):
+        # One eigenvalue drops by gap; the slack is taken times the largest
+        # |eigenvalue|, found at one end of one spectrum only.
+        a, b = np.array(before), np.array(after)
+        check_interlacing(a, b, 1.01 * gap / top)
+        with pytest.raises(InvariantViolation):
+            check_interlacing(a, b, 0.99 * gap / top)

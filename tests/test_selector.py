@@ -259,6 +259,16 @@ class TestCandidateFeasible:
         assert not rec.feasible
         assert rec.reason == "zero-vector"
 
+    def test_zero_denominator_fails_rank_test(self):
+        # A = 0, b' = 1, w = e_1, L = I: 1 + quadform = 0. The update
+        # divides to -inf, as in select_next's arrays, and quadform = -1
+        # fails the rank test.
+        A = np.zeros((1, 1))
+        M = shifted_inverse(A, 1.0)
+        rec = candidate_feasible(A, M, np.eye(1), np.ones(1), -1.0, -1.0)
+        assert (rec.quadform, rec.potential_after_add) == (-1.0, -np.inf)
+        assert (rec.feasible, rec.reason) == (False, "rank-test")
+
 
 class TestSelectNext:
     def test_first_feasible_is_smallest_index(self):
