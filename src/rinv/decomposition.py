@@ -155,7 +155,9 @@ def random_tight_frame(n: int, m: int, seed: int, tol: Tolerances | None = None)
 def checked_indices(indices, m: int, name: str) -> np.ndarray:
     """indices as a 1-D integer array; IndexRangeError unless it holds
     distinct integers in [0, m). Bool, float, str and object entries are
-    rejected, not cast; an empty list is allowed."""
+    rejected, not cast; an empty list is allowed. Repeats are equal
+    neighbours after a sort: np.unique would import numpy.ma, which no rinv
+    command otherwise loads."""
     try:
         idx = np.asarray(indices)
     except ValueError:  # ragged nesting
@@ -164,7 +166,7 @@ def checked_indices(indices, m: int, name: str) -> np.ndarray:
         raise IndexRangeError(f"{name} must be a sequence of integer indices")
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise IndexRangeError(f"{name} indices must lie in [0, {m})")
-    if len(np.unique(idx)) != len(idx):
+    if (np.diff(np.sort(idx)) == 0).any():
         raise IndexRangeError(f"{name} contains repeated indices")
     return idx.astype(int, copy=False)
 

@@ -85,7 +85,7 @@ class AtShift(NamedTuple):
     d0: float  # -1 / shift, (A - shift I)^{-1} on the implicit zero block (0 if it is empty)
     phi: float
     phi_image: float
-    phi_kernel: float  # -kernel_mass / shift
+    phi_kernel: float  # -kernel_mass / shift (0 if the block is empty)
     kernel_mass: float  # ||L^T Q||_F^2, Q the projection on the kernel of A
 
 
@@ -259,7 +259,7 @@ class Spectrum:
             d, d0 = d[:k], (float(d[k]) if self.n0 else 0.0)
             phi_image = float((self.mass * d).sum())
             self._at[shift] = AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
-                                      -self.mass0 / shift, self.mass0)
+                                      -self.mass0 / shift if self.n0 else 0.0, self.mass0)
         return self._at[shift]
 
     def resolvent(self, shift: float) -> np.ndarray:

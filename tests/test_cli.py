@@ -256,6 +256,45 @@ class TestMatrixMarket:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_commands_leave_numpy_ma_out(self, tmp_path):
+        # numpy.ma costs 10-14 ms of a desk-size process. numpy 2 loads it
+        # lazily (np.unique and np.median do), so one fresh interpreter runs
+        # every command in turn and names the first that loads it.
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))
+        rinv.cli.mmwrite(str(tmp_path / "L.mtx"), Q * np.linspace(1.0, 2.0, 8))
+        rinv.cli.mmwrite(str(tmp_path / "Q.mtx"), Q)  # unit columns, for columns mode
+        instance = ["--L", "L.mtx", "--V", "V.mtx"]
+        commands = [
+            ["gen", "--n", "8", "--m", "16", "--output", "V.mtx"],
+            ["select", *instance, "--epsilon", "0.5", "--output", "cert.json"],
+            ["select", *instance, "--epsilon", "0.5", "--pivot", "greedy"],
+            ["select", "--L", "Q.mtx", "--mode", "columns", "--epsilon", "0.5"],
+            ["select", "--L", "Q.mtx", "--mode", "columns", "--epsilon", "0.5", "--pivot", "greedy"],
+            ["verify", *instance, "--certificate", "cert.json"],
+            ["oracle", *instance, "--epsilon", "0.5"],
+            ["bench", *instance, "--epsilon", "0.5", "--trials", "5"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import numpy\n"
+            "if 'numpy.ma' in sys.modules:\n"
+            "    sys.exit('preloaded')\n"
+            "from rinv.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    print(argv[0], code, 'numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(rinv.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        if proc.returncode and proc.stderr == "preloaded\n":
+            pytest.skip("import numpy alone loads numpy.ma (numpy < 2)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"{argv[0]} 0 False" for argv in commands]
+
     def test_gen_bytes_match_scipy(self, tmp_path):
         ours, reference = tmp_path / "V.mtx", tmp_path / "ref.mtx"
         assert main(["gen", "--n", "5", "--m", "9", "--seed", "1", "--output", str(ours)]) == 0
@@ -438,6 +477,23 @@ class TestOracleAndBench:
             "random_above_bound": sum(v > cert.guarantee_bound for v in vals), "vacuous": False,
         }
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("trials", [0, 1, 2, 9])
+    def test_bench_median_is_statistics_median(self, tmp_path, capsys, trials):
+        # Odd and even counts, and none: the median is taken without np.median.
+        # At 9 trials the middle value differs from both of its neighbours.
+        L, V = np.diag(np.linspace(1.0, 2.0, 6)), rinv.random_tight_frame(6, 12, 1)
+        lpath, vpath = tmp_path / "L.mtx", tmp_path / "V.mtx"
+        mmwrite(str(lpath), L, precision=17)
+        mmwrite(str(vpath), V, precision=17)
+        assert main(["bench", "--L", str(lpath), "--V", str(vpath), "--epsilon", "0.8",
+                     "--trials", str(trials), "--seed", "3"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        dec = rinv.Decomposition(L=L, V=V)
+        t, rng = stats["t"], np.random.default_rng(3)
+        vals = [rinv.verify(dec, 0.8, sorted(rng.choice(12, size=t, replace=False).tolist())).lambda_min
+                for _ in range(trials)]
+        assert stats["random_lambda_median"] == (statistics.median(vals) if vals else None)
 
 
 class TestUsage:

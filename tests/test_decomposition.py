@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rinv import (
     Decomposition,
@@ -12,6 +13,7 @@ from rinv import (
     random_tight_frame,
     run_selection,
     validate,
+    verify,
 )
 from rinv.errors import (
     ColumnNormError,
@@ -21,8 +23,10 @@ from rinv.errors import (
     InfeasibleFrameError,
     ModeError,
     ParameterError,
+    RinvError,
 )
-from rinv.decomposition import square_operator
+from rinv.decomposition import checked_indices, square_operator
+from rinv.selector import SelectionState
 
 
 def frame_120():
@@ -153,6 +157,50 @@ class TestPermuted:
         dec = Decomposition(L=np.eye(2), V=frame_120())
         with pytest.raises(IndexRangeError, match="perm must be a sequence of integer indices"):
             permuted(dec, [0.2, 1, 2])
+
+
+class TestCheckedIndices:
+    """Repeats are found by sorting; a set is the reference."""
+
+    DEC = Decomposition(L=np.eye(3), V=random_tight_frame(3, 9, 0))
+
+    @classmethod
+    def _entry_points(cls, indices):
+        """Each entry point that checks an index list, with the name its messages use."""
+        return (("indices", lambda: checked_indices(indices, 9, "indices")),
+                ("perm", lambda: permuted(cls.DEC, indices)),
+                ("sigma", lambda: verify(cls.DEC, 0.5, indices)),
+                ("sigma", lambda: SelectionState.of(cls.DEC, indices, 1.0)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 8), max_size=12))
+    @example([])
+    @example([4])
+    @example([8, 8])
+    def test_repeat_verdict_matches_set(self, indices):
+        repeated = len(set(indices)) != len(indices)
+        for name, call in self._entry_points(indices):
+            try:
+                call()
+            except IndexRangeError as exc:
+                assert repeated and str(exc) == f"{name} contains repeated indices"
+            except RinvError:
+                assert not repeated  # a later check of the entry point
+            else:
+                assert not repeated
+        if not repeated:
+            np.testing.assert_array_equal(checked_indices(indices, 9, "indices"), indices)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 8), max_size=8), st.sampled_from([-1, 9, 40]), st.integers(0, 8))
+    @example([3, 3], 9, 1)
+    def test_range_error_comes_before_repeats(self, indices, bad, at):
+        # One entry outside [0, 9), placed anywhere, possibly among repeats.
+        indices = indices[:at] + [bad] + indices[at:]
+        for name, call in self._entry_points(indices):
+            with pytest.raises(IndexRangeError) as info:
+                call()
+            assert str(info.value) == f"{name} indices must lie in [0, 9)"
 
 
 class TestNestedLists:

@@ -23,6 +23,7 @@ from rinv import (
 from rinv.errors import (
     DimensionError,
     IndexRangeError,
+    InfeasibilityError,
     InvariantViolation,
     NormRangeError,
     ParameterError,
@@ -303,6 +304,19 @@ class TestSelectNext:
         for sigma in ([0.7, 2.9], [True], ["1"], [1, 1]):
             with pytest.raises(IndexRangeError):
                 SelectionState.of(dec, sigma, 0.5)
+
+    def test_shift_zero_with_no_zero_block(self):
+        # k = n leaves no zero block (n0 = 0): at shift 0 its kernel term is
+        # 0, not -mass0 / 0, and the scan (delta = 0.5, so b' = 0) has no
+        # candidate left and reports it as infeasible.
+        state = SelectionState.of(Decomposition(L=np.eye(2), V=np.eye(2)), [1, 0], 0.5)
+        assert state.spectrum.n0 == 0
+        at = state.spectrum.at(0.0)
+        assert (at.phi, at.phi_image, at.phi_kernel, at.d0) == (2.0, 2.0, 0.0, 0.0)
+        schedule = compute_schedule(np.eye(2), 2, 0.5)
+        assert schedule.b0 - schedule.delta == 0.0
+        with pytest.raises(InfeasibilityError, match="no feasible candidate at step 2"):
+            select_next(state, schedule)
 
 
 class TestRunSelection:
