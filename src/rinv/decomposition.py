@@ -44,10 +44,6 @@ class Decomposition:
     def m(self) -> int:
         return np.shape(self.V)[0]
 
-    def mapped_vectors(self) -> np.ndarray:
-        """Rows are L v_i."""
-        return np.asarray(self.V, dtype=float) @ np.asarray(self.L, dtype=float).T
-
 
 def _real_array(X, name: str) -> np.ndarray:
     """X as a float array; DimensionError if it is complex, text, objects or ragged."""

@@ -66,10 +66,10 @@ class SubsetTooLargeError(RinvError):
 
 
 class InfeasibilityError(RinvError):
-    """No candidate vector passed the feasibility tests at the current step.
+    """No candidate vector passed both feasibility tests exactly at the current step.
 
-    Cannot occur in exact arithmetic; carries the best margins found so a
-    failure can be diagnosed.
+    Cannot occur in exact arithmetic while the step's preconditions hold;
+    carries the best margins found so a failure can be diagnosed.
     """
 
     def __init__(self, message, best_quadform_margin=None, best_potential_margin=None):

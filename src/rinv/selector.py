@@ -433,7 +433,6 @@ def candidate_feasible(
     w,
     phi_before: float,
     phi_after_shift: float,
-    slack: float = 0.0,
 ) -> FeasibilityRecord:
     """Evaluate the two per-candidate tests at the lowered barrier.
 
@@ -442,8 +441,8 @@ def candidate_feasible(
     phi_after_shift - num / (1 + quadform) <= phi_before, with
     num = || L^T (A - b'I)^{-1} w ||^2.
 
-    `slack` is a relative acceptance slack applied to both comparisons
-    (used only on the retry pass). Scalar reference for select_next's scan.
+    Both comparisons are exact, as in the walk. Scalar reference for
+    select_next's scan.
     """
     w = np.asarray(w, dtype=float)
     if float(w @ w) == 0.0:
@@ -454,11 +453,11 @@ def candidate_feasible(
     quadform = float(w @ Mw)
     y = L.T @ Mw
     # As in select_next's arrays, 1 + quadform = 0 divides to -inf (or NaN),
-    # and quadform = -1 fails the rank test without slack.
+    # and quadform = -1 fails the rank test.
     with np.errstate(divide="ignore", invalid="ignore"):
         potential_after_add = float(phi_after_shift - (y @ y) / (1.0 + quadform))
-    rank_ok = quadform < -1.0 + slack
-    potential_ok = potential_after_add <= phi_before + slack * abs(phi_before)
+    rank_ok = quadform < -1.0
+    potential_ok = potential_after_add <= phi_before
     feasible = rank_ok and potential_ok
     reason = "" if feasible else ("rank-test" if not rank_ok else "potential-test")
     return FeasibilityRecord(quadform, potential_after_add, feasible, reason)
@@ -508,28 +507,25 @@ def check_step_preconditions(
     return PreconditionDiagnostics(potential_ok, barrier_window_ok, kernel_mass_ok, averaging_ok)
 
 
-def _pick(quad, after, phi_before: float, slack: float, first: bool, free=True):
+def _pick(quad, after, phi_before: float, first: bool, free):
     """The place of the chosen candidate among the free places of quad and
-    after, or None if none passes: the first hit, or for greedy the first
-    with the least after."""
-    ok = (quad < -1.0 + slack) & (after <= phi_before + slack * abs(phi_before)) & free
+    after, or None if none passes both tests exactly: the first hit, or for
+    greedy the first with the least after."""
+    ok = (quad < -1.0) & (after <= phi_before) & free
     i = ok.argmax() if first else np.where(ok, after, np.inf).argmin()
     return int(i) if ok[i] else None
 
 
-def select_next(
-    state: SelectionState,
-    schedule: Schedule,
-    pivot_rule: str = PIVOT_FIRST,
-    tol: Tolerances | None = None,
-):
+def select_next(state: SelectionState, schedule: Schedule, pivot_rule: str = PIVOT_FIRST):
     """Choose the next index to add at the lowered barrier b - delta;
     returns (index, FeasibilityRecord, candidates scanned).
 
     FirstFeasible returns the smallest feasible index; GreedyMinPotential
     the feasible index with smallest updated potential, ties broken by the
-    smaller index; pivot_rule comes checked from run_selection. Raises
-    InfeasibilityError when nothing passes even with the retry slack.
+    smaller index; pivot_rule comes checked from run_selection. A candidate
+    is feasible only if it passes both tests exactly: the barrier argument
+    guarantees one whenever the step's preconditions hold. When none does,
+    InfeasibilityError names the step and the best margins.
 
     Blocks of candidates are tested at once, each O(k^2) once its Gram rows
     are read: FirstFeasible tests blocks of 1, 2, 4, ... of the candidates
@@ -542,11 +538,9 @@ def select_next(
     G_p, H_p and Z = K G_p: quadform = G_p^T Z + d0 ||w||^2, and
     y = L^T (A - b'I)^{-1} w has ||y||^2 = Z^T H[sigma, sigma] Z
     + 2 d0 H_p^T Z + d0^2 ||L^T w||^2, two m x k x k products for greedy.
-    Only when no block has a hit are the blocks' free columns gathered into
-    arrays over all the candidates left, which the retry pass re-reads with
-    slack and the error's margins come from.
+    The blocks' free columns are gathered only when no block has a hit, for
+    the error's margins.
     """
-    tol = tol or default_tolerances()
     first = pivot_rule == PIVOT_FIRST
     spec, grams, k = state.spectrum, state.grams, len(state.sigma)
     b_prime = state.barrier_b - schedule.delta
@@ -559,7 +553,7 @@ def select_next(
     n_left = len(grams.V) - k
 
     # NaN marks a zero vector: it passes no test.
-    blocks, hit, start, size = [], None, 0, 1 if first else n_left
+    blocks, start, size = [], 0, 1 if first else n_left
     with np.errstate(divide="ignore", invalid="ignore"):
         while start < n_left:
             end = min(start + size, n_left)
@@ -571,30 +565,23 @@ def select_next(
             y_sq = _col_dots(H_ss @ Z, Z) + 2.0 * d0 * _col_dots(Z, H) + d0 * d0 * grams.h[rows]
             q = np.where(w_sq > 0, _col_dots(Z, G) + d0 * w_sq, np.nan)
             after = at_bp.phi - y_sq / (1.0 + q)
-            blocks.append((q, after, free))
-            hit = _pick(q, after, phi_before, 0.0, first, free)
+            hit = _pick(q, after, phi_before, first, free)
             if hit is not None:
-                break
+                scanned = start + int(np.count_nonzero(free[:hit])) + 1 if first else n_left
+                return lo + hit, FeasibilityRecord(float(q[hit]), float(after[hit]), True), scanned
+            blocks.append((q, after, free))
             start, size = end, 2 * size
 
-    if hit is not None:
-        scanned = start + int(np.count_nonzero(free[:hit])) + 1 if first else n_left
-        return lo + hit, FeasibilityRecord(float(q[hit]), float(after[hit]), True), scanned
     quad, after = (np.concatenate([b[i][b[2]] for b in blocks] or [np.empty(0)]) for i in (0, 1))
-    pos = _pick(quad, after, phi_before, tol.feasibility_retry, first) if n_left else None
-    if pos is None:
-        qm, pm = -1.0 - quad, phi_before - after
-        score = np.nan_to_num(np.minimum(qm, pm), nan=-np.inf, neginf=-np.inf)
-        j = int(np.argmax(score)) if score.max(initial=-np.inf) > -np.inf else None
-        margins = (-math.inf, -math.inf) if j is None else (float(qm[j]), float(pm[j]))
-        raise InfeasibilityError(
-            f"no feasible candidate at step {len(state.sigma)} (best quadform margin "
-            f"{margins[0]:.3e}, best potential margin {margins[1]:.3e})",
-            best_quadform_margin=margins[0], best_potential_margin=margins[1],
-        )
-    rec = FeasibilityRecord(float(quad[pos]), float(after[pos]), True)
-    scanned = n_left + (pos + 1 if first else n_left)
-    return int(np.flatnonzero(~grams.taken)[pos]), rec, scanned
+    qm, pm = -1.0 - quad, phi_before - after
+    score = np.nan_to_num(np.minimum(qm, pm), nan=-np.inf, neginf=-np.inf)
+    j = int(np.argmax(score)) if score.max(initial=-np.inf) > -np.inf else None
+    margins = (-math.inf, -math.inf) if j is None else (float(qm[j]), float(pm[j]))
+    raise InfeasibilityError(
+        f"no feasible candidate at step {len(state.sigma)} (best quadform margin "
+        f"{margins[0]:.3e}, best potential margin {margins[1]:.3e})",
+        best_quadform_margin=margins[0], best_potential_margin=margins[1],
+    )
 
 
 def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):
@@ -652,7 +639,7 @@ def run_selection(
     for _ in range(schedule.steps_t):
         spec = state.spectrum
         diag = check_step_preconditions(state, schedule, tol)
-        chosen, rec, scanned = select_next(state, schedule, pivot_rule, tol)
+        chosen, rec, scanned = select_next(state, schedule, pivot_rule)
         # Both shifts were evaluated by the two calls above and are kept on spec.
         b_prime = state.barrier_b - schedule.delta
         phi_before, split = spec.at(state.barrier_b).phi, spec.at(b_prime)

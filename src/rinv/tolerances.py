@@ -21,11 +21,12 @@ class Tolerances:
     identity_defect: float = 1e-8      # x n
     unit_column: float = 1e-8
     frame_generation: float = 1e-10    # x n
-    # selection loop
+    # selection loop; the scan's two feasibility tests take no slack: a step
+    # where no candidate passes both exactly raises InfeasibilityError with
+    # the best margins
     kernel_threshold: float = 1e-8     # x ||A||_2
     potential_slack: float = 1e-7      # relative
     precondition_slack: float = 1e-7   # relative
-    feasibility_retry: float = 1e-9    # relative
     interlacing_slack: float = 1e-9    # x ||A + w w^T||_2
     sm_consistency: float = 1e-8       # relative
     # certificate / oracle

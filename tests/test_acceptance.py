@@ -170,7 +170,7 @@ def test_criterion_5_rank_one_and_initial_potential(grid_runs):
     A + w w^T, and the closed-form start value."""
     updates = 0
     for run in grid_runs:
-        W, A = run.dec.mapped_vectors(), np.zeros((run.dec.n, run.dec.n))
+        W, A = run.dec.V @ run.dec.L.T, np.zeros((run.dec.n, run.dec.n))
         for tr in run.result.traces:
             w = W[tr.chosen_index]
             A = A + np.outer(w, w)

@@ -94,7 +94,7 @@ class TestVerify:
         dec = Decomposition(L=np.eye(6), V=random_tight_frame(6, 12, 4))
         res = run_selection(dec, 0.8)
         cert = verify(dec, 0.8, res.sigma)
-        W = dec.mapped_vectors()[res.sigma]
+        W = (dec.V @ dec.L.T)[res.sigma]
         A = W.T @ W
         lam = np.linalg.eigvalsh(A)
         nonzero = lam[lam > 1e-8 * max(1.0, lam.max())]

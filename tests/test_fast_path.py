@@ -39,7 +39,7 @@ from rinv.selector import (
     select_next,
     shifted_inverse,
 )
-from rinv.errors import InfeasibilityError
+from rinv.errors import InfeasibilityError, InvariantViolation
 from test_acceptance import EPS_GRID, build_grid
 
 PIVOTS = ("first", "greedy")
@@ -48,11 +48,11 @@ TOL = default_tolerances()
 
 def _gram(dec, sigma):
     """A = sum_{i in sigma} (L v_i)(L v_i)^T, formed densely."""
-    W = dec.mapped_vectors()[list(sigma)]
+    W = (dec.V @ dec.L.T)[list(sigma)]
     return W.T @ W
 
 
-def _reference_scan(A, M, L, W, taken, phi_b, phi_bp, pivot, slack):
+def _reference_scan(A, M, L, W, taken, phi_b, phi_bp, pivot):
     """One pass of candidate_feasible calls in index order: (index, record,
     scanned, best margins)."""
     best, scanned, margins = None, 0, (-np.inf, -np.inf)
@@ -60,7 +60,7 @@ def _reference_scan(A, M, L, W, taken, phi_b, phi_bp, pivot, slack):
         if j in taken:
             continue
         scanned += 1
-        rec = candidate_feasible(A, M, L, W[j], phi_b, phi_bp, slack)
+        rec = candidate_feasible(A, M, L, W[j], phi_b, phi_bp)
         if rec.reason != "zero-vector":
             qm, pm = -1.0 - rec.quadform, phi_b - rec.potential_after_add
             if min(qm, pm) > min(margins):
@@ -92,7 +92,7 @@ def _reference_preconditions(A, b, sched, L):
 
 def reference_walk(dec, epsilon, pivot):
     """Selected indices and trace dicts of the scalar barrier walk."""
-    L, W = dec.L, dec.mapped_vectors()
+    L, W = dec.L, dec.V @ dec.L.T
     sched = compute_schedule(L, dec.m, epsilon)
     A, b, sigma, traces = np.zeros((dec.n, dec.n)), sched.b0, [], []
     for k in range(sched.steps_t):
@@ -100,12 +100,7 @@ def reference_walk(dec, epsilon, pivot):
         M = shifted_inverse(A, b_prime)
         phi_b, phi_bp = potential(A, b, L), potential(A, b_prime, L)
         phi_P, phi_Q, qL = potential_split(A, b_prime, L)
-        chosen, rec, scanned, _ = _reference_scan(A, M, L, W, sigma, phi_b, phi_bp,
-                                                  pivot, 0.0)
-        if chosen is None:
-            chosen, rec, retried, _ = _reference_scan(A, M, L, W, sigma, phi_b, phi_bp,
-                                                      pivot, TOL.feasibility_retry)
-            scanned += retried
+        chosen, rec, scanned, _ = _reference_scan(A, M, L, W, sigma, phi_b, phi_bp, pivot)
         traces.append({
             "step": k + 1, "chosen_index": chosen + 1,
             "barrier_before": b, "barrier_after": b_prime,
@@ -181,8 +176,8 @@ def test_permuted_scan_order_matches_reference(pivot, n, block):
     # vectors: the first block (s = 1), the last slot of the third (positions
     # 3-6) or the first slot of the eighth (positions 127-254), so the scan
     # reads exactly s candidates. "nowhere" raises the barrier above every
-    # candidate, zero rows included: the scan takes the retry pass and then
-    # raises with the reference margins.
+    # candidate, zero rows included: the scan raises with the reference
+    # margins.
     dec, failing = _padded_frame_instance(n)
     rng = np.random.default_rng(n + 1)
     if block == "nowhere":
@@ -245,10 +240,10 @@ def test_state_of_prefix_replays_each_step(pivot):
         assert chosen == tr.chosen_index
 
 
-def _array_pick(quad, after, phi_before, slack, first):
+def _array_pick(quad, after, phi_before, first):
     """array_select_next's pick: the chosen candidate's place among those
     left (None if none passes), candidates scanned."""
-    ok = (quad < -1.0 + slack) & (after <= phi_before + slack * abs(phi_before))
+    ok = (quad < -1.0) & (after <= phi_before)
     hits = ok.nonzero()[0]
     if hits.size == 0:
         return None, len(quad)
@@ -257,7 +252,7 @@ def _array_pick(quad, after, phi_before, slack, first):
     return int(hits[np.argmin(after[hits])]), len(quad)
 
 
-def array_select_next(state, schedule, pivot_rule, tol=TOL):
+def array_select_next(state, schedule, pivot_rule):
     """select_next written over arrays of all the candidates left: a mask of
     them, their indices in order and NaN-filled quad and after, into which
     each block's columns are gathered through the mask before one pick over
@@ -286,16 +281,13 @@ def array_select_next(state, schedule, pivot_rule, tol=TOL):
                     + d0 * d0 * grams.h[rows])
             q = np.where(w_sq > 0, rinv.selector._col_dots(Z, G) + d0 * w_sq, np.nan)[keep]
             quad[start:end], after[start:end] = q, at_bp.phi - y_sq[keep] / (1.0 + q)
-            hit = _array_pick(q, after[start:end], phi_before, 0.0, first)[0] if first else None
+            hit = _array_pick(q, after[start:end], phi_before, first)[0] if first else None
             if hit is not None:
                 pos, scanned = start + hit, start + hit + 1
                 break
             start, size = end, 2 * size
     if not first:
-        pos, scanned = _array_pick(quad, after, phi_before, 0.0, first)
-    if pos is None:
-        pos, retried = _array_pick(quad, after, phi_before, tol.feasibility_retry, first)
-        scanned += retried
+        pos, scanned = _array_pick(quad, after, phi_before, first)
     if pos is None:
         qm, pm = -1.0 - quad, phi_before - after
         score = np.nan_to_num(np.minimum(qm, pm), nan=-np.inf, neginf=-np.inf)
@@ -348,56 +340,50 @@ SCAN_STATES = {
 @pytest.mark.parametrize("pivot", PIVOTS)
 @pytest.mark.parametrize("make_state", SCAN_STATES)
 def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monkeypatch):
-    # select_next's arrays, read at slack 0 and at the retry slack, against
-    # one candidate_feasible call per candidate in index order.
+    # select_next's arrays against one candidate_feasible call per candidate
+    # in index order.
     dec, sched, state = SCAN_STATES[make_state]()
     grams, first = state.grams, pivot == "first"
     if make_state == "taken-in-blocks":
         assert grams.cols == [2, 5, 8]
-    picks, pick, masked_pick = [], _array_pick, rinv.selector._pick
+    blocks, pick, masked_pick = [], _array_pick, rinv.selector._pick
 
-    def spy(quad, after, phi_before, slack, first, free=True):
-        free = np.broadcast_to(free, quad.shape)  # False on a block's taken columns
-        picks.append((quad[free], after[free], phi_before, slack, len(quad)))
-        return masked_pick(quad, after, phi_before, slack, first, free)
+    def spy(quad, after, phi_before, first, free):
+        # free is False on a block's taken columns
+        blocks.append((quad[free], after[free], phi_before, len(quad)))
+        return masked_pick(quad, after, phi_before, first, free)
 
     monkeypatch.setattr(rinv.selector, "_pick", spy)
     chosen = select_next(state, sched, pivot)[0]
     left = np.setdiff1d(np.arange(dec.m), grams.cols)
-    # The free columns of every block tested at slack 0, in scan order, laid
-    # end to end: greedy's one block, or first-feasible's blocks up to its
-    # hit. NaN marks the candidates no block reached.
-    blocks = [p for p in picks if p[3] == 0.0]
+    # The free columns of every block tested, in scan order, laid end to end:
+    # greedy's one block, or first-feasible's blocks up to its hit. NaN marks
+    # the candidates no block reached.
     phi_before, scan_read = blocks[0][2], sum(len(p[0]) for p in blocks)
     quad, after = np.full(len(left), np.nan), np.full(len(left), np.nan)
     quad[:scan_read] = np.concatenate([p[0] for p in blocks])
     after[:scan_read] = np.concatenate([p[1] for p in blocks])
 
     A, b_prime = _gram(dec, state.sigma), state.barrier_b - sched.delta
-    M, W = shifted_inverse(A, b_prime), dec.mapped_vectors()
+    M, W = shifted_inverse(A, b_prime), dec.V @ dec.L.T
     phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, b_prime, dec.L)
-    picked = []
-    for slack in (0.0, TOL.feasibility_retry):
-        pos, scanned = pick(quad, after, phi_before, slack, first)
-        want, rec, want_scanned, _ = _reference_scan(A, M, dec.L, W, state.sigma, phi_b, phi_bp,
-                                                     pivot, slack)
-        assert want is not None and (int(left[pos]), scanned) == (want, want_scanned)
-        np.testing.assert_allclose([quad[pos], after[pos]],
-                                   [rec.quadform, rec.potential_after_add], rtol=1e-10)
-        picked.append(want)
-    assert chosen == picked[0]
+    pos, scanned = pick(quad, after, phi_before, first)
+    want, rec, want_scanned, _ = _reference_scan(A, M, dec.L, W, state.sigma, phi_b, phi_bp, pivot)
+    assert want is not None and (int(left[pos]), scanned) == (want, want_scanned)
+    assert chosen == want
+    np.testing.assert_allclose([quad[pos], after[pos]],
+                               [rec.quadform, rec.potential_after_add], rtol=1e-10)
 
     # Every candidate of the blocks read (blocks of 1, 2, 4, ... for
     # first-feasible, as in test_grams_filled_on_read_match_dense) is tested:
     # zero vectors are NaN, the rest match the reference.
-    scanned = pick(quad, after, phi_before, 0.0, first)[1]
     read = min(2 ** scanned.bit_length() - 1, len(left)) if first else len(left)
     assert scan_read == read
     # Each block is the slice of indices from its first candidate left to its
     # last, taken ones between them included.
     ends = np.cumsum([len(p[0]) for p in blocks])
     starts = np.concatenate([[0], ends[:-1]])
-    assert [p[4] for p in blocks] == (left[ends - 1] + 1 - left[starts]).tolist()
+    assert [p[3] for p in blocks] == (left[ends - 1] + 1 - left[starts]).tolist()
     tested, zero = np.flatnonzero(np.isfinite(after)), ~W[left].any(axis=1)
     assert np.isnan(quad[zero]).all() and np.isnan(after[zero]).all()
     assert tested.tolist() == np.flatnonzero(~zero[:read]).tolist()
@@ -407,11 +393,11 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
                                rtol=1e-10, atol=1e-12 * np.abs(ref).max())
 
 
-def _scan_outcome(scan, state, sched, pivot, tol):
+def _scan_outcome(scan, state, sched, pivot):
     """What scan(state, ...) returns, floats as hex so that == is bit for
     bit, or the InfeasibilityError it raises, and the Grams' reach after it."""
     try:
-        chosen, rec, scanned = scan(state, sched, pivot, tol)
+        chosen, rec, scanned = scan(state, sched, pivot)
         rec = (rec.quadform.hex(), rec.potential_after_add.hex(), rec.feasible, rec.reason)
         outcome = (chosen, rec, scanned)
     except InfeasibilityError as err:
@@ -421,22 +407,18 @@ def _scan_outcome(scan, state, sched, pivot, tol):
 
 @pytest.mark.parametrize("pivot", PIVOTS)
 @pytest.mark.parametrize("make_state", SCAN_STATES)
-@pytest.mark.parametrize("barrier", ["walk", "raised", "raised-wide-retry"])
+@pytest.mark.parametrize("barrier", ["walk", "raised"])
 def test_in_place_scan_matches_array_scan_bits(pivot, make_state, barrier):
     # select_next and array_select_next, each on its own fresh state, must
     # choose the same index with the same record bits and candidates
     # scanned, read the same rows, and raise with the same margins. At the
-    # walk's barrier the slack-0 pass has a hit. Raised, every candidate
-    # fails with and without the retry slack. Raised with a retry slack of 1
-    # every nonzero candidate passes the retry (quadform >= -1/2 there, and
-    # the potential test holds for b' above A), so the retry pass chooses.
-    tol = replace(TOL, feasibility_retry=1.0) if barrier == "raised-wide-retry" else TOL
+    # walk's barrier a block has a hit. Raised, every candidate fails.
     outcomes = []
     for scan in (select_next, array_select_next):
         dec, sched, state = SCAN_STATES[make_state]()
         if barrier != "walk":
             sched, state = _raised_barrier(dec, state.sigma, 0.5)
-        outcomes.append(_scan_outcome(scan, state, sched, pivot, tol))
+        outcomes.append(_scan_outcome(scan, state, sched, pivot))
     assert outcomes[0] == outcomes[1]
     (outcome, reach), n_left = outcomes[0], dec.m - len(state.sigma)
     if barrier == "raised":
@@ -444,10 +426,7 @@ def test_in_place_scan_matches_array_scan_bits(pivot, make_state, barrier):
         return
     chosen, rec, scanned = outcome
     assert rec[2:] == (True, "") and chosen not in state.sigma
-    if barrier == "raised-wide-retry":
-        assert scanned > n_left if pivot == "first" else scanned == 2 * n_left
-        assert reach == dec.m
-    elif pivot == "greedy":
+    if pivot == "greedy":
         assert scanned == n_left and reach == dec.m
     elif make_state == "taken-in-later-blocks":
         # The hit at left position 160 is read in the last block, 127-252,
@@ -467,11 +446,11 @@ def test_scan_skips_taken_indices_that_pass(pivot, make_state):
         A = _gram(dec, state.sigma)
         b_prime = 1.1 * np.linalg.eigvalsh(A)[-1]
         sched, state = replace(sched, delta=1.0), SelectionState.of(dec, state.sigma, b_prime + 1.0)
-        outcomes.append(_scan_outcome(scan, state, sched, pivot, TOL))
+        outcomes.append(_scan_outcome(scan, state, sched, pivot))
     assert outcomes[0] == outcomes[1]
     (chosen, rec, _), _ = outcomes[0]
     assert chosen not in state.sigma and rec[2] is True
-    M, W = shifted_inverse(A, b_prime), dec.mapped_vectors()
+    M, W = shifted_inverse(A, b_prime), dec.V @ dec.L.T
     phi_b, phi_bp = potential(A, b_prime + 1.0, dec.L), potential(A, b_prime, dec.L)
     assert all(candidate_feasible(A, M, dec.L, W[c], phi_b, phi_bp).feasible for c in state.sigma)
 
@@ -481,7 +460,7 @@ def test_scan_with_no_candidate_left_matches_array_scan(pivot):
     # Every index taken: both scans raise with -inf margins.
     dec = Decomposition(L=np.eye(2), V=np.eye(2))
     sched = compute_schedule(dec.L, dec.m, 0.5)
-    outcomes = [_scan_outcome(scan, SelectionState.of(dec, [1, 0], 0.75), sched, pivot, TOL)
+    outcomes = [_scan_outcome(scan, SelectionState.of(dec, [1, 0], 0.75), sched, pivot)
                 for scan in (select_next, array_select_next)]
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0][1:] == ((-np.inf).hex(),) * 2
@@ -744,8 +723,8 @@ def test_walk_evaluates_each_potential_once(pivot, monkeypatch):
 
 def _raised_barrier(dec, sigma, eps):
     """sigma taken and the barrier lifted so far above A that every
-    candidate fails the rank test, even with the retry slack."""
-    W = dec.mapped_vectors()
+    candidate fails the rank test."""
+    W = dec.V @ dec.L.T
     sched = compute_schedule(dec.L, dec.m, eps)
     b_prime = (np.linalg.eigvalsh(_gram(dec, sigma))[-1]
                + 2.0 * float(np.max(np.sum(W * W, axis=1))))
@@ -787,8 +766,8 @@ def test_infeasible_step_reports_reference_margins(pivot, make_state):
 
 
 def _check_infeasible_state(pivot, dec, sched, state):
-    """No candidate passes, with or without the retry slack: select_next
-    raises with the reference scan's margins."""
+    """No candidate passes: select_next raises with the reference scan's
+    margins."""
     A = _gram(dec, state.sigma)
     diag = check_step_preconditions(state, sched)
     expected = _reference_preconditions(A, state.barrier_b, sched, dec.L)
@@ -798,31 +777,53 @@ def _check_infeasible_state(pivot, dec, sched, state):
     b_prime = state.barrier_b - sched.delta
     M = shifted_inverse(A, b_prime)
     phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, b_prime, dec.L)
-    W = dec.mapped_vectors()
-    for slack in (0.0, TOL.feasibility_retry):
-        chosen, _, scanned, margins = _reference_scan(A, M, dec.L, W, state.sigma,
-                                                      phi_b, phi_bp, pivot, slack)
-        assert chosen is None and scanned == dec.m - len(state.sigma)
+    chosen, _, scanned, margins = _reference_scan(A, M, dec.L, dec.V @ dec.L.T, state.sigma,
+                                                  phi_b, phi_bp, pivot)
+    assert chosen is None and scanned == dec.m - len(state.sigma)
     assert err.value.best_quadform_margin == pytest.approx(margins[0], rel=1e-9)
     assert err.value.best_potential_margin == pytest.approx(margins[1], rel=1e-9)
     assert min(margins) < 0 < max(margins)
 
 
-@pytest.mark.parametrize("pivot, scanned", [("first", 3 + 1), ("greedy", 3 + 3)])
-def test_retry_pass_accepts_within_slack_and_counts_both_passes(pivot, scanned):
-    # A = 0, L = I, unit candidates: every quadform is -1/b', just above -1.
+def _near_miss_state(potential_miss):
+    """A = 0 and L = V = I_3, with b' where every candidate misses one test
+    by about 1e-10 relative: the rank test (quadform = -1/b', b' = 1 / (1 -
+    1e-10)), or with potential_miss the potential test (b' = 0.5 and b = 1.5 /
+    (1 + 1e-10): after = -2 against phi_b = -2 (1 + 1e-10))."""
     dec = Decomposition(L=np.eye(3), V=np.eye(3))
     sched = compute_schedule(dec.L, dec.m, 0.5)
-    b_prime = 1.0 / (1.0 - 1e-10)
-    state = SelectionState.of(dec, [], b_prime + sched.delta)
-    chosen, rec, got_scanned = select_next(state, sched, pivot)
-    assert (chosen, got_scanned) == (0, scanned)
-    assert -1.0 < rec.quadform < -1.0 + TOL.feasibility_retry
-    A, bp = np.zeros((3, 3)), state.barrier_b - sched.delta
-    M = shifted_inverse(A, bp)
-    phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, bp, dec.L)
-    exact = candidate_feasible(A, M, dec.L, np.eye(3)[0], phi_b, phi_bp)
-    retry = candidate_feasible(A, M, dec.L, np.eye(3)[0], phi_b, phi_bp,
-                               TOL.feasibility_retry)
-    assert (exact.feasible, exact.reason, retry.feasible) == (False, "rank-test", True)
-    assert rec.quadform == pytest.approx(retry.quadform, rel=1e-12)
+    if potential_miss:
+        b = 1.5 / (1.0 + 1e-10)
+        sched = replace(sched, delta=b - 0.5)
+    else:
+        b = 1.0 / (1.0 - 1e-10) + sched.delta
+    grams = Grams.of(dec, capacity=1)  # room to append a candidate anyway
+    return dec, sched, SelectionState([], b, Spectrum.of(grams, TOL), grams)
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+@pytest.mark.parametrize("potential_miss", [False, True], ids=["rank", "potential"])
+def test_near_miss_is_infeasible(pivot, potential_miss):
+    # Every candidate misses one test by about 1e-10 relative, which no
+    # slack forgives: the step raises with that margin. Neither state meets
+    # the step's preconditions, and taking the rank state's index 0 anyway
+    # breaks the barrier invariant: A + w w^T has no eigenvalue above b'.
+    dec, sched, state = _near_miss_state(potential_miss)
+    assert not check_step_preconditions(state, sched).potential_ok
+    with pytest.raises(InfeasibilityError, match="at step 0 ") as err:
+        select_next(state, sched, pivot)
+    qm, pm = err.value.best_quadform_margin, err.value.best_potential_margin
+    if potential_miss:
+        assert qm > 0 and pm == pytest.approx(-2e-10, rel=1e-3)
+        return
+    assert -1e-9 < qm < 0
+    A, b_prime = np.zeros((3, 3)), state.barrier_b - sched.delta
+    phi_b = state.spectrum.at(state.barrier_b).phi
+    rec = candidate_feasible(A, shifted_inverse(A, b_prime), dec.L, np.eye(3)[0], phi_b,
+                             potential(A, b_prime, dec.L))
+    assert (rec.feasible, rec.reason) == (False, "rank-test")
+    assert -1.0 - rec.quadform == pytest.approx(qm, rel=1e-5)
+    state.grams.append(0)
+    with pytest.raises(InvariantViolation, match="0 eigenvalues above"):
+        rinv.selector._check_post_step(state.spectrum, Spectrum.of(state.grams, TOL), 1, b_prime,
+                                       rec, phi_b, TOL)

@@ -74,7 +74,7 @@ class TestExhaustiveBestSubset:
     def test_beats_any_specific_subset(self):
         dec = Decomposition(L=np.eye(3), V=random_tight_frame(3, 7, 1))
         sigma, lam = exhaustive_best_subset(dec, 2)
-        W = dec.mapped_vectors()
+        W = dec.V @ dec.L.T
         for pair in [(0, 1), (2, 5), (4, 6)]:
             G = W[list(pair)] @ W[list(pair)].T
             assert np.linalg.eigvalsh(G)[0] <= lam + 1e-12

@@ -293,7 +293,7 @@ class TestSelectNext:
         phi_bp = potential(A, schedule.b0 - schedule.delta, dec.L)
         feasible = [
             j
-            for j, w in enumerate(dec.mapped_vectors())
+            for j, w in enumerate(dec.V @ dec.L.T)
             if candidate_feasible(A, M, dec.L, w, phi_b, phi_bp).feasible
         ]
         assert chosen == min(feasible)
@@ -327,7 +327,7 @@ class TestRunSelection:
         res = run_selection(dec, eps)
         t = math.floor(eps * eps * n)
         assert len(res.sigma) == t
-        W = dec.mapped_vectors()[res.sigma]
+        W = (dec.V @ dec.L.T)[res.sigma]
         assert gram_min_eigenvalue(W) == pytest.approx(1.0)
         assert 1.0 > (1 - eps) ** 2
 
@@ -335,7 +335,7 @@ class TestRunSelection:
         dec = Decomposition(L=np.eye(2), V=frame_120())
         res = run_selection(dec, 0.75)
         assert len(res.sigma) == 1
-        lam = gram_min_eigenvalue(dec.mapped_vectors()[res.sigma])
+        lam = gram_min_eigenvalue((dec.V @ dec.L.T)[res.sigma])
         assert lam == pytest.approx(2.0 / 3.0)
         assert lam > (1 - 0.75) ** 2 * 2.0 / 3.0
 
@@ -452,7 +452,7 @@ class TestRunSelection:
         dec = Decomposition(L=np.eye(6), V=random_tight_frame(6, 12, 3))
         res = run_selection(dec, 0.7)
         A = np.zeros((6, 6))
-        W = dec.mapped_vectors()
+        W = dec.V @ dec.L.T
         for tr in res.traces:
             A = A + np.outer(W[tr.chosen_index], W[tr.chosen_index])
             fresh = potential(A, tr.barrier_after, dec.L)
