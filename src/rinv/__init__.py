@@ -1,7 +1,9 @@
 """Deterministic barrier-method subset selection for restricted invertibility.
 
 The internals (the step state, potentials, feasibility tests and matrix
-primitives) live in rinv.selector and rinv.matrix_core.
+primitives) live in rinv.selector and rinv.matrix_core. The oracle's two
+names are imported from rinv.oracle on first use (PEP 562), so only
+`rinv oracle` loads it.
 """
 
 from .certificate import Certificate, verify, verify_classical
@@ -13,7 +15,6 @@ from .decomposition import (
     random_tight_frame,
     validate,
 )
-from .oracle import compare_to_guarantee, exhaustive_best_subset
 from .selector import SelectionResult, compute_schedule, run_selection
 from .tolerances import Tolerances, default_tolerances
 
@@ -35,3 +36,11 @@ __all__ = [
     "verify",
     "verify_classical",
 ]
+
+
+def __getattr__(name):
+    if name in ("compare_to_guarantee", "exhaustive_best_subset"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

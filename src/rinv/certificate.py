@@ -10,8 +10,7 @@ exactly through the Gram matrix: for all coefficient choices,
 """
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,8 +20,7 @@ from .selector import compute_schedule
 from .tolerances import Tolerances, default_tolerances
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Independently recomputed evidence that sigma meets the guarantee.
 
     sigma is stored 0-based and sorted; lambda_min is +inf for the empty

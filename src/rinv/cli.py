@@ -19,7 +19,6 @@ from .certificate import verify
 from .decomposition import Decomposition, Mode, random_tight_frame, validate
 from .errors import CertificateFormatError, RinvError
 from .matrix_core import gram_min_eigenvalue
-from .oracle import compare_to_guarantee
 from .selector import PIVOT_FIRST, PIVOT_GREEDY, run_selection
 from .tolerances import default_tolerances
 
@@ -197,9 +196,20 @@ def _cmd_verify(args):
     return EXIT_OK if match and cert.passes else EXIT_CERT_FAIL
 
 
+def __getattr__(name):
+    """compare_to_guarantee, imported from rinv.oracle on first use (PEP 562)."""
+    if name == "compare_to_guarantee":
+        from .oracle import compare_to_guarantee
+
+        return compare_to_guarantee
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _cmd_oracle(args):
+    """Looks compare_to_guarantee up on the module at call time, where a
+    caller may have replaced it."""
     dec = _load_decomposition(args)
-    report = compare_to_guarantee(dec, args.epsilon, pivot_rule=args.pivot)
+    report = sys.modules[__name__].compare_to_guarantee(dec, args.epsilon, pivot_rule=args.pivot)
     _emit(report.to_json_dict(), args.output)
     return EXIT_OK
 

@@ -6,8 +6,8 @@ columns). Frame generation uses numpy's default PCG64 generator so
 instances are reproducible from a 64-bit seed.
 """
 
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ class Mode(str, Enum):
     CLASSICAL_COLUMNS = "columns"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Operator L (n x n) and m vectors in R^n, stored as rows of V."""
 
     L: np.ndarray
@@ -173,4 +172,4 @@ def permuted(dec: Decomposition, perm) -> Decomposition:
     perm = checked_indices(perm, dec.m, "perm")
     if len(perm) != dec.m:
         raise DimensionError(f"perm must have m = {dec.m} entries, got {len(perm)}")
-    return replace(dec, V=np.asarray(dec.V)[perm])
+    return dec._replace(V=np.asarray(dec.V)[perm])

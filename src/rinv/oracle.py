@@ -7,8 +7,7 @@ the algorithm's value between the theoretical bound and the optimum.
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -18,6 +17,17 @@ from .tolerances import Tolerances, default_tolerances
 
 ENUMERATION_GUARD = 10**6
 _BATCH = 4096  # subsets whose Gram matrices are decomposed in one call
+
+
+def _batches(m: int, t: int):
+    """The size-t subsets of range(m) in lexicographic order, as (B, t) index
+    arrays of up to _BATCH rows each, read from one flat stream of indices."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), t))
+    while True:
+        idx = np.fromiter(itertools.islice(flat, _BATCH * t), dtype=int).reshape(-1, t)
+        if not len(idx):
+            return
+        yield idx
 
 
 def exhaustive_best_subset(
@@ -49,12 +59,7 @@ def exhaustive_best_subset(
     W = V @ L.T
     best_val = -math.inf
     best_sigma: List[int] = []
-    combos = itertools.combinations(range(m), t)
-    while True:
-        chunk = list(itertools.islice(combos, _BATCH))
-        if not chunk:
-            break
-        idx = np.array(chunk, dtype=int)
+    for idx in _batches(m, t):
         sub = W[idx]                               # (B, t, n)
         grams = sub @ sub.transpose(0, 2, 1)       # (B, t, t)
         vals = np.linalg.eigvalsh(grams)[:, 0]
@@ -66,12 +71,11 @@ def exhaustive_best_subset(
         )
         if improved:
             best_val = float(vals[pos])
-            best_sigma = list(chunk[pos])
+            best_sigma = idx[pos].tolist()
     return best_sigma, best_val
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
+class GuaranteeReport(NamedTuple):
     sigma: List[int]
     oracle_sigma: List[int]
     algo_lambda: float

@@ -22,7 +22,6 @@ import math
 import numbers
 import sys
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -56,8 +55,7 @@ READ_AHEAD = 16
 _last_spec_sq: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Barrier walk parameters: start b0, per-step drop delta, step count."""
 
     epsilon: float
@@ -108,7 +106,6 @@ def _band_edge(lam: np.ndarray, tol: Tolerances) -> float:
     return tol.kernel_threshold * top
 
 
-@dataclass
 class Grams:
     """The candidates w = L v seen through LtL = L^T L, in index order and in
     the order the walk chooses them.
@@ -128,38 +125,25 @@ class Grams:
     takes as lv: LtL is streamed twice per block, not twice per step.
     """
 
-    V: np.ndarray
-    LtL: np.ndarray
-    VG: np.ndarray
-    LV: np.ndarray
-    has_lv: np.ndarray
-    taken: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-    tr_ltl: float
-    ltl_sq: float
-    G: np.ndarray
-    H: np.ndarray
-    CV: np.ndarray
-    Gss: np.ndarray
-    Hss: np.ndarray
-    J: np.ndarray
-    cols: List[int] = field(default_factory=list)
-    reach: int = 0
+    __slots__ = ("V", "LtL", "VG", "LV", "has_lv", "taken", "g", "h", "tr_ltl", "ltl_sq",
+                 "G", "H", "CV", "Gss", "Hss", "J", "cols", "reach")
 
     @classmethod
     def of(cls, dec: Decomposition, sigma: Sequence[int] = (), capacity: int = 0,
            LtL: Optional[np.ndarray] = None) -> "Grams":
         """The Grams of dec with sigma's columns filled; LtL, if given, is L^T L."""
+        grams = cls()
         V, L = np.asarray(dec.V, dtype=float), np.asarray(dec.L, dtype=float)
         m, n = V.shape
         LtL = L.T @ L if LtL is None else LtL
         cap = max(capacity, len(sigma))
-        grams = cls(V, LtL, np.empty((m, n)), np.empty((m, n)), np.zeros(m, dtype=bool),
-                    np.zeros(m, dtype=bool), np.empty(m), np.empty(m),
-                    float(np.trace(LtL)), float(np.sum(LtL * LtL)),
-                    np.empty((cap, m)), np.empty((cap, m)), np.empty((cap, n)),
-                    *(np.empty((cap, cap)) for _ in range(3)))
+        grams.V, grams.LtL, grams.VG, grams.LV = V, LtL, np.empty((m, n)), np.empty((m, n))
+        grams.has_lv, grams.taken = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+        grams.g, grams.h = np.empty(m), np.empty(m)
+        grams.tr_ltl, grams.ltl_sq = float(np.trace(LtL)), float(np.sum(LtL * LtL))
+        grams.G, grams.H, grams.CV = np.empty((cap, m)), np.empty((cap, m)), np.empty((cap, n))
+        grams.Gss, grams.Hss, grams.J = (np.empty((cap, cap)) for _ in range(3))
+        grams.cols, grams.reach = [], 0
         for i in sigma:
             grams.read(i + 1)
             grams.append(i)
@@ -204,8 +188,7 @@ class Grams:
         self.J[k, :k + 1] = self.J[:k + 1, k] = self.CV[:k + 1] @ lv
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """A = U diag(lam) U^T on its k explicit eigenpairs (lam descending, one
     per chosen index) plus an implicit zero block on the n0 = n - k
     directions orthogonal to U. With W_sigma the chosen
@@ -214,9 +197,9 @@ class Spectrum:
     diagonal holds the column masses ||L^T u_j||^2 (kept as mass), and the
     block's mass mass0 = ||L||_F^2 - tr M. poles is lam (a view of its
     head) followed, for a nonempty block, by its one eigenvalue 0: the values
-    the shift-gap check sees, descending. at() uses of()'s tol and keeps each result per shift,
-    so a step evaluates each shift once; resolvent() keeps the k x k K of a
-    shift the same way."""
+    the shift-gap check sees, descending. at() uses of()'s tol and keeps each
+    result per shift in at_memo, so a step evaluates each shift once;
+    resolvent() keeps the k x k K of a shift in K_memo the same way."""
 
     lam: np.ndarray
     R: np.ndarray
@@ -225,9 +208,9 @@ class Spectrum:
     poles: np.ndarray
     n0: int
     mass0: float
-    tol: Tolerances = field(repr=False)
-    _at: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _K: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    tol: Tolerances
+    at_memo: dict
+    K_memo: dict
 
     @classmethod
     def of(cls, grams: Grams, tol: Tolerances) -> "Spectrum":
@@ -248,32 +231,31 @@ class Spectrum:
         R = np.asfortranarray(P) / np.sqrt(lam)  # column-major: M's rounding depends on R's layout
         M = R.T @ grams.Hss[:k, :k] @ R
         mass0 = grams.tr_ltl - float(M.trace()) if n0 else 0.0
-        return cls(lam, R, M, M.diagonal(), poles, n0, mass0, tol)
+        return cls(lam, R, M, M.diagonal(), poles, n0, mass0, tol, {}, {})
 
     def at(self, shift: float) -> AtShift:
         """Phi = sum_j mass_j / (lam_j - shift) - mass0 / shift and its split;
         SingularShiftError when the shift sits on an eigenvalue, the block's 0 included."""
-        if shift not in self._at:
+        if shift not in self.at_memo:
             k = len(self.lam)
             d = shifted_spectrum(self.poles, shift, self.tol)
             d, d0 = d[:k], (float(d[k]) if self.n0 else 0.0)
             phi_image = float((self.mass * d).sum())
-            self._at[shift] = AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
-                                      -self.mass0 / shift if self.n0 else 0.0, self.mass0)
-        return self._at[shift]
+            self.at_memo[shift] = AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
+                                          -self.mass0 / shift if self.n0 else 0.0, self.mass0)
+        return self.at_memo[shift]
 
     def resolvent(self, shift: float) -> np.ndarray:
         """K = R diag(d - d0) R^T at shift, so that (A - shift I)^{-1} =
         W_sigma^T K W_sigma + d0 I: the k x k matrix through which the scan
         and the averaging test see the resolvent."""
-        if shift not in self._K:
+        if shift not in self.K_memo:
             at = self.at(shift)
-            self._K[shift] = (self.R * (at.d - at.d0)) @ self.R.T
-        return self._K[shift]
+            self.K_memo[shift] = (self.R * (at.d - at.d0)) @ self.R.T
+        return self.K_memo[shift]
 
 
-@dataclass(frozen=True)
-class SelectionState:
+class SelectionState(NamedTuple):
     """Running state: chosen indices, current barrier, the spectrum of
     A = sum_{i in sigma} (L v_i)(L v_i)^T and the Grams it was read from."""
 
@@ -292,24 +274,21 @@ class SelectionState:
         return cls(sigma, barrier_b, Spectrum.of(grams, tol), grams)
 
 
-@dataclass(frozen=True)
-class FeasibilityRecord:
+class FeasibilityRecord(NamedTuple):
     quadform: float
     potential_after_add: float
     feasible: bool
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class PreconditionDiagnostics:
+class PreconditionDiagnostics(NamedTuple):
     potential_ok: bool
     barrier_window_ok: bool
     kernel_mass_ok: bool
     averaging_ok: bool
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(NamedTuple):
     """Per-step diagnostics recorded by the selection loop."""
 
     step: int
@@ -327,15 +306,16 @@ class StepTrace:
     preconditions: PreconditionDiagnostics
 
     def to_dict(self) -> dict:
-        """The fields in declaration order, chosen_index 1-based for output."""
-        return dict(asdict(self), chosen_index=self.chosen_index + 1)
+        """The fields in declaration order as plain dicts, preconditions
+        nested, chosen_index 1-based for output."""
+        return dict(self._asdict(), chosen_index=self.chosen_index + 1,
+                    preconditions=self.preconditions._asdict())
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     sigma: List[int]
     schedule: Schedule
-    traces: List[StepTrace] = field(default_factory=list)
+    traces: List[StepTrace]
 
     @property
     def vacuous(self) -> bool:
@@ -578,7 +558,7 @@ def select_next(state: SelectionState, schedule: Schedule, pivot_rule: str = PIV
     j = int(np.argmax(score)) if score.max(initial=-np.inf) > -np.inf else None
     margins = (-math.inf, -math.inf) if j is None else (float(qm[j]), float(pm[j]))
     raise InfeasibilityError(
-        f"no feasible candidate at step {len(state.sigma)} (best quadform margin "
+        f"no feasible candidate at step {len(state.sigma) + 1} (best quadform margin "
         f"{margins[0]:.3e}, best potential margin {margins[1]:.3e})",
         best_quadform_margin=margins[0], best_potential_margin=margins[1],
     )
@@ -586,18 +566,16 @@ def select_next(state: SelectionState, schedule: Schedule, pivot_rule: str = PIV
 
 def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):
     """Runtime invariant checks after a rank-one acceptance, on the spectra of
-    A and A + w w^T, both zero past old.poles (k_next - 1 eigenvalues and a 0)."""
+    A and A + w w^T, both zero past old.poles (k_next - 1 eigenvalues and a 0).
+    phi_before is not read: select_next returns a record only when its
+    potential_after_add is at most phi_before exactly, so the potential
+    cannot have increased."""
     check_interlacing(old.poles, new.lam, tol.interlacing_slack)
     above = int(np.count_nonzero(new.lam > b_prime))
     if above != k_next:
         raise InvariantViolation(
             f"barrier invariant failed at step {k_next}: {above} eigenvalues above "
             f"b'={b_prime:.6g} (expected {k_next})"
-        )
-    if rec.potential_after_add > phi_before + tol.potential_slack * abs(phi_before):
-        raise InvariantViolation(
-            f"potential increased at step {k_next}: "
-            f"{rec.potential_after_add} > {phi_before}"
         )
     phi_fresh = new.at(b_prime).phi
     denom = max(abs(phi_fresh), 1.0)
@@ -618,11 +596,12 @@ def run_selection(
 
     Deterministic for fixed inputs and pivot rule; candidates are scanned in
     index order, so permuted(dec, perm) sets the order. Every step
-    records its existence-precondition diagnostics in the traces, and after
-    every step the barrier count, eigenvalue interlacing, potential
-    monotonicity and the rank-one update identity are checked on the
-    spectrum from the Gram of the chosen rows, which the next step reads; the final
-    barrier is checked against the promised bound.
+    records its existence-precondition diagnostics in the traces; the scan
+    takes only a candidate whose potential does not increase, and after
+    every step the barrier count, eigenvalue interlacing and the rank-one
+    update identity are checked on the spectrum from the Gram of the chosen
+    rows, which the next step reads; the final barrier is checked against
+    the promised bound.
     """
     tol = tol or default_tolerances()
     dec = validate(dec, tol)
@@ -630,7 +609,7 @@ def run_selection(
         raise ParameterError(f"unknown pivot rule {pivot_rule!r}")
     schedule, LtL = _schedule(dec.L, dec.m, epsilon)
     if schedule.vacuous:
-        return SelectionResult(sigma=[], schedule=schedule)
+        return SelectionResult(sigma=[], schedule=schedule, traces=[])
 
     grams = Grams.of(dec, capacity=schedule.steps_t, LtL=LtL)
     state = SelectionState([], schedule.b0, Spectrum.of(grams, tol), grams)

@@ -7,13 +7,12 @@ or tighten all of them uniformly for numerical experiments.
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     # matrix primitives
     symmetry_rtol: float = 1e-12       # x max |S_ij|
     shift_gap: float = 1e-12           # x max(|shift|, ||S||_2)
@@ -25,7 +24,6 @@ class Tolerances:
     # where no candidate passes both exactly raises InfeasibilityError with
     # the best margins
     kernel_threshold: float = 1e-8     # x ||A||_2
-    potential_slack: float = 1e-7      # relative
     precondition_slack: float = 1e-7   # relative
     interlacing_slack: float = 1e-9    # x ||A + w w^T||_2
     sm_consistency: float = 1e-8       # relative
@@ -48,4 +46,4 @@ def default_tolerances() -> Tolerances:
     base = Tolerances()
     if scale == 1.0:
         return base
-    return replace(base, **{f.name: getattr(base, f.name) * scale for f in fields(base)})
+    return base._replace(**{name: getattr(base, name) * scale for name in base._fields})

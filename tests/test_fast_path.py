@@ -11,7 +11,6 @@ blocks must match bit for bit.
 
 import json
 import tracemalloc
-from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -294,7 +293,7 @@ def array_select_next(state, schedule, pivot_rule):
         j = int(np.argmax(score)) if score.max(initial=-np.inf) > -np.inf else None
         margins = (-np.inf, -np.inf) if j is None else (float(qm[j]), float(pm[j]))
         raise InfeasibilityError(
-            f"no feasible candidate at step {len(state.sigma)} (best quadform margin "
+            f"no feasible candidate at step {len(state.sigma) + 1} (best quadform margin "
             f"{margins[0]:.3e}, best potential margin {margins[1]:.3e})",
             best_quadform_margin=margins[0], best_potential_margin=margins[1],
         )
@@ -445,7 +444,7 @@ def test_scan_skips_taken_indices_that_pass(pivot, make_state):
         dec, sched, state = SCAN_STATES[make_state]()
         A = _gram(dec, state.sigma)
         b_prime = 1.1 * np.linalg.eigvalsh(A)[-1]
-        sched, state = replace(sched, delta=1.0), SelectionState.of(dec, state.sigma, b_prime + 1.0)
+        sched, state = sched._replace(delta=1.0), SelectionState.of(dec, state.sigma, b_prime + 1.0)
         outcomes.append(_scan_outcome(scan, state, sched, pivot))
     assert outcomes[0] == outcomes[1]
     (chosen, rec, _), _ = outcomes[0]
@@ -700,7 +699,7 @@ def test_averaging_lhs_from_grams_matches_dense_T(case):
         lhs = rinv.selector._t_frob_sq(state, b_prime)
         assert lhs == pytest.approx(float(np.sum(T * T)), rel=1e-10)
         expected = _reference_preconditions(A, b, result.schedule, dec.L)
-        assert asdict(check_step_preconditions(state, result.schedule)) == expected
+        assert check_step_preconditions(state, result.schedule)._asdict() == expected
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
@@ -771,8 +770,8 @@ def _check_infeasible_state(pivot, dec, sched, state):
     A = _gram(dec, state.sigma)
     diag = check_step_preconditions(state, sched)
     expected = _reference_preconditions(A, state.barrier_b, sched, dec.L)
-    assert asdict(diag) == expected
-    with pytest.raises(InfeasibilityError, match=f"at step {len(state.sigma)} ") as err:
+    assert diag._asdict() == expected
+    with pytest.raises(InfeasibilityError, match=f"at step {len(state.sigma) + 1} ") as err:
         select_next(state, sched, pivot)
     b_prime = state.barrier_b - sched.delta
     M = shifted_inverse(A, b_prime)
@@ -794,7 +793,7 @@ def _near_miss_state(potential_miss):
     sched = compute_schedule(dec.L, dec.m, 0.5)
     if potential_miss:
         b = 1.5 / (1.0 + 1e-10)
-        sched = replace(sched, delta=b - 0.5)
+        sched = sched._replace(delta=b - 0.5)
     else:
         b = 1.0 / (1.0 - 1e-10) + sched.delta
     grams = Grams.of(dec, capacity=1)  # room to append a candidate anyway
@@ -810,7 +809,8 @@ def test_near_miss_is_infeasible(pivot, potential_miss):
     # breaks the barrier invariant: A + w w^T has no eigenvalue above b'.
     dec, sched, state = _near_miss_state(potential_miss)
     assert not check_step_preconditions(state, sched).potential_ok
-    with pytest.raises(InfeasibilityError, match="at step 0 ") as err:
+    step = len(state.sigma) + 1
+    with pytest.raises(InfeasibilityError, match=f"at step {step} ") as err:
         select_next(state, sched, pivot)
     qm, pm = err.value.best_quadform_margin, err.value.best_potential_margin
     if potential_miss:
@@ -824,6 +824,7 @@ def test_near_miss_is_infeasible(pivot, potential_miss):
     assert (rec.feasible, rec.reason) == (False, "rank-test")
     assert -1.0 - rec.quadform == pytest.approx(qm, rel=1e-5)
     state.grams.append(0)
-    with pytest.raises(InvariantViolation, match="0 eigenvalues above"):
-        rinv.selector._check_post_step(state.spectrum, Spectrum.of(state.grams, TOL), 1, b_prime,
-                                       rec, phi_b, TOL)
+    # The scan and the post-step check name the same step.
+    with pytest.raises(InvariantViolation, match=f"at step {step}: 0 eigenvalues above"):
+        rinv.selector._check_post_step(state.spectrum, Spectrum.of(state.grams, TOL), step,
+                                       b_prime, rec, phi_b, TOL)

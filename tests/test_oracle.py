@@ -1,7 +1,7 @@
 """Exhaustive oracle tests. The oracle never touches the selector."""
 
+import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +71,20 @@ class TestExhaustiveBestSubset:
             results.append(exhaustive_best_subset(dec, 3))
         assert all(r == results[0] for r in results)
 
+    @pytest.mark.parametrize("batch", [7, 4096])
+    def test_batches_match_arrays_of_tuples(self, monkeypatch, batch):
+        # The 17,296 subsets of a desk frame instance (m = 48, t = 3): the flat
+        # index stream gives the arrays a list of tuples per batch gave, so
+        # the oracle forms the same W[idx] products.
+        monkeypatch.setattr(rinv.oracle, "_BATCH", batch)
+        combos, expected = itertools.combinations(range(48), 3), []
+        while chunk := list(itertools.islice(combos, batch)):
+            expected.append(np.array(chunk, dtype=int))
+        got = list(rinv.oracle._batches(48, 3))
+        assert len(got) == len(expected) == -(-17296 // batch)
+        for ours, theirs in zip(got, expected):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
     def test_beats_any_specific_subset(self):
         dec = Decomposition(L=np.eye(3), V=random_tight_frame(3, 7, 1))
         sigma, lam = exhaustive_best_subset(dec, 2)
@@ -107,7 +121,7 @@ class TestCompareToGuarantee:
 
     def test_caller_tolerances_reach_the_oracle(self, monkeypatch):
         dec = Decomposition(L=np.eye(4), V=random_tight_frame(4, 8, 3))
-        tol = replace(default_tolerances(), oracle_tie=0.5)
+        tol = default_tolerances()._replace(oracle_tie=0.5)
         seen = []
 
         def spy(dec, t, tol=None):

@@ -1,7 +1,6 @@
 """Tolerance configuration and the RI_TOLERANCE_SCALE knob."""
 
 import re
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,8 +19,8 @@ def test_env_scale(monkeypatch):
     monkeypatch.setenv("RI_TOLERANCE_SCALE", "10")
     scaled = default_tolerances()
     base = Tolerances()
-    for f in fields(Tolerances):
-        assert getattr(scaled, f.name) == getattr(base, f.name) * 10
+    for name in Tolerances._fields:
+        assert getattr(scaled, name) == getattr(base, name) * 10
 
 
 def test_env_scale_identity(monkeypatch):
