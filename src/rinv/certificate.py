@@ -17,7 +17,7 @@ import numpy as np
 from .decomposition import Decomposition, checked_arrays, checked_indices, from_standard_basis
 from .matrix_core import gram_min_eigenvalue
 from .selector import compute_schedule
-from .tolerances import Tolerances, default_tolerances
+from .tolerances import default_tolerances
 
 
 class Certificate(NamedTuple):
@@ -54,9 +54,7 @@ class Certificate(NamedTuple):
         }
 
 
-def verify(
-    dec: Decomposition, epsilon: float, sigma: Sequence[int], tol: Tolerances | None = None
-) -> Certificate:
+def verify(dec: Decomposition, epsilon: float, sigma: Sequence[int]) -> Certificate:
     """Certificate for sigma against the size and lambda_min guarantees.
 
     passes iff |sigma| >= floor(eps^2 * stable_rank), the selected vectors
@@ -69,7 +67,7 @@ def verify(
     ZeroOperatorError and an epsilon outside (0, 1) ParameterError; sigma
     must hold distinct integers in [0, m), or IndexRangeError.
     """
-    tol = tol or default_tolerances()
+    tol = default_tolerances()
     L, V = checked_arrays(dec)
     sigma = sorted(checked_indices(sigma, len(V), "sigma").tolist())
     schedule = compute_schedule(L, len(V), epsilon)
@@ -100,9 +98,7 @@ def verify(
     )
 
 
-def verify_classical(
-    L, epsilon: float, sigma: Sequence[int], tol: Tolerances | None = None
-) -> Certificate:
+def verify_classical(L, epsilon: float, sigma: Sequence[int]) -> Certificate:
     """Unit-column certificate: |sigma| >= floor(eps^2 n / ||L||_2^2) and
     lambda_min of the Gram of the selected columns strictly above (1-eps)^2.
 
@@ -110,4 +106,4 @@ def verify_classical(
     coincide with the general certificate on the standard-basis system.
     Columns that are not unit-norm raise ColumnNormError, a ModeError.
     """
-    return verify(from_standard_basis(L, classical=True, tol=tol), epsilon, sigma, tol)
+    return verify(from_standard_basis(L, classical=True), epsilon, sigma)

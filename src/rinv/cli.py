@@ -20,7 +20,6 @@ from .decomposition import Decomposition, Mode, random_tight_frame, validate
 from .errors import CertificateFormatError, RinvError
 from .matrix_core import gram_min_eigenvalue
 from .selector import PIVOT_FIRST, PIVOT_GREEDY, run_selection
-from .tolerances import default_tolerances
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,9 +152,9 @@ def _cmd_select(args):
     return EXIT_OK if cert.passes else EXIT_CERT_FAIL
 
 
-def _read_certificate(path):
-    """The stored JSON object, its epsilon and its 0-based sigma; its passes
-    must be a JSON boolean."""
+def _read_certificate(path, m: int):
+    """The stored JSON object, its epsilon and its 0-based sigma; sigma's
+    entries must be 1-based indices in [1, m], and passes a JSON boolean."""
     try:
         with open(path, encoding="utf-8") as fh:
             stored = json.load(fh)
@@ -172,6 +171,9 @@ def _read_certificate(path):
         raise CertificateFormatError(
             f"certificate {path}: sigma must be a list of 1-based integer indices"
         )
+    bad = next((i for i in sigma if not 1 <= i <= m), None)
+    if bad is not None:
+        raise CertificateFormatError(f"certificate {path}: sigma entry {bad} is outside [1, {m}]")
     if type(stored.get("passes")) is not bool:
         raise CertificateFormatError(
             f"certificate {path}: passes must be true or false, got {stored.get('passes')!r}"
@@ -180,8 +182,8 @@ def _read_certificate(path):
 
 
 def _cmd_verify(args):
-    dec = validate(_load_decomposition(args), default_tolerances())
-    stored, epsilon, sigma = _read_certificate(args.certificate)
+    dec = validate(_load_decomposition(args))
+    stored, epsilon, sigma = _read_certificate(args.certificate, dec.m)
     cert = verify(dec, epsilon, sigma)
     match = stored["passes"] == cert.passes
     _emit(

@@ -20,7 +20,7 @@ from .errors import (
     ModeError,
     ParameterError,
 )
-from .tolerances import Tolerances, default_tolerances
+from .tolerances import default_tolerances
 
 
 class Mode(str, Enum):
@@ -78,14 +78,14 @@ def checked_arrays(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     return L, V
 
 
-def validate(dec: Decomposition, tol: Tolerances | None = None) -> Decomposition:
+def validate(dec: Decomposition) -> Decomposition:
     """Check the mode's invariant and return the decomposition unchanged.
 
-    Frame mode: || sum_i v_i v_i^T - I ||_F <= tol * n.
+    Frame mode: || sum_i v_i v_i^T - I ||_F <= identity_defect * n.
     Classical mode: V is exactly the standard basis and L has unit-norm
     columns. ModeError unless dec.mode is a Mode.
     """
-    tol = tol or default_tolerances()
+    tol = default_tolerances()
     if not isinstance(dec.mode, Mode):
         raise ModeError(f"mode must be a Mode, got {dec.mode!r}")
     L, V = checked_arrays(dec)
@@ -112,7 +112,7 @@ def validate(dec: Decomposition, tol: Tolerances | None = None) -> Decomposition
     return dec
 
 
-def from_standard_basis(L, classical: bool = False, tol: Tolerances | None = None) -> Decomposition:
+def from_standard_basis(L, classical: bool = False) -> Decomposition:
     """Decomposition with V the standard basis of R^n.
 
     With classical=True the unit-column requirement on L is enforced; an L
@@ -120,17 +120,16 @@ def from_standard_basis(L, classical: bool = False, tol: Tolerances | None = Non
     """
     L = square_operator(L)
     mode = Mode.CLASSICAL_COLUMNS if classical else Mode.FRAME
-    return validate(Decomposition(L=L, V=np.eye(len(L)), mode=mode), tol)
+    return validate(Decomposition(L=L, V=np.eye(len(L)), mode=mode))
 
 
-def random_tight_frame(n: int, m: int, seed: int, tol: Tolerances | None = None) -> np.ndarray:
+def random_tight_frame(n: int, m: int, seed: int) -> np.ndarray:
     """m vectors in R^n with sum_i v_i v_i^T = I, returned as rows.
 
     Construction: orthonormalize the columns of an m x n matrix of standard
     normal draws (PCG64 seeded by `seed`) and take the rows. Deterministic
     for a given seed. ParameterError unless n, m and seed are integers >= 0.
     """
-    tol = tol or default_tolerances()
     for name, value in (("n", n), ("m", m), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
             raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
@@ -140,7 +139,7 @@ def random_tight_frame(n: int, m: int, seed: int, tol: Tolerances | None = None)
     G = rng.standard_normal((m, n))
     Q, _ = np.linalg.qr(G)
     defect = float(np.linalg.norm(Q.T @ Q - np.eye(n)))
-    if defect > tol.frame_generation * n:
+    if defect > default_tolerances().frame_generation * n:
         raise DecompositionError(
             f"generated frame defect {defect:.3e} exceeds tolerance", defect=defect
         )

@@ -20,16 +20,15 @@ from .errors import (
 from .tolerances import Tolerances, default_tolerances
 
 
-def sym_eigendecomposition(S, tol: Tolerances | None = None):
+def sym_eigendecomposition(S):
     """(lam, U) of a symmetric matrix: eigenvalues descending, column U[:, i]
     the orthonormal eigenvector of lam[i]."""
-    tol = tol or default_tolerances()
     S = square_operator(S, "matrix")
     if not np.all(np.isfinite(S)):
         raise DimensionError("matrix contains non-finite entries")
     scale = float(np.abs(S).max(initial=0.0))
     asym = float(np.abs(S - S.T).max(initial=0.0))
-    if asym > tol.symmetry_rtol * scale:
+    if asym > default_tolerances().symmetry_rtol * scale:
         raise SymmetryError(
             f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}"
         )
@@ -37,13 +36,12 @@ def sym_eigendecomposition(S, tol: Tolerances | None = None):
     return lam[::-1].copy(), U[:, ::-1].copy()
 
 
-def shifted_spectrum(lam, shift: float, tol: Tolerances | None = None) -> np.ndarray:
+def shifted_spectrum(lam, shift: float, tol: Tolerances) -> np.ndarray:
     """Eigenvalues 1 / (lam - shift) of (S - shift*I)^{-1}, given those of S.
 
     Raises SingularShiftError when the shift is within shift_gap * max(|shift|, ||S||)
     of an eigenvalue of S.
     """
-    tol = tol or default_tolerances()
     lam = np.asarray(lam, dtype=float)
     diff = lam - shift
     scale = max(abs(shift), float(np.abs(lam).max(initial=0.0)))
@@ -55,13 +53,13 @@ def shifted_spectrum(lam, shift: float, tol: Tolerances | None = None) -> np.nda
     return 1.0 / diff
 
 
-def shifted_inverse(S, shift: float, tol: Tolerances | None = None) -> np.ndarray:
+def shifted_inverse(S, shift: float) -> np.ndarray:
     """Inverse of S - shift*I, computed spectrally.
 
     Raises SingularShiftError when the shift sits on an eigenvalue of S.
     """
-    lam, U = sym_eigendecomposition(S, tol)
-    return (U * shifted_spectrum(lam, shift, tol)) @ U.T
+    lam, U = sym_eigendecomposition(S)
+    return (U * shifted_spectrum(lam, shift, default_tolerances())) @ U.T
 
 
 def frobenius_norm_sq(L) -> float:

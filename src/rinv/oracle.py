@@ -13,7 +13,7 @@ import numpy as np
 
 from .decomposition import Decomposition, checked_arrays
 from .errors import InvariantViolation, ParameterError, SubsetTooLargeError
-from .tolerances import Tolerances, default_tolerances
+from .tolerances import default_tolerances
 
 ENUMERATION_GUARD = 10**6
 _BATCH = 4096  # subsets whose Gram matrices are decomposed in one call
@@ -30,9 +30,7 @@ def _batches(m: int, t: int):
         yield idx
 
 
-def exhaustive_best_subset(
-    dec: Decomposition, t: int, tol: Tolerances | None = None
-) -> Tuple[List[int], float]:
+def exhaustive_best_subset(dec: Decomposition, t: int) -> Tuple[List[int], float]:
     """Best size-t subset by Gram lambda_min, ties broken lexicographically.
 
     Values within a tiny relative tolerance count as ties, so symmetric
@@ -44,7 +42,7 @@ def exhaustive_best_subset(
     validate's shape and finiteness checks, or DimensionError; ParameterError
     unless t is an integer (not a bool) in [0, m].
     """
-    tol = tol or default_tolerances()
+    tol = default_tolerances()
     L, V = checked_arrays(dec)
     m = len(V)
     if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t <= m:
@@ -97,10 +95,7 @@ class GuaranteeReport(NamedTuple):
 
 
 def compare_to_guarantee(
-    dec: Decomposition,
-    epsilon: float,
-    pivot_rule: str = "first",
-    tol: Tolerances | None = None,
+    dec: Decomposition, epsilon: float, pivot_rule: str = "first"
 ) -> GuaranteeReport:
     """Run the selector and sandwich its value: bound < algo <= oracle.
 
@@ -110,10 +105,9 @@ def compare_to_guarantee(
     from .certificate import verify
     from .selector import run_selection
 
-    tol = tol or default_tolerances()
-    result = run_selection(dec, epsilon, pivot_rule=pivot_rule, tol=tol)
-    cert = verify(dec, epsilon, result.sigma, tol)
-    oracle_sigma, oracle_lambda = exhaustive_best_subset(dec, len(result.sigma), tol)
+    result = run_selection(dec, epsilon, pivot_rule=pivot_rule)
+    cert = verify(dec, epsilon, result.sigma)
+    oracle_sigma, oracle_lambda = exhaustive_best_subset(dec, len(result.sigma))
     report = GuaranteeReport(
         sigma=cert.sigma,
         oracle_sigma=oracle_sigma,
@@ -129,7 +123,7 @@ def compare_to_guarantee(
         raise InvariantViolation(
             f"algorithm value {report.algo_lambda} not above bound {report.bound}"
         )
-    if not (report.algo_lambda <= report.oracle_lambda * (1.0 + tol.oracle_margin)):
+    if not (report.algo_lambda <= report.oracle_lambda * (1.0 + default_tolerances().oracle_margin)):
         raise InvariantViolation(
             f"algorithm value {report.algo_lambda} exceeds oracle optimum "
             f"{report.oracle_lambda}"

@@ -265,13 +265,11 @@ class SelectionState(NamedTuple):
     grams: Grams
 
     @classmethod
-    def of(cls, dec: Decomposition, sigma: Sequence[int], barrier_b: float,
-           tol: Tolerances | None = None) -> "SelectionState":
+    def of(cls, dec: Decomposition, sigma: Sequence[int], barrier_b: float) -> "SelectionState":
         """The state after choosing sigma, with the barrier at barrier_b."""
-        tol = tol or default_tolerances()
         sigma = checked_indices(sigma, dec.m, "sigma").tolist()
         grams = Grams.of(dec, sigma)
-        return cls(sigma, barrier_b, Spectrum.of(grams, tol), grams)
+        return cls(sigma, barrier_b, Spectrum.of(grams, default_tolerances()), grams)
 
 
 class FeasibilityRecord(NamedTuple):
@@ -383,21 +381,21 @@ def _schedule(L, m: int, epsilon: float):
     ), LtL
 
 
-def potential(A, b: float, L, tol: Tolerances | None = None) -> float:
+def potential(A, b: float, L) -> float:
     """Barrier potential tr(L^T (A - bI)^{-1} L), from one eigh of A."""
     L = np.asarray(L, dtype=float)
-    return float(np.sum(L * (shifted_inverse(A, b, tol) @ L)))
+    return float(np.sum(L * (shifted_inverse(A, b) @ L)))
 
 
-def potential_split(A, b_prime: float, L, tol: Tolerances | None = None):
+def potential_split(A, b_prime: float, L):
     """Potential split across the image and kernel of A at barrier b_prime.
 
     Returns (phi_P, phi_Q, qL_frob_sq) where phi_Q = -qL_frob_sq / b_prime
     and qL_frob_sq is the squared Frobenius mass of L seen by the kernel
     projection of A. One eigh of A; the reference for Spectrum.at.
     """
-    tol = tol or default_tolerances()
-    lam, U = sym_eigendecomposition(A, tol)
+    tol = default_tolerances()
+    lam, U = sym_eigendecomposition(A)
     LtU = np.asarray(L, dtype=float).T @ U
     mass = np.sum(LtU * LtU, axis=0)
     kernel = lam <= _band_edge(lam, tol)
@@ -454,9 +452,7 @@ def _t_frob_sq(state: SelectionState, shift: float) -> float:
                  + at.d0 * at.d0 * grams.ltl_sq)
 
 
-def check_step_preconditions(
-    state: SelectionState, schedule: Schedule, tol: Tolerances | None = None
-) -> PreconditionDiagnostics:
+def check_step_preconditions(state: SelectionState, schedule: Schedule) -> PreconditionDiagnostics:
     """Diagnostics guaranteeing a feasible candidate exists at this step.
 
     potential_ok:       Phi_b(A) <= -m - ||L||_2^2 / delta
@@ -464,13 +460,13 @@ def check_step_preconditions(
     kernel_mass_ok:     b <= delta ||QL||_F^2 / ||L||_2^2
     averaging_ok:       the summed feasibility inequality over all m
                         candidates holds at the lowered barrier.
-    Failures surface as flags, never exceptions.
+    Failures surface as flags, never exceptions; the slack is the one
+    state.spectrum was built with.
     """
-    tol = tol or default_tolerances()
     spec = state.spectrum
     b = state.barrier_b
     at_b, at_bp = spec.at(b), spec.at(b - schedule.delta)
-    slack = tol.precondition_slack
+    slack = spec.tol.precondition_slack
 
     target = -schedule.m - schedule.spec_sq / schedule.delta
     potential_ok = at_b.phi <= target + slack * abs(target)
@@ -564,13 +560,13 @@ def select_next(state: SelectionState, schedule: Schedule, pivot_rule: str = PIV
     )
 
 
-def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_before, tol):
+def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec):
     """Runtime invariant checks after a rank-one acceptance, on the spectra of
-    A and A + w w^T, both zero past old.poles (k_next - 1 eigenvalues and a 0).
-    phi_before is not read: select_next returns a record only when its
-    potential_after_add is at most phi_before exactly, so the potential
-    cannot have increased."""
-    check_interlacing(old.poles, new.lam, tol.interlacing_slack)
+    A and A + w w^T, both zero past old.poles (k_next - 1 eigenvalues and a 0),
+    with the slacks new was built with. The potential is not checked:
+    select_next returns a record only when its potential_after_add is at most
+    the potential before the step exactly."""
+    check_interlacing(old.poles, new.lam, new.tol.interlacing_slack)
     above = int(np.count_nonzero(new.lam > b_prime))
     if above != k_next:
         raise InvariantViolation(
@@ -579,7 +575,7 @@ def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_bef
         )
     phi_fresh = new.at(b_prime).phi
     denom = max(abs(phi_fresh), 1.0)
-    if abs(phi_fresh - rec.potential_after_add) > tol.sm_consistency * denom:
+    if abs(phi_fresh - rec.potential_after_add) > new.tol.sm_consistency * denom:
         raise InvariantViolation(
             f"rank-one potential update disagrees with fresh recomputation at step {k_next}: "
             f"{rec.potential_after_add} vs {phi_fresh}"
@@ -587,10 +583,7 @@ def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec, phi_bef
 
 
 def run_selection(
-    dec: Decomposition,
-    epsilon: float,
-    pivot_rule: str = PIVOT_FIRST,
-    tol: Tolerances | None = None,
+    dec: Decomposition, epsilon: float, pivot_rule: str = PIVOT_FIRST
 ) -> SelectionResult:
     """Run the full barrier walk and return the selected index list.
 
@@ -603,8 +596,7 @@ def run_selection(
     rows, which the next step reads; the final barrier is checked against
     the promised bound.
     """
-    tol = tol or default_tolerances()
-    dec = validate(dec, tol)
+    dec, tol = validate(dec), default_tolerances()
     if pivot_rule not in (PIVOT_FIRST, PIVOT_GREEDY):
         raise ParameterError(f"unknown pivot rule {pivot_rule!r}")
     schedule, LtL = _schedule(dec.L, dec.m, epsilon)
@@ -617,7 +609,7 @@ def run_selection(
 
     for _ in range(schedule.steps_t):
         spec = state.spectrum
-        diag = check_step_preconditions(state, schedule, tol)
+        diag = check_step_preconditions(state, schedule)
         chosen, rec, scanned = select_next(state, schedule, pivot_rule)
         # Both shifts were evaluated by the two calls above and are kept on spec.
         b_prime = state.barrier_b - schedule.delta
@@ -626,7 +618,7 @@ def run_selection(
         grams.append(chosen)
         spec_new = Spectrum.of(grams, tol)
         step = len(sigma)
-        _check_post_step(spec, spec_new, step, b_prime, rec, phi_before, tol)
+        _check_post_step(spec, spec_new, step, b_prime, rec)
         traces.append(
             StepTrace(
                 step=step,

@@ -1,8 +1,11 @@
 """Central numerical tolerance configuration.
 
-Every comparison slack used across the package lives in one frozen record
-so a single knob (the RI_TOLERANCE_SCALE environment variable) can widen
-or tighten all of them uniformly for numerical experiments.
+Every comparison slack used across the package lives in one frozen record.
+The RI_TOLERANCE_SCALE environment variable is the only way to set them: it
+widens or tightens all of them uniformly for numerical experiments. No
+public function takes a tolerance argument: Tolerances and
+default_tolerances() report the slacks, and inside the walk they travel on
+the Spectrum that run_selection builds from default_tolerances().
 """
 
 import math

@@ -365,14 +365,25 @@ class TestVerify:
         assert captured.err.startswith("rinv: error: certificate ")
         assert message in captured.err
 
+    @pytest.mark.parametrize("entry", [0, 5, -2], ids=["zero", "m-plus-1", "negative"])
+    def test_certificate_index_out_of_range_exits_1(self, id4, tmp_path, capsys, entry):
+        # sigma is 1-based in a certificate, so the error names the entry and [1, m].
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"sigma": [1, entry], "epsilon": 0.5, "passes": True}))
+        assert main(["verify", "--L", id4, "--certificate", str(cert_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"rinv: error: certificate {cert_path}: sigma entry {entry} "
+                                "is outside [1, 4]\n")
+
 
 def _counting_validate(monkeypatch):
     """Calls of validate through rinv.cli or rinv.selector, the two names it runs under."""
     calls, validate = [], rinv.selector.validate
 
-    def counting(dec, tol=None):
+    def counting(dec):
         calls.append(dec)
-        return validate(dec, tol)
+        return validate(dec)
 
     for module in (rinv.cli, rinv.selector):
         monkeypatch.setattr(module, "validate", counting)

@@ -709,7 +709,7 @@ def test_walk_evaluates_each_potential_once(pivot, monkeypatch):
     calls = []
     shifted_spectrum = rinv.selector.shifted_spectrum
 
-    def counting(lam, shift, tol=None):
+    def counting(lam, shift, tol):
         calls.append(shift)
         return shifted_spectrum(lam, shift, tol)
 
@@ -827,4 +827,4 @@ def test_near_miss_is_infeasible(pivot, potential_miss):
     # The scan and the post-step check name the same step.
     with pytest.raises(InvariantViolation, match=f"at step {step}: 0 eigenvalues above"):
         rinv.selector._check_post_step(state.spectrum, Spectrum.of(state.grams, TOL), step,
-                                       b_prime, rec, phi_b, TOL)
+                                       b_prime, rec)

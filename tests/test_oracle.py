@@ -15,7 +15,6 @@ from rinv import (
 )
 import rinv.oracle
 from rinv.errors import DimensionError, ParameterError, SubsetTooLargeError
-from rinv.tolerances import default_tolerances
 
 
 def frame_120():
@@ -118,16 +117,3 @@ class TestCompareToGuarantee:
         L = 1e4 * rng.standard_normal((8, 8))
         report = compare_to_guarantee(Decomposition(L=L, V=random_tight_frame(8, 16, 6)), 0.9)
         assert report.sigma == report.oracle_sigma
-
-    def test_caller_tolerances_reach_the_oracle(self, monkeypatch):
-        dec = Decomposition(L=np.eye(4), V=random_tight_frame(4, 8, 3))
-        tol = default_tolerances()._replace(oracle_tie=0.5)
-        seen = []
-
-        def spy(dec, t, tol=None):
-            seen.append(tol)
-            return exhaustive_best_subset(dec, t, tol)
-
-        monkeypatch.setattr(rinv.oracle, "exhaustive_best_subset", spy)
-        compare_to_guarantee(dec, 0.6, tol=tol)
-        assert seen == [tol]

@@ -12,7 +12,6 @@ from rinv import (
     Decomposition,
     compare_to_guarantee,
     compute_schedule,
-    default_tolerances,
     from_standard_basis,
     permuted,
     random_tight_frame,
@@ -463,8 +462,6 @@ class TestPostStepChecks:
     SelectionState.of before and after a walk's second step and a hand-set
     FeasibilityRecord."""
 
-    TOL = default_tolerances()
-
     @staticmethod
     def _second_step():
         dec = Decomposition(L=np.diag(np.linspace(1.0, 2.0, 6)), V=random_tight_frame(6, 12, 3))
@@ -477,14 +474,14 @@ class TestPostStepChecks:
 
     def test_recorded_step_passes(self):
         old, new, tr, rec = self._second_step()
-        _check_post_step(old, new, 2, tr.barrier_after, rec, tr.phi_before, self.TOL)
+        _check_post_step(old, new, 2, tr.barrier_after, rec)
 
     def test_barrier_count(self):
         old, new, tr, rec = self._second_step()
         b_prime = float(np.mean(new.lam))  # above the smaller of the two eigenvalues
         with pytest.raises(InvariantViolation,
                            match="barrier invariant failed at step 2: 1 eigenvalues above"):
-            _check_post_step(old, new, 2, b_prime, rec, tr.phi_before, self.TOL)
+            _check_post_step(old, new, 2, b_prime, rec)
 
     def test_rank_one_update_disagrees(self):
         old, new, tr, rec = self._second_step()
@@ -492,7 +489,7 @@ class TestPostStepChecks:
         rec = FeasibilityRecord(rec.quadform, lower, True)
         with pytest.raises(InvariantViolation,
                            match="disagrees with fresh recomputation at step 2"):
-            _check_post_step(old, new, 2, tr.barrier_after, rec, tr.phi_before, self.TOL)
+            _check_post_step(old, new, 2, tr.barrier_after, rec)
 
 
 class TestPotentialSplit:

@@ -5,9 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from rinv import random_tight_frame
+from rinv import (
+    Decomposition,
+    exhaustive_best_subset,
+    random_tight_frame,
+    run_selection,
+    validate,
+    verify,
+)
 from rinv.cli import main, mmwrite
-from rinv.errors import ParameterError
+from rinv.errors import ParameterError, RinvError
 from rinv.tolerances import Tolerances, default_tolerances
 
 
@@ -52,3 +59,43 @@ def test_env_scale_not_finite_positive_exits_1(monkeypatch, tmp_path, capsys, te
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("rinv: error: RI_TOLERANCE_SCALE")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def _ramp():
+    # The walk takes two steps here; its one-vector Gram at the first has its
+    # only eigenvalue at the top of the spectrum.
+    return Decomposition(L=np.diag(np.linspace(1.0, 2.0, 6)), V=random_tight_frame(6, 12, 3))
+
+
+SCALE_REACHES = {
+    # slack: (a scale, the instance, built at scale 1, the entry that reads
+    # the slack, its outcome at scale 1 and at the scale)
+    "identity_defect": (1e3, lambda: Decomposition(L=np.eye(3), V=(1 + 1e-6) * np.eye(3)),
+                        lambda dec: validate(dec) is dec, "DecompositionError", True),
+    # The generated frame's defect is about 1e-15, above 1e-18 x n.
+    "frame_generation": (1e-8, lambda: None, lambda _: random_tight_frame(8, 16, 0).shape,
+                         (16, 8), "DecompositionError"),
+    # The two rows' Gram has lambda_min about 5e-9 x the larger squared norm.
+    "independence": (1e3, lambda: Decomposition(L=np.eye(2), V=np.array([[1.0, 0.0], [1.0, 1e-4]])),
+                     lambda dec: verify(dec, 0.5, [0, 1]).independent, True, False),
+    # The second vector's squared norm is above the first's by 1e-10 relative.
+    "oracle_tie": (1e3, lambda: Decomposition(L=np.eye(2), V=np.diag([1.0, np.sqrt(1.0 + 1e-10)])),
+                   lambda dec: exhaustive_best_subset(dec, 1)[0], [1], [0]),
+    "kernel_threshold": (1e8, _ramp, lambda dec: run_selection(dec, 0.8).sigma,
+                         [0, 1], "InvariantViolation"),
+}
+
+
+@pytest.mark.parametrize("slack", SCALE_REACHES)
+def test_scale_reaches_each_entry(monkeypatch, slack):
+    # RI_TOLERANCE_SCALE is the only way to set a slack: each public entry
+    # that reads one reads it from the environment when it is called.
+    scale, instance, entry, at_one, at_scale = SCALE_REACHES[slack]
+    dec, outcomes = instance(), []
+    for value in (1.0, scale):
+        monkeypatch.setenv("RI_TOLERANCE_SCALE", repr(value))
+        try:
+            outcomes.append(entry(dec))
+        except RinvError as exc:
+            outcomes.append(type(exc).__name__)
+    assert outcomes == [at_one, at_scale]
