@@ -134,10 +134,10 @@ def _load_decomposition(args):
 
 def _emit(payload: dict, output=None):
     text = json.dumps(payload, indent=2) + "\n"
-    sys.stdout.write(text)
-    if output:
+    if output:  # first, so that a command that cannot write it prints nothing
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _cmd_select(args):
@@ -154,11 +154,11 @@ def _cmd_select(args):
 
 def _read_certificate(path, m: int):
     """The stored JSON object, its epsilon and its 0-based sigma; sigma's
-    entries must be 1-based indices in [1, m], and passes a JSON boolean."""
+    entries must be distinct 1-based indices in [1, m], and passes a JSON boolean."""
     try:
         with open(path, encoding="utf-8") as fh:
             stored = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise RinvError(f"cannot read certificate {path}: {exc}") from exc
     if not isinstance(stored, dict):
         raise CertificateFormatError(f"certificate {path} is not a JSON object")
@@ -174,6 +174,10 @@ def _read_certificate(path, m: int):
     bad = next((i for i in sigma if not 1 <= i <= m), None)
     if bad is not None:
         raise CertificateFormatError(f"certificate {path}: sigma entry {bad} is outside [1, {m}]")
+    ranked = sorted(sigma)
+    repeat = next((i for i, j in zip(ranked, ranked[1:]) if i == j), None)
+    if repeat is not None:
+        raise CertificateFormatError(f"certificate {path}: sigma entry {repeat} is repeated")
     if type(stored.get("passes")) is not bool:
         raise CertificateFormatError(
             f"certificate {path}: passes must be true or false, got {stored.get('passes')!r}"
@@ -257,13 +261,13 @@ def _build_parser():
     parser = _Parser(prog="rinv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_instance_flags(p, need_epsilon=True):
+    def add_instance_flags(p, walk=True):
         p.add_argument("--L", required=True, help="Matrix Market file with the operator L")
         p.add_argument("--V", help="Matrix Market m x n array, row i is v_i (default: standard basis)")
         p.add_argument("--mode", choices=["frame", "columns"], default="frame")
-        if need_epsilon:
+        if walk:
             p.add_argument("--epsilon", type=float, required=True)
-        p.add_argument("--pivot", choices=[PIVOT_FIRST, PIVOT_GREEDY], default=PIVOT_FIRST)
+            p.add_argument("--pivot", choices=[PIVOT_FIRST, PIVOT_GREEDY], default=PIVOT_FIRST)
         p.add_argument("--output", help="also write the JSON result to this path")
 
     p = sub.add_parser("select", help="run the barrier selection and certify the result")
@@ -272,7 +276,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("verify", help="recheck a stored JSON certificate")
-    add_instance_flags(p, need_epsilon=False)
+    add_instance_flags(p, walk=False)
     p.add_argument("--certificate", required=True)
     p.set_defaults(func=_cmd_verify)
 

@@ -83,8 +83,7 @@ class AtShift(NamedTuple):
     d0: float  # -1 / shift, (A - shift I)^{-1} on the implicit zero block (0 if it is empty)
     phi: float
     phi_image: float
-    phi_kernel: float  # -kernel_mass / shift (0 if the block is empty)
-    kernel_mass: float  # ||L^T Q||_F^2, Q the projection on the kernel of A
+    phi_kernel: float  # -mass0 / shift (0 if the block is empty)
 
 
 def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -242,7 +241,7 @@ class Spectrum(NamedTuple):
             d, d0 = d[:k], (float(d[k]) if self.n0 else 0.0)
             phi_image = float((self.mass * d).sum())
             self.at_memo[shift] = AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
-                                          -self.mass0 / shift if self.n0 else 0.0, self.mass0)
+                                          -self.mass0 / shift if self.n0 else 0.0)
         return self.at_memo[shift]
 
     def resolvent(self, shift: float) -> np.ndarray:
@@ -473,7 +472,7 @@ def check_step_preconditions(state: SelectionState, schedule: Schedule) -> Preco
 
     barrier_window_ok = 0.0 < schedule.delta < b
 
-    rhs_kernel = schedule.delta * at_bp.kernel_mass / schedule.spec_sq
+    rhs_kernel = schedule.delta * spec.mass0 / schedule.spec_sq
     kernel_mass_ok = b <= rhs_kernel + slack * abs(rhs_kernel)
 
     lhs = _t_frob_sq(state, b - schedule.delta)
@@ -629,7 +628,7 @@ def run_selection(
                 phi_after=rec.potential_after_add,
                 phi_image=split.phi_image,
                 phi_kernel=split.phi_kernel,
-                kernel_frob_sq=split.kernel_mass,
+                kernel_frob_sq=spec.mass0,
                 candidates_scanned=scanned,
                 quadform_margin=-1.0 - rec.quadform,
                 potential_margin=phi_before - rec.potential_after_add,

@@ -1,5 +1,7 @@
 """CLI round trips, exit codes, and output formats."""
 
+import contextlib
+import io
 import json
 import os
 import statistics
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import example, given, settings, strategies as st
 from scipy.io import mmread, mmwrite
 
 import rinv
@@ -376,6 +379,26 @@ class TestVerify:
         assert captured.err == (f"rinv: error: certificate {cert_path}: sigma entry {entry} "
                                 "is outside [1, 4]\n")
 
+    @pytest.mark.parametrize("sigma, entry", [([1, 1], 1), ([4, 2, 3, 2], 2)])
+    def test_certificate_repeated_index_exits_1(self, id4, tmp_path, capsys, sigma, entry):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"sigma": sigma, "epsilon": 0.5, "passes": True}))
+        assert main(["verify", "--L", id4, "--certificate", str(cert_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"rinv: error: certificate {cert_path}: sigma entry {entry} "
+                                "is repeated\n")
+
+    def test_deeply_nested_certificate_exits_1(self, id4, tmp_path, capsys):
+        # json.load raises RecursionError, not ValueError, past its nesting limit.
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["verify", "--L", id4, "--certificate", str(cert_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"rinv: error: cannot read certificate {cert_path}: ")
+        assert captured.err.count("\n") == 1
+
 
 def _counting_validate(monkeypatch):
     """Calls of validate through rinv.cli or rinv.selector, the two names it runs under."""
@@ -529,3 +552,95 @@ class TestUsage:
 
     def test_unknown_flag(self, id4):
         assert main(["select", "--L", id4, "--epsilon", "0.5", "--bogus"]) == 1
+
+    def test_pivot_only_for_walk_commands(self, id4, tmp_path, capsys):
+        # verify reads epsilon and sigma from the certificate and runs no walk.
+        cert_path = tmp_path / "cert.json"
+        assert main(["select", "--L", id4, "--epsilon", "0.5", "--pivot", "greedy",
+                     "--output", str(cert_path)]) == 0
+        for command in ("oracle", "bench"):
+            assert main([command, "--L", id4, "--epsilon", "0.5", "--pivot", "greedy"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--L", id4, "--certificate", str(cert_path),
+                     "--pivot", "first"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: rinv ")
+        assert captured.err.endswith("rinv: error: unrecognized arguments: --pivot first\n")
+        assert main(["verify", "--help"]) == 0
+        usage = capsys.readouterr().out
+        assert "--certificate" in usage
+        assert "--pivot" not in usage and "--epsilon" not in usage
+
+    @pytest.mark.parametrize("command", ["select", "verify", "oracle", "bench"])
+    def test_unwritable_output_prints_nothing(self, id4, tmp_path, capsys, command):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"sigma": [1], "epsilon": 0.5, "passes": True}))
+        rest = ["--certificate", str(cert_path)] if command == "verify" else ["--epsilon", "0.5"]
+        output = tmp_path / "missing" / "out.json"
+        assert main([command, "--L", id4, *rest, "--output", str(output)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rinv: i/o error: ")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def fuzz_instance(tmp_path_factory):
+    """A 24 x 24 L (V the standard basis, so m = 24) and the certificate path."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((24, 24)))
+    rinv.cli.mmwrite(str(folder / "L.mtx"), Q * np.linspace(1.0, 2.0, 24))
+    return str(folder / "L.mtx"), folder / "cert.json"
+
+
+# Strings from a fixed alphabet (quote, backslash, NUL, non-ASCII, a lone
+# surrogate): st.text's full alphabet costs a ~2 s charmap build on first use.
+_TEXT = st.text("a\u03c3\"\\\x00\ud800", max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.integers(10**30, 10**40) | _TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=10,
+)
+_CERTIFICATE = st.fixed_dictionaries({
+    "sigma": st.lists(st.integers(1, 24), max_size=6, unique=True),
+    "epsilon": st.sampled_from([0.5, 0.5, 0.25, 0.75]),
+    "passes": st.booleans(),
+})
+
+
+@st.composite
+def _near_valid(draw):
+    """A valid certificate, as it is or with one field replaced, or without passes."""
+    cert = draw(_CERTIFICATE)
+    key = draw(st.sampled_from([None, None, "sigma", "epsilon", "passes", "no passes"]))
+    if key == "no passes":
+        del cert["passes"]
+    elif key:
+        cert[key] = draw(st.lists(st.integers(-1, 26), max_size=6)
+                         | st.sampled_from([0.0, 1.0, -0.5, 2]) | st.floats() | _JSON)
+    return cert
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=(_JSON | _near_valid()).map(json.dumps))
+@example(text="[" * 100_000 + "]" * 100_000)
+@example(text='{"sigma": [1], "epsilon": 0.5, "passes": ' + "9" * 5000 + "}")
+@example(text='{"sigma": [1, 2], "epsilon": NaN, "passes": true}')
+@example(text='{"sigma": [1, 2], "epsilon": 0.5, "passes": true}')
+def test_verify_any_certificate_exits_cleanly(fuzz_instance, text):
+    """Any certificate text gives exit 0, 1 or 2 and no exception; exit 1
+    prints one error line and nothing on stdout."""
+    L_path, cert_path = fuzz_instance
+    cert_path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--L", L_path, "--certificate", str(cert_path)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("rinv: error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        report = json.loads(out.getvalue())
+        assert (code == 0) is (report["match"] and report["recomputed_passes"])
