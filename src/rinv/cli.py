@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or I/O error, 2 certificate failure.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -132,11 +133,15 @@ def _load_decomposition(args):
     return Decomposition(L=L, V=V, mode=mode)
 
 
-def _emit(payload: dict, output=None):
+def _emit(payload: dict, output=None, trace=None, steps=()):
+    """Print payload as JSON after writing it to output and steps, as JSON lines, to
+    trace. Both (os.devnull if not given) open first: if one cannot, nothing is written."""
     text = json.dumps(payload, indent=2) + "\n"
-    if output:  # first, so that a command that cannot write it prints nothing
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    lines = "".join(json.dumps(step) + "\n" for step in steps)
+    with open(output or os.devnull, "w", encoding="utf-8", newline="\n") as out, \
+            open(trace or os.devnull, "w", encoding="utf-8", newline="\n") as log:
+        out.write(text)
+        log.write(lines)
     sys.stdout.write(text)
 
 
@@ -144,11 +149,7 @@ def _cmd_select(args):
     dec = _load_decomposition(args)
     result = run_selection(dec, args.epsilon, pivot_rule=args.pivot)
     cert = verify(dec, args.epsilon, result.sigma)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-            for tr in result.traces:
-                fh.write(json.dumps(tr.to_dict()) + "\n")
-    _emit(cert.to_json_dict(), args.output)
+    _emit(cert.to_json_dict(), args.output, args.trace, (tr.to_dict() for tr in result.traces))
     return EXIT_OK if cert.passes else EXIT_CERT_FAIL
 
 

@@ -50,6 +50,11 @@ PIVOT_GREEDY = "greedy"
 FROB_SQ_RANGE = (np.finfo(float).tiny ** (1 / 3), np.finfo(float).max ** (1 / 3))
 # Rows a short Grams.read fills at once, with their L^T L products for append.
 READ_AHEAD = 16
+# Bytes of V in one row block of Grams.append's product, half a 2 MB per-core
+# L2. us per append (2-core Xeon, one BLAS thread) at 4096x64 / 2000x1000 /
+# 4000x2000: two GEMVs 192 / 1,655 / 10,011; 1 MB blocks 124 / 925 / 5,829; 4 MB
+# blocks 132 / 2,381 / 11,032.
+APPEND_BLOCK_BYTES = 2**20
 # ||L||_2^2 of the last L scheduled, as (a read-only C-ordered copy of L,
 # spec_sq): a verify after a run on the same L takes no second eigvalsh.
 _last_spec_sq: Optional[tuple] = None
@@ -125,7 +130,7 @@ class Grams:
     """
 
     __slots__ = ("V", "LtL", "VG", "LV", "has_lv", "taken", "g", "h", "tr_ltl", "ltl_sq",
-                 "G", "H", "CV", "Gss", "Hss", "J", "cols", "reach")
+                 "G", "H", "CV", "Gss", "Hss", "J", "cols", "reach", "pair", "out")
 
     @classmethod
     def of(cls, dec: Decomposition, sigma: Sequence[int] = (), capacity: int = 0,
@@ -143,6 +148,8 @@ class Grams:
         grams.G, grams.H, grams.CV = np.empty((cap, m)), np.empty((cap, m)), np.empty((cap, n))
         grams.Gss, grams.Hss, grams.J = (np.empty((cap, cap)) for _ in range(3))
         grams.cols, grams.reach = [], 0
+        rows = min(m, max(1, APPEND_BLOCK_BYTES // max(1, 8 * n)))  # append's row block of V
+        grams.pair, grams.out = np.empty((n, 2)), np.empty((rows, 2))  # [vg, lv], a block of V pair
         for i in sigma:
             grams.read(i + 1)
             grams.append(i)
@@ -173,15 +180,18 @@ class Grams:
         """Fill the row of the chosen candidate `index` (already read) on
         columns [0, reach), O(reach n), and the borders of Gss, Hss and J,
         O(n^2). With vg = VG[c] and lv = LtL vg (LV[c] if read ahead), which
-        J's border needs anyway, G's row is V vg and H's is V lv, so both
-        stream V alone and are written in place."""
-        k, c, reach = len(self.cols), int(index), self.reach
+        J's border needs anyway, G's row is V vg and H's is V lv: one pass
+        over V, a block of rows at a time, forms both."""
+        k, c, reach, pair, out = len(self.cols), int(index), self.reach, self.pair, self.out
         self.cols.append(c)
         self.taken[c] = True
         vg = self.CV[k] = self.VG[c]
         lv = self.LV[c] if self.has_lv[c] else self.LtL @ vg
-        np.matmul(self.V[:reach], vg, out=self.G[k, :reach])
-        np.matmul(self.V[:reach], lv, out=self.H[k, :reach])
+        pair[:, 0], pair[:, 1] = vg, lv
+        for start in range(0, reach, len(out)):
+            end = min(reach, start + len(out))
+            block = np.matmul(self.V[start:end], pair, out=out[:end - start])
+            self.G[k, start:end], self.H[k, start:end] = block[:, 0], block[:, 1]
         self.Gss[k, :k + 1] = self.Gss[:k + 1, k] = self.G[:k + 1, c]
         self.Hss[k, :k + 1] = self.Hss[:k + 1, k] = self.H[:k + 1, c]
         self.J[k, :k + 1] = self.J[:k + 1, k] = self.CV[:k + 1] @ lv

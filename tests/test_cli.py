@@ -57,6 +57,21 @@ class TestSelect:
         assert [l["step"] for l in lines] == [1, 2, 3]
         assert all(l["preconditions"]["averaging_ok"] for l in lines)
 
+    @pytest.mark.parametrize("unwritable", ["--output", "--trace"])
+    def test_unwritable_file_leaves_the_other_empty(self, id4, tmp_path, capsys, unwritable):
+        # A select that cannot open one of its files exits 1 with one i/o
+        # error line, prints nothing and writes nothing to the other file.
+        paths = {"--output": tmp_path / "cert.json", "--trace": tmp_path / "trace.jsonl"}
+        paths[unwritable] = tmp_path / "missing" / paths[unwritable].name
+        flags = [str(part) for pair in paths.items() for part in pair]
+        assert main(["select", "--L", id4, "--epsilon", "0.9", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rinv: i/o error: ")
+        assert captured.err.count("\n") == 1
+        written = next(path for flag, path in paths.items() if flag != unwritable)
+        assert not written.exists() or written.read_text() == ""
+
     def test_epsilon_out_of_range(self, id4, capsys):
         for command in ("select", "oracle", "bench"):
             assert main([command, "--L", id4, "--epsilon", "1.5"]) == 1

@@ -501,17 +501,29 @@ def _recorded_walk(dec, eps, pivot, monkeypatch):
     return run_selection(dec, eps, pivot_rule=pivot), steps
 
 
-@pytest.mark.parametrize("pivot", PIVOTS)
-def test_grams_filled_on_read_match_dense(pivot, monkeypatch):
+# id prefix: (n, m, blocks). One block of V; and three 512-row blocks (n = 256),
+# the last one partial.
+GRAM_CASES = {"": (64, 256, (1, 0)), "three-blocks-": (256, 1300, (2, 276))}
+
+
+@pytest.mark.parametrize("pivot, n, m, blocks",
+                         [(pivot, *case) for case in GRAM_CASES.values() for pivot in PIVOTS],
+                         ids=[label + pivot for label in GRAM_CASES for pivot in PIVOTS])
+def test_grams_filled_on_read_match_dense(pivot, n, m, blocks, monkeypatch):
     # The Grams hold columns in index order, filled on first read up to
     # reach, and rows in the order sigma was chosen. The walk runs on dec
     # permuted by order, so its index p is dec's order[p]. Every filled entry
     # must equal dec's dense V LtL V^T, VG VG^T and row norms, and the chosen
-    # rows and k x k blocks their entries at sigma.
-    dec = _ramp_instance(64, 256, 7)
+    # rows and k x k blocks their entries at sigma. append forms its rows of
+    # G and H in row blocks of V; blocks is (full blocks, rows in the last)
+    # over all m rows, which greedy reaches. A block rounds as a GEMM, so
+    # the walk is held to the reference within tolerance, not bit for bit.
+    dec = _ramp_instance(n, m, 7)
     order = np.random.default_rng(8).permutation(dec.m)
+    _check_against_reference(permuted(dec, order), 0.5, pivot)
     result, steps = _recorded_walk(permuted(dec, order), 0.5, pivot, monkeypatch)
     grams = steps[-1][0].grams
+    assert divmod(dec.m, len(grams.out)) == blocks
     assert len(result.sigma) == result.schedule.steps_t > 1
     assert grams.cols == result.sigma
     VG = dec.V @ dec.L.T @ dec.L
