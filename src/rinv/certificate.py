@@ -24,7 +24,9 @@ class Certificate(NamedTuple):
     """Independently recomputed evidence that sigma meets the guarantee.
 
     sigma is stored 0-based and sorted; lambda_min is +inf for the empty
-    subset so vacuous runs compare gracefully.
+    subset so vacuous runs compare gracefully. to_json_dict writes both that
+    +inf and a delta that overflowed (an epsilon near 0) as null: JSON has
+    no Infinity.
     """
 
     sigma: List[int]
@@ -48,7 +50,7 @@ class Certificate(NamedTuple):
             "bound": self.guarantee_bound,
             "stable_rank": self.stable_rank,
             "b0": self.b0,
-            "delta": self.delta,
+            "delta": self.delta if math.isfinite(self.delta) else None,
             "passes": self.passes,
             "vacuous": self.vacuous,
         }

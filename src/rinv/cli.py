@@ -18,7 +18,7 @@ import numpy as np
 
 from .certificate import verify
 from .decomposition import Decomposition, Mode, random_tight_frame, validate
-from .errors import CertificateFormatError, RinvError
+from .errors import CertificateFormatError, ParameterError, RinvError
 from .matrix_core import gram_min_eigenvalue
 from .selector import PIVOT_FIRST, PIVOT_GREEDY, run_selection
 
@@ -222,6 +222,9 @@ def _cmd_oracle(args):
 
 
 def _cmd_gen(args):
+    """Refuses, before it draws anything, an m x n that mmread would not read back."""
+    if args.m * args.n > MM_MAX_ENTRIES:
+        raise ParameterError(f"--m x --n = {args.m} x {args.n} exceeds {MM_MAX_ENTRIES} entries")
     V = random_tight_frame(args.n, args.m, args.seed)
     mmwrite(args.output, V)
     return EXIT_OK

@@ -55,13 +55,11 @@ def _real_array(X, name: str) -> np.ndarray:
     return X.astype(float, copy=False)
 
 
-def square_operator(L, name: str = "L") -> np.ndarray:
-    """L as a float array; DimensionError, naming it name, unless it is a
-    square 2-D real array."""
-    L = _real_array(L, name)
+def square_operator(L) -> np.ndarray:
+    """L as a float array; DimensionError unless it is a square 2-D real array."""
+    L = _real_array(L, "L")
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        hint = "; zero-pad rectangular inputs first" if name == "L" else ""
-        raise DimensionError(f"{name} must be square (got {L.shape}){hint}")
+        raise DimensionError(f"L must be square (got {L.shape}); zero-pad rectangular inputs first")
     return L
 
 

@@ -13,10 +13,6 @@ class DimensionError(RinvError):
     """Matrix/vector shapes are inconsistent or a non-square input was given."""
 
 
-class SymmetryError(RinvError):
-    """A matrix required to be symmetric is not, beyond tolerance."""
-
-
 class SingularShiftError(RinvError):
     """The requested shift coincides with an eigenvalue of the matrix."""
 
@@ -27,10 +23,6 @@ class ZeroOperatorError(RinvError):
 
 class NormRangeError(RinvError):
     """||L||_F^2 is outside the float range the barrier walk can compute in."""
-
-
-class EmptySetError(RinvError):
-    """An empty vector collection was given where a nonempty one is required."""
 
 
 class DecompositionError(RinvError):

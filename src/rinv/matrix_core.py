@@ -9,31 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import square_operator
-from .errors import (
-    DimensionError,
-    EmptySetError,
-    InvariantViolation,
-    SingularShiftError,
-    SymmetryError,
-)
+from .errors import DimensionError, InvariantViolation, SingularShiftError
 from .tolerances import Tolerances, default_tolerances
-
-
-def sym_eigendecomposition(S):
-    """(lam, U) of a symmetric matrix: eigenvalues descending, column U[:, i]
-    the orthonormal eigenvector of lam[i]."""
-    S = square_operator(S, "matrix")
-    if not np.all(np.isfinite(S)):
-        raise DimensionError("matrix contains non-finite entries")
-    scale = float(np.abs(S).max(initial=0.0))
-    asym = float(np.abs(S - S.T).max(initial=0.0))
-    if asym > default_tolerances().symmetry_rtol * scale:
-        raise SymmetryError(
-            f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}"
-        )
-    lam, U = np.linalg.eigh(S)
-    return lam[::-1].copy(), U[:, ::-1].copy()
 
 
 def shifted_spectrum(lam, shift: float, tol: Tolerances) -> np.ndarray:
@@ -54,29 +31,23 @@ def shifted_spectrum(lam, shift: float, tol: Tolerances) -> np.ndarray:
 
 
 def shifted_inverse(S, shift: float) -> np.ndarray:
-    """Inverse of S - shift*I, computed spectrally.
+    """Inverse of S - shift*I for a symmetric S, computed spectrally from
+    one eigh, which reads S's lower triangle.
 
     Raises SingularShiftError when the shift sits on an eigenvalue of S.
     """
-    lam, U = sym_eigendecomposition(S)
+    lam, U = np.linalg.eigh(S)
     return (U * shifted_spectrum(lam, shift, default_tolerances())) @ U.T
-
-
-def frobenius_norm_sq(L) -> float:
-    """Squared Frobenius norm, sum of squared entries."""
-    L = np.asarray(L, dtype=float)
-    return float(np.sum(L * L))
 
 
 def gram_min_eigenvalue(vectors: Sequence[np.ndarray]) -> float:
     """Smallest eigenvalue of the Gram matrix of the given vectors.
 
     Equals the smallest eigenvalue of sum_i w_i w_i^T restricted to
-    span{w_i}; strictly positive iff the set is linearly independent.
+    span{w_i}; strictly positive iff the set is linearly independent. The
+    vectors are one or more equal-length rows.
     """
     W = np.asarray(vectors, dtype=float)
-    if W.ndim != 2 or W.shape[0] == 0:
-        raise EmptySetError("need a nonempty list of equal-length vectors")
     G = W @ W.T
     return float(np.linalg.eigvalsh(G)[0])
 

@@ -34,13 +34,7 @@ from .errors import (
     ParameterError,
     ZeroOperatorError,
 )
-from .matrix_core import (
-    check_interlacing,
-    frobenius_norm_sq,
-    shifted_inverse,
-    shifted_spectrum,
-    sym_eigendecomposition,
-)
+from .matrix_core import check_interlacing, shifted_inverse, shifted_spectrum
 from .tolerances import Tolerances, default_tolerances
 
 PIVOT_FIRST = "first"
@@ -337,7 +331,9 @@ def compute_schedule(L, m: int, epsilon: float) -> Schedule:
     eigenvalue of L^T L. When eps^2 times the stable rank is below 1 the
     schedule is vacuous (t = 0). ParameterError unless m is a positive
     integer at most the largest float and epsilon a real in (0, 1), DimensionError
-    unless L is square, NormRangeError when ||L||_F^2 is outside FROB_SQ_RANGE.
+    unless L is square, NormRangeError when ||L||_F^2 is outside FROB_SQ_RANGE,
+    InvariantViolation unless t delta < b0 and the final barrier b0 - t delta
+    is at least the guarantee bound, to a relative 1e-12.
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ParameterError(f"m must be a positive integer, got {m!r}")
@@ -359,7 +355,7 @@ def _schedule(L, m: int, epsilon: float):
         raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
     epsilon, L = float(epsilon), np.asarray(L, dtype=float)
     with np.errstate(over="ignore"):
-        frob_sq = frobenius_norm_sq(L)
+        frob_sq = float(np.sum(L * L))
     if frob_sq == 0.0 and not L.any():
         raise ZeroOperatorError("cannot schedule the zero operator")
     lo, hi = FROB_SQ_RANGE
@@ -380,14 +376,20 @@ def _schedule(L, m: int, epsilon: float):
     t = int(math.floor(epsilon * epsilon * (frob_sq / spec_sq)))
     b0 = (1.0 - epsilon) * frob_sq / m
     delta = (1.0 - epsilon) * spec_sq / (epsilon * m)
+    schedule = Schedule(
+        epsilon=epsilon, b0=b0, delta=delta, steps_t=t, m=m,
+        frob_sq=frob_sq, spec_sq=spec_sq,
+    )
     if t >= 1 and not t * delta < b0:
         raise InvariantViolation(
             f"schedule inconsistent: t*delta = {t * delta} >= b0 = {b0}"
         )
-    return Schedule(
-        epsilon=epsilon, b0=b0, delta=delta, steps_t=t, m=m,
-        frob_sq=frob_sq, spec_sq=spec_sq,
-    ), LtL
+    final_b, bound = b0 - delta * t, schedule.guarantee_bound
+    if t >= 1 and final_b < bound - 1e-12 * abs(bound):
+        raise InvariantViolation(
+            f"final barrier {final_b} fell below the promised bound {bound}"
+        )
+    return schedule, LtL
 
 
 def potential(A, b: float, L) -> float:
@@ -404,7 +406,7 @@ def potential_split(A, b_prime: float, L):
     projection of A. One eigh of A; the reference for Spectrum.at.
     """
     tol = default_tolerances()
-    lam, U = sym_eigendecomposition(A)
+    lam, U = np.linalg.eigh(A)
     LtU = np.asarray(L, dtype=float).T @ U
     mass = np.sum(LtU * LtU, axis=0)
     kernel = lam <= _band_edge(lam, tol)
@@ -602,8 +604,8 @@ def run_selection(
     takes only a candidate whose potential does not increase, and after
     every step the barrier count, eigenvalue interlacing and the rank-one
     update identity are checked on the spectrum from the Gram of the chosen
-    rows, which the next step reads; the final barrier is checked against
-    the promised bound.
+    rows, which the next step reads. The schedule checks the final barrier
+    against the promised bound before the first step.
     """
     dec, tol = validate(dec), default_tolerances()
     if pivot_rule not in (PIVOT_FIRST, PIVOT_GREEDY):
@@ -646,11 +648,4 @@ def run_selection(
             )
         )
         state = SelectionState(sigma, b_prime, spec_new, grams)
-
-    final_b = schedule.b0 - schedule.delta * schedule.steps_t
-    if final_b < schedule.guarantee_bound - 1e-12 * abs(schedule.guarantee_bound):
-        raise InvariantViolation(
-            f"final barrier {final_b} fell below the promised bound "
-            f"{schedule.guarantee_bound}"
-        )
     return SelectionResult(sigma=state.sigma, schedule=schedule, traces=traces)

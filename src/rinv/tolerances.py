@@ -17,7 +17,6 @@ from .errors import ParameterError
 
 class Tolerances(NamedTuple):
     # matrix primitives
-    symmetry_rtol: float = 1e-12       # x max |S_ij|
     shift_gap: float = 1e-12           # x max(|shift|, ||S||_2)
     # decomposition validation
     identity_defect: float = 1e-8      # x n

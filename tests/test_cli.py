@@ -142,6 +142,29 @@ class TestGen:
         assert captured.err == "rinv: error: a tight frame needs m >= n (got m=3, n=4)\n"
         assert not (tmp_path / "v.mtx").exists()
 
+    def test_oversize_exits_1_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # m x n above MM_MAX_ENTRIES, which mmread would refuse, is rejected
+        # before random_tight_frame allocates anything.
+        def no_draw(*args):
+            raise AssertionError("random_tight_frame was called")
+
+        monkeypatch.setattr(rinv.cli, "random_tight_frame", no_draw)
+        out = tmp_path / "V.mtx"
+        assert main(["gen", "--n", "1000000", "--m", "1000000", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "rinv: error: --m x --n = 1000000 x 1000000 exceeds 134217728 entries\n"
+        )
+        assert not out.exists()
+
+    def test_size_cap_boundary(self, tmp_path, monkeypatch):
+        # m x n at the cap is written; one row more is refused.
+        monkeypatch.setattr(rinv.cli, "MM_MAX_ENTRIES", 6)
+        assert main(["gen", "--n", "2", "--m", "3", "--output", str(tmp_path / "a.mtx")]) == 0
+        assert main(["gen", "--n", "2", "--m", "4", "--output", str(tmp_path / "b.mtx")]) == 1
+        assert not (tmp_path / "b.mtx").exists()
+
     def test_python_dash_m(self, tmp_path):
         from rinv import random_tight_frame
 
@@ -330,6 +353,24 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["match"] is True
         assert report["recomputed_passes"] is True
+
+    def test_overflowed_delta_is_null(self, id4, tmp_path, capsys):
+        # At epsilon = 1e-310 the run is vacuous and delta = (1 - eps) / (4 eps)
+        # overflows; select and verify print it as null, not as Infinity,
+        # which RFC 8259 JSON does not have.
+        def strict(text):
+            def reject(constant):
+                raise ValueError(f"not JSON: {constant}")
+
+            return json.loads(text, parse_constant=reject)
+
+        cert_path = tmp_path / "cert.json"
+        assert main(["select", "--L", id4, "--epsilon", "1e-310", "--output", str(cert_path)]) == 0
+        cert = strict(capsys.readouterr().out)
+        assert (cert["delta"], cert["vacuous"], cert["passes"]) == (None, True, True)
+        assert strict(cert_path.read_text()) == cert
+        assert main(["verify", "--L", id4, "--certificate", str(cert_path)]) == 0
+        assert strict(capsys.readouterr().out)["recomputed"] == cert
 
     def test_failing_certificate_exits_2(self, tmp_path, capsys):
         # two columns mapping to the same direction: dependent selection

@@ -3,65 +3,10 @@
 import numpy as np
 import pytest
 
-from rinv.matrix_core import (
-    check_interlacing,
-    frobenius_norm_sq,
-    gram_min_eigenvalue,
-    shifted_inverse,
-    sym_eigendecomposition,
-)
-from rinv.errors import (
-    DimensionError,
-    EmptySetError,
-    InvariantViolation,
-    SingularShiftError,
-    SymmetryError,
-)
+from rinv.matrix_core import check_interlacing, gram_min_eigenvalue, shifted_inverse
+from rinv.errors import InvariantViolation, SingularShiftError
 from rinv.selector import candidate_feasible, potential
 from rinv.tolerances import default_tolerances
-
-
-class TestEigendecomposition:
-    def test_identity(self):
-        lam, U = sym_eigendecomposition(np.eye(3))
-        np.testing.assert_allclose(lam, [1, 1, 1])
-
-    def test_diagonal(self):
-        lam, U = sym_eigendecomposition(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(lam, [3, 1])
-        np.testing.assert_allclose(np.abs(U), np.eye(2), atol=1e-14)
-
-    def test_descending_and_reconstruction(self):
-        rng = np.random.default_rng(0)
-        S = rng.standard_normal((5, 5))
-        S = S + S.T
-        lam, U = sym_eigendecomposition(S)
-        assert np.all(np.diff(lam) <= 0)
-        scale = max(1.0, np.abs(S).max())
-        assert np.abs((U * lam) @ U.T - S).max() <= 1e-10 * scale
-        np.testing.assert_allclose(U.T @ U, np.eye(5), atol=1e-10)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DimensionError):
-            sym_eigendecomposition(np.ones((2, 3)))
-
-    @pytest.mark.parametrize("bad, message", [
-        (np.ones((2, 3)), r"matrix must be square \(got \(2, 3\)\)$"),
-        (np.eye(2) * 1j, "matrix must be a rectangular array of real numbers$"),
-    ])
-    def test_shape_errors_name_the_matrix(self, bad, message):
-        # Not "L must be ...": the matrix is not the operator L.
-        for call in (sym_eigendecomposition, lambda S: shifted_inverse(S, 0.5)):
-            with pytest.raises(DimensionError, match=f"^{message}"):
-                call(bad)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(SymmetryError):
-            sym_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_symmetry_check_is_relative_at_small_scale(self):
-        with pytest.raises(SymmetryError):
-            sym_eigendecomposition(1e-14 * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestShiftedInverse:
@@ -120,11 +65,6 @@ class TestShermanMorrison:
         assert rec.potential_after_add == pytest.approx(direct, rel=1e-9)
 
 
-class TestNorms:
-    def test_identity(self):
-        assert frobenius_norm_sq(np.eye(4)) == pytest.approx(4.0)
-
-
 class TestGramMinEigenvalue:
     def test_orthonormal_pair(self):
         assert gram_min_eigenvalue([np.eye(3)[0], np.eye(3)[1]]) == pytest.approx(1.0, abs=1e-12)
@@ -135,10 +75,6 @@ class TestGramMinEigenvalue:
 
     def test_single_vector(self):
         assert gram_min_eigenvalue([np.array([3.0, 0.0])]) == pytest.approx(9.0)
-
-    def test_empty(self):
-        with pytest.raises(EmptySetError):
-            gram_min_eigenvalue([])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_orthonormal_subset_is_one(self, seed):

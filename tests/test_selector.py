@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rinv.selector
 from rinv import (
     Decomposition,
     compare_to_guarantee,
@@ -31,6 +32,7 @@ from rinv.matrix_core import gram_min_eigenvalue
 from rinv.selector import (
     FROB_SQ_RANGE,
     FeasibilityRecord,
+    Schedule,
     SelectionState,
     _check_post_step,
     candidate_feasible,
@@ -104,6 +106,22 @@ class TestComputeSchedule:
     def test_zero_operator(self):
         with pytest.raises(ZeroOperatorError):
             compute_schedule(np.zeros((2, 2)), 2, 0.5)
+
+    def test_final_barrier_below_the_bound_fails_before_the_walk(self, monkeypatch):
+        # The final barrier b0 - t delta is checked where the schedule is
+        # made, so a walk on an inconsistent schedule takes no step.
+        monkeypatch.setattr(Schedule, "guarantee_bound", property(lambda s: s.b0))
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("the walk took a step")
+
+        monkeypatch.setattr(rinv.selector, "select_next", no_step)
+        dec = Decomposition(L=np.eye(4), V=random_tight_frame(4, 8, 0))
+        message = "final barrier .* fell below the promised bound"
+        with pytest.raises(InvariantViolation, match=message):
+            compute_schedule(np.eye(4), 4, 0.5)
+        with pytest.raises(InvariantViolation, match=message):
+            run_selection(dec, 0.5)
 
     @pytest.mark.parametrize("m", [2.5, 0, -3, True, "4", None],
                              ids=["float", "zero", "negative", "bool", "str", "none"])
