@@ -133,11 +133,14 @@ def _load_decomposition(args):
     return Decomposition(L=L, V=V, mode=mode)
 
 
-def _emit(payload: dict, output=None, trace=None, steps=()):
-    """Print payload as JSON after writing it to output and steps, as JSON lines, to
+def _json_lines(traces) -> str:
+    return "".join(json.dumps(tr.to_dict()) + "\n" for tr in traces)
+
+
+def _emit(payload: dict, output=None, trace=None, traces=()):
+    """Print payload as JSON after writing it to output and traces, as JSON lines, to
     trace. Both (os.devnull if not given) open first: if one cannot, nothing is written."""
-    text = json.dumps(payload, indent=2) + "\n"
-    lines = "".join(json.dumps(step) + "\n" for step in steps)
+    text, lines = json.dumps(payload, indent=2) + "\n", _json_lines(traces)
     with open(output or os.devnull, "w", encoding="utf-8", newline="\n") as out, \
             open(trace or os.devnull, "w", encoding="utf-8", newline="\n") as log:
         out.write(text)
@@ -147,9 +150,15 @@ def _emit(payload: dict, output=None, trace=None, steps=()):
 
 def _cmd_select(args):
     dec = _load_decomposition(args)
-    result = run_selection(dec, args.epsilon, pivot_rule=args.pivot)
+    try:
+        result = run_selection(dec, args.epsilon, pivot_rule=args.pivot)
+    except RinvError as exc:
+        if exc.traces is not None and args.trace is not None:  # a step failed; no --output
+            with open(args.trace, "w", encoding="utf-8", newline="\n") as log:
+                log.write(_json_lines(exc.traces))
+        raise
     cert = verify(dec, args.epsilon, result.sigma)
-    _emit(cert.to_json_dict(), args.output, args.trace, (tr.to_dict() for tr in result.traces))
+    _emit(cert.to_json_dict(), args.output, args.trace, result.traces)
     return EXIT_OK if cert.passes else EXIT_CERT_FAIL
 
 

@@ -2,7 +2,10 @@
 
 
 class RinvError(Exception):
-    """Base class for all rinv errors."""
+    """Base class for all rinv errors. traces is None, or, for one raised by a
+    step of run_selection, the StepTraces of the steps completed before it."""
+
+    traces = None
 
 
 class ParameterError(RinvError):

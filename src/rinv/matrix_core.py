@@ -14,15 +14,16 @@ from .tolerances import Tolerances, default_tolerances
 
 
 def shifted_spectrum(lam, shift: float, tol: Tolerances) -> np.ndarray:
-    """Eigenvalues 1 / (lam - shift) of (S - shift*I)^{-1}, given those of S.
+    """Eigenvalues 1 / (lam - shift) of (S - shift*I)^{-1}, given those of S
+    sorted, ascending (eigh) or descending (the walk's poles).
 
     Raises SingularShiftError when the shift is within shift_gap * max(|shift|, ||S||)
-    of an eigenvalue of S.
+    of an eigenvalue of S, with ||S|| read from the two ends of lam.
     """
     lam = np.asarray(lam, dtype=float)
     diff = lam - shift
-    scale = max(abs(shift), float(np.abs(lam).max(initial=0.0)))
-    gap = float(np.abs(diff).min())
+    scale = max(abs(shift), abs(float(lam[0])), abs(float(lam[-1]))) if len(lam) else abs(shift)
+    gap = float(np.abs(diff).min(initial=np.inf))
     if gap <= tol.shift_gap * scale:
         raise SingularShiftError(
             f"shift {shift} is within {gap:.3e} of an eigenvalue"

@@ -13,15 +13,23 @@ greedy forms all m. A step's Spectrum holds the k nonzero eigenpairs of A,
 from an eigh of the k x k Gram of the chosen rows L v_i, plus an implicit
 zero block on the other n - k directions, and every potential, candidate
 test, diagnostic and trace value is read from k x k matrices and the Gram
-rows of the chosen indices, kept in the order they were chosen. The
-spectrum of the k + 1 rows taken after the step is the next step's;
+rows of the chosen indices, kept in the order they were chosen.
+
+run_selection validates, schedules and sets up the empty state and its
+spectrum at b0, then loops over _step. A step evaluates its spectrum once at
+b' = b - delta and forms the resolvent K(b') from that AtShift once; its
+AtShift at b is the one the previous step's post-step check made. It passes
+these values to its phases in order: check_step_preconditions, select_next,
+Grams.append of the chosen row, Spectrum.of the k + 1 chosen rows (the next
+step's spectrum), _check_post_step (which returns that spectrum at b', the
+next step's b) and the StepTrace.
 potential and potential_split are references from one eigh of a dense A.
 """
 
 import math
 import numbers
 import sys
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -32,6 +40,7 @@ from .errors import (
     InvariantViolation,
     NormRangeError,
     ParameterError,
+    RinvError,
     ZeroOperatorError,
 )
 from .matrix_core import check_interlacing, shifted_inverse, shifted_spectrum
@@ -114,7 +123,8 @@ class Grams:
     index, CV[j] = VG[c], G[j, p] = V[p] VG[c]^T and H[j, p] = VG[p]
     VG[c]^T, entries of the Grams W W^T (rows w) and VG VG^T. The k x k
     blocks Gss = G[:, cols], Hss = H[:, cols] and J = CV LtL CV^T are
-    bordered once per chosen index, and taken[p] is set once p is chosen.
+    bordered once per chosen index, taken[p] is set once p is chosen and
+    ranked holds the chosen indices in increasing order.
     read(e) fills columns [reach, e) of every chosen row and append the new
     row on columns [0, reach), up to `capacity` rows, so each entry is
     computed once and every block a step reads is a view. A read of at most
@@ -124,7 +134,7 @@ class Grams:
     """
 
     __slots__ = ("V", "LtL", "VG", "LV", "has_lv", "taken", "g", "h", "tr_ltl", "ltl_sq",
-                 "G", "H", "CV", "Gss", "Hss", "J", "cols", "reach", "pair", "out")
+                 "G", "H", "CV", "Gss", "Hss", "J", "cols", "ranked", "reach", "pair", "out")
 
     @classmethod
     def of(cls, dec: Decomposition, sigma: Sequence[int] = (), capacity: int = 0,
@@ -141,7 +151,7 @@ class Grams:
         grams.tr_ltl, grams.ltl_sq = float(np.trace(LtL)), float(np.sum(LtL * LtL))
         grams.G, grams.H, grams.CV = np.empty((cap, m)), np.empty((cap, m)), np.empty((cap, n))
         grams.Gss, grams.Hss, grams.J = (np.empty((cap, cap)) for _ in range(3))
-        grams.cols, grams.reach = [], 0
+        grams.cols, grams.ranked, grams.reach = [], [], 0
         rows = min(m, max(1, APPEND_BLOCK_BYTES // max(1, 8 * n)))  # append's row block of V
         grams.pair, grams.out = np.empty((n, 2)), np.empty((rows, 2))  # [vg, lv], a block of V pair
         for i in sigma:
@@ -178,6 +188,7 @@ class Grams:
         over V, a block of rows at a time, forms both."""
         k, c, reach, pair, out = len(self.cols), int(index), self.reach, self.pair, self.out
         self.cols.append(c)
+        insort(self.ranked, c)
         self.taken[c] = True
         vg = self.CV[k] = self.VG[c]
         lv = self.LV[c] if self.has_lv[c] else self.LtL @ vg
@@ -200,9 +211,10 @@ class Spectrum(NamedTuple):
     diagonal holds the column masses ||L^T u_j||^2 (kept as mass), and the
     block's mass mass0 = ||L||_F^2 - tr M. poles is lam (a view of its
     head) followed, for a nonempty block, by its one eigenvalue 0: the values
-    the shift-gap check sees, descending. at() uses of()'s tol and keeps each
-    result per shift in at_memo, so a step evaluates each shift once;
-    resolvent() keeps the k x k K of a shift in K_memo the same way."""
+    the shift-gap check sees, descending. at() uses of()'s tol and keeps
+    nothing: _step calls it once at b' and hands that AtShift and its
+    resolvent_at to the phases, and the post-step check calls it once on the
+    next spectrum, at the next step's b."""
 
     lam: np.ndarray
     R: np.ndarray
@@ -212,8 +224,6 @@ class Spectrum(NamedTuple):
     n0: int
     mass0: float
     tol: Tolerances
-    at_memo: dict
-    K_memo: dict
 
     @classmethod
     def of(cls, grams: Grams, tol: Tolerances) -> "Spectrum":
@@ -234,28 +244,27 @@ class Spectrum(NamedTuple):
         R = np.asfortranarray(P) / np.sqrt(lam)  # column-major: M's rounding depends on R's layout
         M = R.T @ grams.Hss[:k, :k] @ R
         mass0 = grams.tr_ltl - float(M.trace()) if n0 else 0.0
-        return cls(lam, R, M, M.diagonal(), poles, n0, mass0, tol, {}, {})
+        return cls(lam, R, M, M.diagonal(), poles, n0, mass0, tol)
 
     def at(self, shift: float) -> AtShift:
         """Phi = sum_j mass_j / (lam_j - shift) - mass0 / shift and its split;
         SingularShiftError when the shift sits on an eigenvalue, the block's 0 included."""
-        if shift not in self.at_memo:
-            k = len(self.lam)
-            d = shifted_spectrum(self.poles, shift, self.tol)
-            d, d0 = d[:k], (float(d[k]) if self.n0 else 0.0)
-            phi_image = float((self.mass * d).sum())
-            self.at_memo[shift] = AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
-                                          -self.mass0 / shift if self.n0 else 0.0)
-        return self.at_memo[shift]
+        k = len(self.lam)
+        d = shifted_spectrum(self.poles, shift, self.tol)
+        d, d0 = d[:k], (float(d[k]) if self.n0 else 0.0)
+        phi_image = float((self.mass * d).sum())
+        return AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
+                       -self.mass0 / shift if self.n0 else 0.0)
 
     def resolvent(self, shift: float) -> np.ndarray:
-        """K = R diag(d - d0) R^T at shift, so that (A - shift I)^{-1} =
-        W_sigma^T K W_sigma + d0 I: the k x k matrix through which the scan
-        and the averaging test see the resolvent."""
-        if shift not in self.K_memo:
-            at = self.at(shift)
-            self.K_memo[shift] = (self.R * (at.d - at.d0)) @ self.R.T
-        return self.K_memo[shift]
+        """resolvent_at(at(shift))."""
+        return self.resolvent_at(self.at(shift))
+
+    def resolvent_at(self, at: AtShift) -> np.ndarray:
+        """K = R diag(d - d0) R^T at the shift at was evaluated at, so that
+        (A - shift I)^{-1} = W_sigma^T K W_sigma + d0 I: the k x k matrix
+        through which the scan and the averaging test see the resolvent."""
+        return (self.R * (at.d - at.d0)) @ self.R.T
 
 
 class SelectionState(NamedTuple):
@@ -452,19 +461,22 @@ def candidate_feasible(
     return FeasibilityRecord(quadform, potential_after_add, feasible, reason)
 
 
-def _t_frob_sq(state: SelectionState, shift: float) -> float:
+def _t_frob_sq(state: SelectionState, at: AtShift, K: np.ndarray) -> float:
     """||T||_F^2 for T = L^T (A - shift I)^{-1} L = VG_sigma^T K VG_sigma + d0 LtL,
-    K the resolvent at shift and D = diag(d - d0): tr(DMDM) + 2 d0 sum(J o K)
-    + d0^2 ||LtL||_F^2, since tr(VG_sigma^T K VG_sigma LtL) = tr(K J)."""
-    spec, grams = state.spectrum, state.grams
-    at, k = spec.at(shift), len(grams.cols)
+    with at and K the spectrum's values at shift and D = diag(d - d0):
+    tr(DMDM) + 2 d0 sum(J o K) + d0^2 ||LtL||_F^2, since
+    tr(VG_sigma^T K VG_sigma LtL) = tr(K J)."""
+    spec, grams, k = state.spectrum, state.grams, len(state.grams.cols)
     DM = (at.d - at.d0)[:, None] * spec.M
-    return float((DM * DM.T).sum() + 2.0 * at.d0 * (grams.J[:k, :k] * spec.resolvent(shift)).sum()
+    return float((DM * DM.T).sum() + 2.0 * at.d0 * (grams.J[:k, :k] * K).sum()
                  + at.d0 * at.d0 * grams.ltl_sq)
 
 
-def check_step_preconditions(state: SelectionState, schedule: Schedule) -> PreconditionDiagnostics:
-    """Diagnostics guaranteeing a feasible candidate exists at this step.
+def check_step_preconditions(state: SelectionState, schedule: Schedule, at_b: AtShift,
+                             at_bp: AtShift, K: np.ndarray) -> PreconditionDiagnostics:
+    """Diagnostics guaranteeing a feasible candidate exists at this step, from
+    state.spectrum's values at the barrier b (at_b) and at b' = b - delta
+    (at_bp, and K = its resolvent_at(at_bp)).
 
     potential_ok:       Phi_b(A) <= -m - ||L||_2^2 / delta
     barrier_window_ok:  0 < delta < b
@@ -474,9 +486,7 @@ def check_step_preconditions(state: SelectionState, schedule: Schedule) -> Preco
     Failures surface as flags, never exceptions; the slack is the one
     state.spectrum was built with.
     """
-    spec = state.spectrum
-    b = state.barrier_b
-    at_b, at_bp = spec.at(b), spec.at(b - schedule.delta)
+    spec, b = state.spectrum, state.barrier_b
     slack = spec.tol.precondition_slack
 
     target = -schedule.m - schedule.spec_sq / schedule.delta
@@ -487,7 +497,7 @@ def check_step_preconditions(state: SelectionState, schedule: Schedule) -> Preco
     rhs_kernel = schedule.delta * spec.mass0 / schedule.spec_sq
     kernel_mass_ok = b <= rhs_kernel + slack * abs(rhs_kernel)
 
-    lhs = _t_frob_sq(state, b - schedule.delta)
+    lhs = _t_frob_sq(state, at_bp, K)
     rhs = (at_b.phi - at_bp.phi) * (-schedule.m - at_bp.phi)
     averaging_ok = lhs <= rhs + slack * abs(rhs)
 
@@ -503,16 +513,23 @@ def _pick(quad, after, phi_before: float, first: bool, free):
     return int(i) if ok[i] else None
 
 
-def select_next(state: SelectionState, schedule: Schedule, pivot_rule: str = PIVOT_FIRST):
-    """Choose the next index to add at the lowered barrier b - delta;
-    returns (index, FeasibilityRecord, candidates scanned).
+def select_next(state: SelectionState, schedule: Schedule, at_b: AtShift, at_bp: AtShift,
+                K: np.ndarray, pivot_rule: str = PIVOT_FIRST):
+    """Choose the next index to add at the lowered barrier b' = b - delta;
+    returns (index, FeasibilityRecord, candidates scanned). at_b, at_bp and
+    K are state.spectrum's values at b and b', as check_step_preconditions
+    takes them.
 
     FirstFeasible returns the smallest feasible index; GreedyMinPotential
     the feasible index with smallest updated potential, ties broken by the
-    smaller index; pivot_rule comes checked from run_selection. A candidate
-    is feasible only if it passes both tests exactly: the barrier argument
-    guarantees one whenever the step's preconditions hold. When none does,
-    InfeasibilityError names the step and the best margins.
+    smaller index only where they are exact in floating point: candidates
+    tied in exact arithmetic can round apart, and the least rounded value
+    wins (the harmonic frame in R^16 with m = 40 and L = I ties all 40 at
+    step 1 and gives index 6 first). pivot_rule comes checked from
+    run_selection. A candidate is feasible only if it passes both tests
+    exactly: the barrier argument guarantees one whenever the step's
+    preconditions hold. When none does, InfeasibilityError names the step
+    and the best margins.
 
     Blocks of candidates are tested at once, each O(k^2) once its Gram rows
     are read: FirstFeasible tests blocks of 1, 2, 4, ... of the candidates
@@ -528,15 +545,11 @@ def select_next(state: SelectionState, schedule: Schedule, pivot_rule: str = PIV
     The blocks' free columns are gathered only when no block has a hit, for
     the error's margins.
     """
-    first = pivot_rule == PIVOT_FIRST
-    spec, grams, k = state.spectrum, state.grams, len(state.sigma)
-    b_prime = state.barrier_b - schedule.delta
-    phi_before = spec.at(state.barrier_b).phi
-    at_bp, K = spec.at(b_prime), spec.resolvent(b_prime)
-    d0, H_ss = at_bp.d0, grams.Hss[:k, :k]
+    first, grams, k = pivot_rule == PIVOT_FIRST, state.grams, len(state.sigma)
+    phi_before, d0, H_ss = at_b.phi, at_bp.d0, grams.Hss[:k, :k]
     # The candidates left below the j-th smallest taken index number gaps[j],
     # so the p-th candidate left is index p + bisect_right(gaps, p).
-    gaps = [c - j for j, c in enumerate(sorted(grams.cols))]
+    gaps = [c - j for j, c in enumerate(grams.ranked)]
     n_left = len(grams.V) - k
 
     # NaN marks a zero vector: it passes no test.
@@ -571,12 +584,13 @@ def select_next(state: SelectionState, schedule: Schedule, pivot_rule: str = PIV
     )
 
 
-def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec):
+def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec) -> AtShift:
     """Runtime invariant checks after a rank-one acceptance, on the spectra of
     A and A + w w^T, both zero past old.poles (k_next - 1 eigenvalues and a 0),
-    with the slacks new was built with. The potential is not checked:
-    select_next returns a record only when its potential_after_add is at most
-    the potential before the step exactly."""
+    with the slacks new was built with; returns new.at(b_prime), the next
+    step's value at its barrier. The potential is not checked: select_next
+    returns a record only when its potential_after_add is at most the
+    potential before the step exactly."""
     check_interlacing(old.poles, new.lam, new.tol.interlacing_slack)
     above = int(np.count_nonzero(new.lam > b_prime))
     if above != k_next:
@@ -584,13 +598,31 @@ def _check_post_step(old: Spectrum, new: Spectrum, k_next, b_prime, rec):
             f"barrier invariant failed at step {k_next}: {above} eigenvalues above "
             f"b'={b_prime:.6g} (expected {k_next})"
         )
-    phi_fresh = new.at(b_prime).phi
-    denom = max(abs(phi_fresh), 1.0)
-    if abs(phi_fresh - rec.potential_after_add) > new.tol.sm_consistency * denom:
+    fresh = new.at(b_prime)
+    denom = max(abs(fresh.phi), 1.0)
+    if abs(fresh.phi - rec.potential_after_add) > new.tol.sm_consistency * denom:
         raise InvariantViolation(
             f"rank-one potential update disagrees with fresh recomputation at step {k_next}: "
-            f"{rec.potential_after_add} vs {phi_fresh}"
+            f"{rec.potential_after_add} vs {fresh.phi}"
         )
+    return fresh
+
+
+def _step(state: SelectionState, at_b: AtShift, schedule: Schedule, pivot_rule: str):
+    """One barrier step from state, whose spectrum at its barrier b is at_b:
+    (the next state, its spectrum at its barrier b', the step's StepTrace)."""
+    spec, b, b_prime = state.spectrum, state.barrier_b, state.barrier_b - schedule.delta
+    at_bp = spec.at(b_prime)
+    K = spec.resolvent_at(at_bp)
+    diag = check_step_preconditions(state, schedule, at_b, at_bp, K)
+    chosen, rec, scanned = select_next(state, schedule, at_b, at_bp, K, pivot_rule)
+    state.grams.append(chosen)
+    sigma, new = state.sigma + [chosen], Spectrum.of(state.grams, spec.tol)
+    at_next = _check_post_step(spec, new, len(sigma), b_prime, rec)
+    trace = StepTrace(len(sigma), chosen, b, b_prime, at_b.phi, rec.potential_after_add,
+                      at_bp.phi_image, at_bp.phi_kernel, spec.mass0, scanned,
+                      -1.0 - rec.quadform, at_b.phi - rec.potential_after_add, diag)
+    return SelectionState(sigma, b_prime, new, state.grams), at_next, trace
 
 
 def run_selection(
@@ -605,7 +637,9 @@ def run_selection(
     every step the barrier count, eigenvalue interlacing and the rank-one
     update identity are checked on the spectrum from the Gram of the chosen
     rows, which the next step reads. The schedule checks the final barrier
-    against the promised bound before the first step.
+    against the promised bound before the first step. A RinvError raised by
+    a step carries, as its traces, the StepTraces of the steps completed
+    before it.
     """
     dec, tol = validate(dec), default_tolerances()
     if pivot_rule not in (PIVOT_FIRST, PIVOT_GREEDY):
@@ -616,36 +650,12 @@ def run_selection(
 
     grams = Grams.of(dec, capacity=schedule.steps_t, LtL=LtL)
     state = SelectionState([], schedule.b0, Spectrum.of(grams, tol), grams)
-    traces: List[StepTrace] = []
-
-    for _ in range(schedule.steps_t):
-        spec = state.spectrum
-        diag = check_step_preconditions(state, schedule)
-        chosen, rec, scanned = select_next(state, schedule, pivot_rule)
-        # Both shifts were evaluated by the two calls above and are kept on spec.
-        b_prime = state.barrier_b - schedule.delta
-        phi_before, split = spec.at(state.barrier_b).phi, spec.at(b_prime)
-        sigma = state.sigma + [chosen]
-        grams.append(chosen)
-        spec_new = Spectrum.of(grams, tol)
-        step = len(sigma)
-        _check_post_step(spec, spec_new, step, b_prime, rec)
-        traces.append(
-            StepTrace(
-                step=step,
-                chosen_index=chosen,
-                barrier_before=state.barrier_b,
-                barrier_after=b_prime,
-                phi_before=phi_before,
-                phi_after=rec.potential_after_add,
-                phi_image=split.phi_image,
-                phi_kernel=split.phi_kernel,
-                kernel_frob_sq=spec.mass0,
-                candidates_scanned=scanned,
-                quadform_margin=-1.0 - rec.quadform,
-                potential_margin=phi_before - rec.potential_after_add,
-                preconditions=diag,
-            )
-        )
-        state = SelectionState(sigma, b_prime, spec_new, grams)
+    at_b, traces = state.spectrum.at(schedule.b0), []
+    try:
+        for _ in range(schedule.steps_t):
+            state, at_b, trace = _step(state, at_b, schedule, pivot_rule)
+            traces.append(trace)
+    except RinvError as err:
+        err.traces = traces
+        raise
     return SelectionResult(sigma=state.sigma, schedule=schedule, traces=traces)

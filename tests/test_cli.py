@@ -72,6 +72,29 @@ class TestSelect:
         written = next(path for flag, path in paths.items() if flag != unwritable)
         assert not written.exists() or written.read_text() == ""
 
+    def test_failed_walk_keeps_the_completed_steps(self, tmp_path, capsys, monkeypatch):
+        # At RI_TOLERANCE_SCALE = 3e7 the walk on the CI's 24 x 24 ramp
+        # instance fails at step 5: --trace keeps the 4 steps before it, as
+        # chosen at scale 1, one error line is printed and --output is not made.
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((24, 24)))
+        L, V = tmp_path / "L.mtx", tmp_path / "V.mtx"
+        rinv.cli.mmwrite(L, Q * np.linspace(1.0, 2.0, 24))
+        assert main(["gen", "--n", "24", "--m", "48", "--output", str(V)]) == 0
+        flags = ["select", "--L", str(L), "--V", str(V), "--epsilon", "0.8"]
+        full, partial, cert = (tmp_path / f for f in ("full.jsonl", "partial.jsonl", "cert.json"))
+        assert main([*flags, "--trace", str(full)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("RI_TOLERANCE_SCALE", "3e7")
+        assert main([*flags, "--trace", str(partial), "--output", str(cert)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rinv: error: barrier invariant failed: the Gram of the 5 ")
+        assert captured.err.count("\n") == 1
+        assert not cert.exists()
+        chosen = [[json.loads(line)["chosen_index"] for line in path.read_text().splitlines()]
+                  for path in (partial, full)]
+        assert len(chosen[1]) > 4 and len(chosen[0]) == 4 and chosen[0] == chosen[1][:4]
+
     def test_epsilon_out_of_range(self, id4, capsys):
         for command in ("select", "oracle", "bench"):
             assert main([command, "--L", id4, "--epsilon", "1.5"]) == 1

@@ -45,6 +45,15 @@ PIVOTS = ("first", "greedy")
 TOL = default_tolerances()
 
 
+def shift_values(state, schedule):
+    """state.spectrum at the barrier b and at b' = b - delta, and the
+    resolvent at b': the values a walk step hands to check_step_preconditions
+    and select_next."""
+    spec = state.spectrum
+    at_bp = spec.at(state.barrier_b - schedule.delta)
+    return spec.at(state.barrier_b), at_bp, spec.resolvent_at(at_bp)
+
+
 def _gram(dec, sigma):
     """A = sum_{i in sigma} (L v_i)(L v_i)^T, formed densely."""
     W = (dec.V @ dec.L.T)[list(sigma)]
@@ -234,8 +243,9 @@ def test_state_of_prefix_replays_each_step(pivot):
     assert len(result.traces) > 1
     for k, tr in enumerate(result.traces):
         state = SelectionState.of(dec, result.sigma[:k], tr.barrier_before)
-        assert check_step_preconditions(state, result.schedule) == tr.preconditions
-        chosen, _, _ = select_next(state, result.schedule, pivot)
+        values = shift_values(state, result.schedule)
+        assert check_step_preconditions(state, result.schedule, *values) == tr.preconditions
+        chosen, _, _ = select_next(state, result.schedule, *values, pivot)
         assert chosen == tr.chosen_index
 
 
@@ -251,18 +261,15 @@ def _array_pick(quad, after, phi_before, first):
     return int(hits[np.argmin(after[hits])]), len(quad)
 
 
-def array_select_next(state, schedule, pivot_rule):
+def array_select_next(state, schedule, at_b, at_bp, K, pivot_rule):
     """select_next written over arrays of all the candidates left: a mask of
     them, their indices in order and NaN-filled quad and after, into which
     each block's columns are gathered through the mask before one pick over
     all of them. The reference for select_next's in-place blocks, which must
     match it bit for bit."""
     first = pivot_rule == "first"
-    spec, grams, k = state.spectrum, state.grams, len(state.sigma)
-    b_prime = state.barrier_b - schedule.delta
-    phi_before = spec.at(state.barrier_b).phi
-    at_bp, K = spec.at(b_prime), spec.resolvent(b_prime)
-    d0, H_ss = at_bp.d0, grams.Hss[:k, :k]
+    grams, k = state.grams, len(state.sigma)
+    phi_before, d0, H_ss = at_b.phi, at_bp.d0, grams.Hss[:k, :k]
     left = np.ones(len(grams.V), dtype=bool)
     left[grams.cols] = False
     order = left.nonzero()[0]
@@ -353,7 +360,7 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
         return masked_pick(quad, after, phi_before, first, free)
 
     monkeypatch.setattr(rinv.selector, "_pick", spy)
-    chosen = select_next(state, sched, pivot)[0]
+    chosen = select_next(state, sched, *shift_values(state, sched), pivot)[0]
     left = np.setdiff1d(np.arange(dec.m), grams.cols)
     # The free columns of every block tested, in scan order, laid end to end:
     # greedy's one block, or first-feasible's blocks up to its hit. NaN marks
@@ -396,7 +403,7 @@ def _scan_outcome(scan, state, sched, pivot):
     """What scan(state, ...) returns, floats as hex so that == is bit for
     bit, or the InfeasibilityError it raises, and the Grams' reach after it."""
     try:
-        chosen, rec, scanned = scan(state, sched, pivot)
+        chosen, rec, scanned = scan(state, sched, *shift_values(state, sched), pivot)
         rec = (rec.quadform.hex(), rec.potential_after_add.hex(), rec.feasible, rec.reason)
         outcome = (chosen, rec, scanned)
     except InfeasibilityError as err:
@@ -708,10 +715,11 @@ def test_averaging_lhs_from_grams_matches_dense_T(case):
         b_prime = b - result.schedule.delta
         A = _gram(dec, state.sigma)
         T = dec.L.T @ shifted_inverse(A, b_prime) @ dec.L
-        lhs = rinv.selector._t_frob_sq(state, b_prime)
+        values = shift_values(state, result.schedule)
+        lhs = rinv.selector._t_frob_sq(state, *values[1:])
         assert lhs == pytest.approx(float(np.sum(T * T)), rel=1e-10)
         expected = _reference_preconditions(A, b, result.schedule, dec.L)
-        assert check_step_preconditions(state, result.schedule)._asdict() == expected
+        assert check_step_preconditions(state, result.schedule, *values)._asdict() == expected
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
@@ -780,11 +788,12 @@ def _check_infeasible_state(pivot, dec, sched, state):
     """No candidate passes: select_next raises with the reference scan's
     margins."""
     A = _gram(dec, state.sigma)
-    diag = check_step_preconditions(state, sched)
+    values = shift_values(state, sched)
+    diag = check_step_preconditions(state, sched, *values)
     expected = _reference_preconditions(A, state.barrier_b, sched, dec.L)
     assert diag._asdict() == expected
     with pytest.raises(InfeasibilityError, match=f"at step {len(state.sigma) + 1} ") as err:
-        select_next(state, sched, pivot)
+        select_next(state, sched, *values, pivot)
     b_prime = state.barrier_b - sched.delta
     M = shifted_inverse(A, b_prime)
     phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, b_prime, dec.L)
@@ -820,10 +829,11 @@ def test_near_miss_is_infeasible(pivot, potential_miss):
     # the step's preconditions, and taking the rank state's index 0 anyway
     # breaks the barrier invariant: A + w w^T has no eigenvalue above b'.
     dec, sched, state = _near_miss_state(potential_miss)
-    assert not check_step_preconditions(state, sched).potential_ok
+    values = shift_values(state, sched)
+    assert not check_step_preconditions(state, sched, *values).potential_ok
     step = len(state.sigma) + 1
     with pytest.raises(InfeasibilityError, match=f"at step {step} ") as err:
-        select_next(state, sched, pivot)
+        select_next(state, sched, *values, pivot)
     qm, pm = err.value.best_quadform_margin, err.value.best_potential_margin
     if potential_miss:
         assert qm > 0 and pm == pytest.approx(-2e-10, rel=1e-3)

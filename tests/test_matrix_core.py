@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rinv.matrix_core import check_interlacing, gram_min_eigenvalue, shifted_inverse
+from rinv.matrix_core import (check_interlacing, gram_min_eigenvalue, shifted_inverse,
+                              shifted_spectrum)
 from rinv.errors import InvariantViolation, SingularShiftError
 from rinv.selector import candidate_feasible, potential
 from rinv.tolerances import default_tolerances
@@ -30,6 +32,59 @@ class TestShiftedInverse:
     def test_shift_on_eigenvalue(self):
         with pytest.raises(SingularShiftError):
             shifted_inverse(np.diag([1.0, 2.0]), 1.0)
+
+
+def _whole_array_singular(lam, shift, tol) -> bool:
+    """The shift guard with ||S|| read from every entry of lam, sorted or not."""
+    scale = max(abs(shift), float(np.abs(lam).max(initial=0.0)))
+    return float(np.abs(lam - shift).min(initial=np.inf)) <= tol.shift_gap * scale
+
+
+_magnitudes = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _spectra(draw):
+    """A walk's poles (descending, positive, with or without the trailing 0 of
+    the implicit block), k = 0 included, or eigh's ascending output."""
+    k = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        lam = sorted(draw(st.lists(_magnitudes, min_size=k, max_size=k)), reverse=True)
+        return np.array(lam + [0.0] * draw(st.booleans()))
+    B = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=k * k, max_size=k * k)))
+    B = B.reshape(k, k)
+    return np.linalg.eigh(B + B.T)[0]
+
+
+@st.composite
+def _spectrum_and_shift(draw):
+    """A spectrum and a shift on one of its values, inside or just outside
+    shift_gap times its scale of one, anywhere, or negative."""
+    lam, gap = draw(_spectra()), default_tolerances().shift_gap
+    scale = float(np.abs(lam).max(initial=1.0)) or 1.0
+    where = draw(st.sampled_from(["on", "inside", "edge", "outside", "any", "negative"]))
+    if where in ("any", "negative") or not len(lam):
+        shift = draw(_magnitudes)
+        return lam, -shift if where == "negative" else shift
+    pole, sign = float(draw(st.sampled_from(lam))), draw(st.sampled_from([-1.0, 1.0]))
+    factor = {"on": 0.0, "inside": draw(st.floats(0.0, 0.999)), "edge": 1.0,
+              "outside": draw(st.floats(1.001, 4.0))}[where]
+    return lam, pole + sign * factor * gap * scale
+
+
+@given(_spectrum_and_shift())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_shift_guard_reads_the_ends_of_sorted_spectra(case):
+    # shifted_spectrum takes ||S|| from the two ends of the sorted lam; it must
+    # refuse a shift exactly when the whole-array form does and otherwise give
+    # 1 / (lam - shift) bit for bit.
+    lam, shift = case
+    tol = default_tolerances()
+    if _whole_array_singular(lam, shift, tol):
+        with pytest.raises(SingularShiftError):
+            shifted_spectrum(lam, shift, tol)
+    else:
+        assert shifted_spectrum(lam, shift, tol).tobytes() == (1.0 / (lam - shift)).tobytes()
 
 
 class TestShermanMorrison:

@@ -42,6 +42,7 @@ from rinv.selector import (
     select_next,
     shifted_inverse,
 )
+from test_fast_path import shift_values
 
 
 def frame_120():
@@ -120,8 +121,9 @@ class TestComputeSchedule:
         message = "final barrier .* fell below the promised bound"
         with pytest.raises(InvariantViolation, match=message):
             compute_schedule(np.eye(4), 4, 0.5)
-        with pytest.raises(InvariantViolation, match=message):
+        with pytest.raises(InvariantViolation, match=message) as err:
             run_selection(dec, 0.5)
+        assert err.value.traces is None  # raised before the first step
 
     @pytest.mark.parametrize("m", [2.5, 0, -3, True, "4", None],
                              ids=["float", "zero", "negative", "bool", "str", "none"])
@@ -292,7 +294,7 @@ class TestSelectNext:
         dec = from_standard_basis(np.eye(4))
         schedule = compute_schedule(dec.L, 4, 0.5)
         state = SelectionState.of(dec, [], schedule.b0)
-        chosen, rec, scanned = select_next(state, schedule)
+        chosen, rec, scanned = select_next(state, schedule, *shift_values(state, schedule))
         assert chosen == 0
         assert rec.feasible
         assert scanned == 1
@@ -301,7 +303,7 @@ class TestSelectNext:
         dec = Decomposition(L=np.eye(2), V=frame_120())
         schedule = compute_schedule(dec.L, 3, 0.75)
         state = SelectionState.of(dec, [], schedule.b0)
-        chosen, rec, _ = select_next(state, schedule)
+        chosen, rec, _ = select_next(state, schedule, *shift_values(state, schedule))
         # verify against an independent scan of all three candidates
         A = np.zeros((2, 2))
         M = shifted_inverse(A, schedule.b0 - schedule.delta)
@@ -332,7 +334,7 @@ class TestSelectNext:
         schedule = compute_schedule(np.eye(2), 2, 0.5)
         assert schedule.b0 - schedule.delta == 0.0
         with pytest.raises(InfeasibilityError, match="no feasible candidate at step 3"):
-            select_next(state, schedule)
+            select_next(state, schedule, *shift_values(state, schedule))
 
 
 class TestRunSelection:
@@ -374,6 +376,34 @@ class TestRunSelection:
         r2 = run_selection(dec, 0.8)
         assert r1.sigma == r2.sigma
         assert [t.to_dict() for t in r1.traces] == [t.to_dict() for t in r2.traces]
+
+    def test_failed_step_carries_the_completed_traces(self, monkeypatch):
+        # At RI_TOLERANCE_SCALE = 3e7 the kernel band of the CI's 24 x 24 ramp
+        # instance takes in the smallest eigenvalue of the Gram of 5 chosen
+        # rows: the error carries the 4 steps before it, those of scale 1.
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((24, 24)))
+        dec = Decomposition(L=Q * np.linspace(1.0, 2.0, 24), V=random_tight_frame(24, 48, 0))
+        full = run_selection(dec, 0.8).traces
+        monkeypatch.setenv("RI_TOLERANCE_SCALE", "3e7")
+        with pytest.raises(InvariantViolation, match="the Gram of the 5 chosen vectors") as err:
+            run_selection(dec, 0.8)
+        assert len(full) > 4 and len(err.value.traces) == 4
+        assert [tr.chosen_index for tr in err.value.traces] == [tr.chosen_index for tr in full[:4]]
+
+    def test_infeasible_step_carries_the_completed_traces(self, monkeypatch):
+        select_next = rinv.selector.select_next
+
+        def third_fails(state, *args):
+            if len(state.sigma) == 2:
+                raise InfeasibilityError("no feasible candidate at step 3")
+            return select_next(state, *args)
+
+        dec = Decomposition(L=np.eye(6), V=random_tight_frame(6, 12, 1))
+        full = run_selection(dec, 0.9).traces
+        monkeypatch.setattr(rinv.selector, "select_next", third_fails)
+        with pytest.raises(InfeasibilityError) as err:
+            run_selection(dec, 0.9)
+        assert len(full) > 2 and err.value.traces == full[:2]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
@@ -546,7 +576,7 @@ class TestStepPreconditions:
         dec = from_standard_basis(np.eye(4))
         schedule = compute_schedule(dec.L, 4, 0.5)
         state = SelectionState.of(dec, [], schedule.b0)
-        diag = check_step_preconditions(state, schedule)
+        diag = check_step_preconditions(state, schedule, *shift_values(state, schedule))
         assert all(diag._asdict().values())
 
     def test_every_step_of_a_run(self):
@@ -559,5 +589,5 @@ class TestStepPreconditions:
         schedule = compute_schedule(dec.L, 4, 0.5)
         # a barrier below delta violates the window
         state = SelectionState.of(dec, [], schedule.delta / 2)
-        diag = check_step_preconditions(state, schedule)
+        diag = check_step_preconditions(state, schedule, *shift_values(state, schedule))
         assert not diag.barrier_window_ok
