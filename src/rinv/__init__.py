@@ -1,9 +1,9 @@
 """Deterministic barrier-method subset selection for restricted invertibility.
 
 The internals (the step state, potentials, feasibility tests and matrix
-primitives) live in rinv.selector and rinv.matrix_core. The oracle's two
-names are imported from rinv.oracle on first use (PEP 562), so only
-`rinv oracle` loads it.
+primitives) live in rinv.selector, and gram_min_eigenvalue in
+rinv.certificate. The oracle's two names are imported from rinv.oracle on
+first use (PEP 562), so only `rinv oracle` loads it.
 """
 
 from .certificate import Certificate, verify, verify_classical

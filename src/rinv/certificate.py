@@ -15,9 +15,16 @@ from typing import List, NamedTuple, Sequence
 import numpy as np
 
 from .decomposition import Decomposition, checked_arrays, checked_indices, from_standard_basis
-from .matrix_core import gram_min_eigenvalue
 from .selector import compute_schedule
 from .tolerances import default_tolerances
+
+
+def gram_min_eigenvalue(vectors: Sequence[np.ndarray]) -> float:
+    """Smallest eigenvalue of the Gram matrix W W^T of one or more
+    equal-length rows: the least eigenvalue of sum_i w_i w_i^T on span{w_i},
+    strictly positive iff the rows are linearly independent."""
+    W = np.asarray(vectors, dtype=float)
+    return float(np.linalg.eigvalsh(W @ W.T)[0])
 
 
 class Certificate(NamedTuple):

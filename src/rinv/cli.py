@@ -16,10 +16,9 @@ import sys
 
 import numpy as np
 
-from .certificate import verify
+from .certificate import gram_min_eigenvalue, verify
 from .decomposition import Decomposition, Mode, random_tight_frame, validate
 from .errors import CertificateFormatError, ParameterError, RinvError
-from .matrix_core import gram_min_eigenvalue
 from .selector import PIVOT_FIRST, PIVOT_GREEDY, run_selection
 
 EXIT_OK = 0
@@ -137,28 +136,31 @@ def _json_lines(traces) -> str:
     return "".join(json.dumps(tr.to_dict()) + "\n" for tr in traces)
 
 
-def _emit(payload: dict, output=None, trace=None, traces=()):
-    """Print payload as JSON after writing it to output and traces, as JSON lines, to
-    trace. Both (os.devnull if not given) open first: if one cannot, nothing is written."""
+def _emit(payload: dict, output=None, log=None, traces=()):
+    """Print payload as JSON after writing it to output (os.devnull if not given)
+    and traces, as JSON lines, to the open file log. output opens first: if it
+    cannot, nothing is written."""
     text, lines = json.dumps(payload, indent=2) + "\n", _json_lines(traces)
-    with open(output or os.devnull, "w", encoding="utf-8", newline="\n") as out, \
-            open(trace or os.devnull, "w", encoding="utf-8", newline="\n") as log:
+    with open(output or os.devnull, "w", encoding="utf-8", newline="\n") as out:
         out.write(text)
-        log.write(lines)
+        if log is not None:
+            log.write(lines)
     sys.stdout.write(text)
 
 
 def _cmd_select(args):
+    """Opens --trace (os.devnull if not given) before the walk, so a trace that
+    cannot be opened stops the command before the walk runs."""
     dec = _load_decomposition(args)
-    try:
-        result = run_selection(dec, args.epsilon, pivot_rule=args.pivot)
-    except RinvError as exc:
-        if exc.traces is not None and args.trace is not None:  # a step failed; no --output
-            with open(args.trace, "w", encoding="utf-8", newline="\n") as log:
+    with open(args.trace or os.devnull, "w", encoding="utf-8", newline="\n") as log:
+        try:
+            result = run_selection(dec, args.epsilon, pivot_rule=args.pivot)
+        except RinvError as exc:
+            if exc.traces is not None:  # a step failed; no --output
                 log.write(_json_lines(exc.traces))
-        raise
-    cert = verify(dec, args.epsilon, result.sigma)
-    _emit(cert.to_json_dict(), args.output, args.trace, result.traces)
+            raise
+        cert = verify(dec, args.epsilon, result.sigma)
+        _emit(cert.to_json_dict(), args.output, log, result.traces)
     return EXIT_OK if cert.passes else EXIT_CERT_FAIL
 
 

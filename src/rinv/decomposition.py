@@ -91,18 +91,19 @@ def validate(dec: Decomposition) -> Decomposition:
     if dec.mode == Mode.CLASSICAL_COLUMNS:
         if V.shape[0] != n or not np.array_equal(V, np.eye(n)):
             raise ColumnNormError("classical mode requires V to be the standard basis")
-        norms = np.linalg.norm(L, axis=0)
+        with np.errstate(over="ignore"):  # a norm that overflows is inf, and fails
+            norms = np.linalg.norm(L, axis=0)
         off = np.abs(norms - 1.0)
-        worst = int(np.argmax(off))
-        if off[worst] > tol.unit_column:
+        if n and off.max() > tol.unit_column:  # a 0 x 0 L has no column to fail
+            worst = int(np.argmax(off))
             raise ColumnNormError(
                 f"column {worst + 1} has norm {norms[worst]:.12g}, expected 1",
                 worst_index=worst,
             )
     else:
-        G = V.T @ V  # equals sum_i v_i v_i^T
-        defect = float(np.linalg.norm(G - np.eye(n)))
-        if defect > tol.identity_defect * n:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or NaN, and fails
+            defect = float(np.linalg.norm(V.T @ V - np.eye(n)))  # V^T V = sum_i v_i v_i^T
+        if not defect <= tol.identity_defect * n:
             raise DecompositionError(
                 f"sum of outer products deviates from identity: defect {defect:.3e}",
                 defect=defect,

@@ -23,27 +23,29 @@ these values to its phases in order: check_step_preconditions, select_next,
 Grams.append of the chosen row, Spectrum.of the k + 1 chosen rows (the next
 step's spectrum), _check_post_step (which returns that spectrum at b', the
 next step's b) and the StepTrace.
-potential and potential_split are references from one eigh of a dense A.
+potential, potential_split and shifted_inverse are references from one eigh
+of a dense A; shifted_spectrum and check_interlacing serve the walk.
 """
 
 import math
 import numbers
 import sys
 from bisect import bisect_right, insort
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .decomposition import Decomposition, checked_indices, square_operator, validate
+from .decomposition import Decomposition, square_operator, validate
 from .errors import (
+    DimensionError,
     InfeasibilityError,
     InvariantViolation,
     NormRangeError,
     ParameterError,
     RinvError,
+    SingularShiftError,
     ZeroOperatorError,
 )
-from .matrix_core import check_interlacing, shifted_inverse, shifted_spectrum
 from .tolerances import Tolerances, default_tolerances
 
 PIVOT_FIRST = "first"
@@ -106,11 +108,52 @@ def _col_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", X, Y)
 
 
-def _band_edge(lam: np.ndarray, tol: Tolerances) -> float:
-    """kernel_threshold * ||A||, with ||A|| read from the two ends of the
-    sorted eigenvalues lam: an eigenvalue at or below it is in the kernel band."""
-    top = max(abs(float(lam[0])), abs(float(lam[-1]))) if len(lam) else 0.0
-    return tol.kernel_threshold * top
+def _ends(lam) -> float:
+    """The largest |eigenvalue| of a sorted spectrum, read from its two ends
+    (0 if it is empty): the scale of the kernel band, shift gap and interlacing slack."""
+    return max(abs(float(lam[0])), abs(float(lam[-1]))) if len(lam) else 0.0
+
+
+def shifted_spectrum(lam, shift: float, tol: Tolerances) -> np.ndarray:
+    """Eigenvalues 1 / (lam - shift) of (S - shift*I)^{-1}, given those of S
+    sorted, ascending (eigh) or descending (the walk's poles).
+
+    Raises SingularShiftError when the shift is within shift_gap * max(|shift|, ||S||)
+    of an eigenvalue of S.
+    """
+    lam = np.asarray(lam, dtype=float)
+    diff = lam - shift
+    gap = float(np.abs(diff).min(initial=np.inf))
+    if gap <= tol.shift_gap * max(abs(shift), _ends(lam)):
+        raise SingularShiftError(f"shift {shift} is within {gap:.3e} of an eigenvalue")
+    return 1.0 / diff
+
+
+def shifted_inverse(S, shift: float) -> np.ndarray:
+    """(S - shift*I)^{-1} for a symmetric S, from one eigh (S's lower
+    triangle); SingularShiftError when the shift sits on an eigenvalue of S."""
+    lam, U = np.linalg.eigh(S)
+    return (U * shifted_spectrum(lam, shift, default_tolerances())) @ U.T
+
+
+def check_interlacing(evals_before, evals_after, slack: float) -> None:
+    """Assert the eigenvalues of A + w w^T interlace those of A.
+
+    Both inputs are full spectra sorted descending. A rank-one PSD update
+    forces l'_1 >= l_1 >= l'_2 >= l_2 >= ... >= l'_n >= l_n; checked
+    within slack times the largest |eigenvalue| of either spectrum.
+    """
+    a = np.asarray(evals_before, dtype=float)
+    b = np.asarray(evals_after, dtype=float)
+    if a.shape != b.shape:
+        raise DimensionError("spectra must have equal length")
+    slack = slack * max(_ends(a), _ends(b))
+    if (b < a - slack).any():
+        worst = float((a - b).max())
+        raise InvariantViolation(f"interlacing violated: new eigenvalue below old by {worst:.3e}")
+    if (a[:-1] < b[1:] - slack).any():
+        worst = float((b[1:] - a[:-1]).max())
+        raise InvariantViolation(f"interlacing violated: shifted eigenvalue above old by {worst:.3e}")
 
 
 class Grams:
@@ -137,26 +180,22 @@ class Grams:
                  "G", "H", "CV", "Gss", "Hss", "J", "cols", "ranked", "reach", "pair", "out")
 
     @classmethod
-    def of(cls, dec: Decomposition, sigma: Sequence[int] = (), capacity: int = 0,
-           LtL: Optional[np.ndarray] = None) -> "Grams":
-        """The Grams of dec with sigma's columns filled; LtL, if given, is L^T L."""
+    def of(cls, dec: Decomposition, capacity: int, LtL: Optional[np.ndarray] = None) -> "Grams":
+        """The empty store of dec, with room for `capacity` chosen rows; LtL,
+        if given, is L^T L."""
         grams = cls()
         V, L = np.asarray(dec.V, dtype=float), np.asarray(dec.L, dtype=float)
         m, n = V.shape
         LtL = L.T @ L if LtL is None else LtL
-        cap = max(capacity, len(sigma))
         grams.V, grams.LtL, grams.VG, grams.LV = V, LtL, np.empty((m, n)), np.empty((m, n))
         grams.has_lv, grams.taken = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
         grams.g, grams.h = np.empty(m), np.empty(m)
         grams.tr_ltl, grams.ltl_sq = float(np.trace(LtL)), float(np.sum(LtL * LtL))
-        grams.G, grams.H, grams.CV = np.empty((cap, m)), np.empty((cap, m)), np.empty((cap, n))
-        grams.Gss, grams.Hss, grams.J = (np.empty((cap, cap)) for _ in range(3))
+        grams.G, grams.H, grams.CV = (np.empty((capacity, size)) for size in (m, m, n))
+        grams.Gss, grams.Hss, grams.J = (np.empty((capacity, capacity)) for _ in range(3))
         grams.cols, grams.ranked, grams.reach = [], [], 0
         rows = min(m, max(1, APPEND_BLOCK_BYTES // max(1, 8 * n)))  # append's row block of V
         grams.pair, grams.out = np.empty((n, 2)), np.empty((rows, 2))  # [vg, lv], a block of V pair
-        for i in sigma:
-            grams.read(i + 1)
-            grams.append(i)
         return grams
 
     def read(self, end: int) -> None:
@@ -236,7 +275,7 @@ class Spectrum(NamedTuple):
         poles = np.zeros(k + (n0 > 0))  # lam, then the block's 0
         lam, P = poles[:k], P[:, ::-1]
         lam[:] = ascending[::-1]
-        if k and lam[-1] <= _band_edge(lam, tol):
+        if k and lam[-1] <= tol.kernel_threshold * _ends(lam):
             raise InvariantViolation(
                 f"barrier invariant failed: the Gram of the {k} chosen vectors has "
                 f"eigenvalue {lam[-1]:.3e} in the kernel band"
@@ -256,10 +295,6 @@ class Spectrum(NamedTuple):
         return AtShift(d, d0, phi_image + self.mass0 * d0, phi_image,
                        -self.mass0 / shift if self.n0 else 0.0)
 
-    def resolvent(self, shift: float) -> np.ndarray:
-        """resolvent_at(at(shift))."""
-        return self.resolvent_at(self.at(shift))
-
     def resolvent_at(self, at: AtShift) -> np.ndarray:
         """K = R diag(d - d0) R^T at the shift at was evaluated at, so that
         (A - shift I)^{-1} = W_sigma^T K W_sigma + d0 I: the k x k matrix
@@ -275,13 +310,6 @@ class SelectionState(NamedTuple):
     barrier_b: float
     spectrum: Spectrum
     grams: Grams
-
-    @classmethod
-    def of(cls, dec: Decomposition, sigma: Sequence[int], barrier_b: float) -> "SelectionState":
-        """The state after choosing sigma, with the barrier at barrier_b."""
-        sigma = checked_indices(sigma, dec.m, "sigma").tolist()
-        grams = Grams.of(dec, sigma)
-        return cls(sigma, barrier_b, Spectrum.of(grams, default_tolerances()), grams)
 
 
 class FeasibilityRecord(NamedTuple):
@@ -418,7 +446,7 @@ def potential_split(A, b_prime: float, L):
     lam, U = np.linalg.eigh(A)
     LtU = np.asarray(L, dtype=float).T @ U
     mass = np.sum(LtU * LtU, axis=0)
-    kernel = lam <= _band_edge(lam, tol)
+    kernel = lam <= tol.kernel_threshold * _ends(lam)
     qL = float(np.sum(mass[kernel]))
     phi_P = float(np.sum((mass * shifted_spectrum(lam, b_prime, tol))[~kernel]))
     return phi_P, -qL / b_prime, qL

@@ -95,6 +95,28 @@ class TestSelect:
                   for path in (partial, full)]
         assert len(chosen[1]) > 4 and len(chosen[0]) == 4 and chosen[0] == chosen[1][:4]
 
+    def test_trace_opens_before_the_walk(self, id4, tmp_path, capsys, monkeypatch):
+        # A --trace in a missing folder stops select before the walk runs:
+        # one i/o error line, nothing on stdout and no --output.
+        calls = []
+        monkeypatch.setattr(rinv.cli, "run_selection", lambda *args, **kwargs: calls.append(args))
+        output = tmp_path / "cert.json"
+        trace = tmp_path / "missing" / "t.jsonl"
+        code = main(["select", "--L", id4, "--epsilon", "0.5", "--trace", str(trace),
+                     "--output", str(output)])
+        captured = capsys.readouterr()
+        assert (code, calls, captured.out) == (1, [], "")
+        assert captured.err.startswith("rinv: i/o error: ")
+        assert captured.err.count("\n") == 1
+        assert not output.exists()
+
+    def test_early_error_leaves_an_empty_trace(self, id4, tmp_path, capsys):
+        # --trace is opened before the walk, so an error before the first
+        # step leaves it empty.
+        trace = tmp_path / "t.jsonl"
+        assert main(["select", "--L", id4, "--epsilon", "1.5", "--trace", str(trace)]) == 1
+        assert trace.read_text() == ""
+
     def test_epsilon_out_of_range(self, id4, capsys):
         for command in ("select", "oracle", "bench"):
             assert main([command, "--L", id4, "--epsilon", "1.5"]) == 1
@@ -504,6 +526,20 @@ class TestValidation:
         assert main([command, "--L", id4] + rest) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["select", "verify", "oracle", "bench"])
+    def test_empty_columns_operator_exits_1(self, tmp_path, capsys, command):
+        # A 0 x 0 L in columns mode has no column to check: each command
+        # reaches the schedule's typed error, with one error line.
+        lpath, cert = tmp_path / "L.mtx", tmp_path / "cert.json"
+        rinv.cli.mmwrite(str(lpath), np.zeros((0, 0)))
+        cert.write_text(json.dumps({"sigma": [], "epsilon": 0.5, "passes": True}))
+        rest = ["--certificate", str(cert)] if command == "verify" else ["--epsilon", "0.5"]
+        assert main([command, "--L", str(lpath), "--mode", "columns", *rest]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rinv: error: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["select", "oracle"])
     def test_non_frame_exits_1(self, tmp_path, capsys, monkeypatch, command):
         # V = 2 I sums to 4 I, not I.
@@ -723,3 +759,60 @@ def test_verify_any_certificate_exits_cleanly(fuzz_instance, text):
     else:
         report = json.loads(out.getvalue())
         assert (code == 0) is (report["match"] and report["recomputed_passes"])
+
+
+# Entries from the frame's scale down to zero and out to the float range's
+# ends, where the schedule refuses ||L||_F^2.
+_ENTRY = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 1e-200, 1e200])
+
+
+@st.composite
+def _tiny_instance(draw):
+    """(L, V or None, mode, epsilon, certificate) with n, m <= 4, 0 included:
+    L the identity or drawn entries, V the standard basis (None), a tight
+    frame or drawn entries, and sigma drawn from [1, m]."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = lambda rows, cols: np.array(draw(st.lists(_ENTRY, min_size=rows * cols,
+                                                        max_size=rows * cols))).reshape(rows, cols)
+    L = np.eye(n) if draw(st.booleans()) else entries(n, n)
+    kind = draw(st.sampled_from(["basis", "frame", "entries"]))
+    if kind == "frame" and m >= n:
+        V = rinv.random_tight_frame(n, m, draw(st.integers(0, 3)))
+    else:
+        V = None if kind == "basis" else entries(m, n)
+    epsilon = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    sigma = draw(st.lists(st.integers(1, max(m, 1)), max_size=m, unique=True))
+    cert = {"sigma": sigma, "epsilon": epsilon, "passes": draw(st.booleans())}
+    return L, V, draw(st.sampled_from(["frame", "columns"])), epsilon, cert
+
+
+@pytest.fixture(scope="module")
+def tiny_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("tiny")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(instance=_tiny_instance())
+@example(instance=(np.zeros((0, 0)), None, "columns", 0.5, {"sigma": [], "epsilon": 0.5,
+                                                             "passes": True}))
+def test_small_instances_exit_cleanly(tiny_folder, instance):
+    """select, verify, oracle and bench on any instance with n, m <= 4 exit
+    0, 1 or 2 with no exception; exit 1 prints one error line."""
+    L, V, mode, epsilon, cert = instance
+    rinv.cli.mmwrite(str(tiny_folder / "L.mtx"), L)
+    flags = ["--L", str(tiny_folder / "L.mtx"), "--mode", mode]
+    if V is not None:
+        rinv.cli.mmwrite(str(tiny_folder / "V.mtx"), V)
+        flags += ["--V", str(tiny_folder / "V.mtx")]
+    (tiny_folder / "cert.json").write_text(json.dumps(cert))
+    walk = ["--epsilon", str(epsilon)]
+    for argv in (["select", *flags, *walk], ["oracle", *flags, *walk],
+                 ["bench", *flags, *walk, "--trials", "3"],
+                 ["verify", *flags, "--certificate", str(tiny_folder / "cert.json")]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith("rinv: error: ")
+            assert err.getvalue().count("\n") == 1

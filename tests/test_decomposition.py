@@ -14,6 +14,7 @@ from rinv import (
     run_selection,
     validate,
     verify,
+    verify_classical,
 )
 from rinv.errors import (
     ColumnNormError,
@@ -24,9 +25,9 @@ from rinv.errors import (
     ModeError,
     ParameterError,
     RinvError,
+    ZeroOperatorError,
 )
 from rinv.decomposition import checked_indices, square_operator
-from rinv.selector import SelectionState
 
 
 def frame_120():
@@ -77,6 +78,15 @@ class TestValidate:
         with pytest.raises(DimensionError, match="V must be a rectangular array of real numbers"):
             validate(Decomposition(L=np.eye(2), V=bad))
 
+    @pytest.mark.parametrize("mode", [Mode.FRAME, Mode.CLASSICAL_COLUMNS])
+    def test_overflow_fails_the_check(self, mode):
+        # Entries whose squares overflow fail the mode's check as inf, with no
+        # RuntimeWarning (an error under this suite's filterwarnings).
+        big = np.full((2, 2), 1e200)
+        columns = mode == Mode.CLASSICAL_COLUMNS
+        with pytest.raises(ColumnNormError if columns else DecompositionError, match="inf"):
+            validate(Decomposition(L=big, V=np.eye(2) if columns else big, mode=mode))
+
     @pytest.mark.parametrize("mode", ["bogus", "frame", None])
     def test_mode_not_a_mode(self, mode):
         with pytest.raises(ModeError, match="mode must be a Mode"):
@@ -102,6 +112,16 @@ class TestFromStandardBasis:
         L = L / np.linalg.norm(L, axis=0)
         dec = from_standard_basis(L, classical=True)
         assert dec.mode == Mode.CLASSICAL_COLUMNS
+
+    def test_classical_empty_operator_reaches_the_typed_error(self):
+        # A 0 x 0 L has no column to fail the unit-norm check: the walk and
+        # the certificate stop at the schedule's typed errors.
+        dec = from_standard_basis(np.zeros((0, 0)), classical=True)
+        assert (dec.mode, dec.n, dec.m) == (Mode.CLASSICAL_COLUMNS, 0, 0)
+        with pytest.raises(ZeroOperatorError):
+            run_selection(dec, 0.5)
+        with pytest.raises(ParameterError, match="m must be a positive integer"):
+            verify_classical(np.zeros((0, 0)), 0.5, [])
 
 
 class TestRandomTightFrame:
@@ -169,8 +189,7 @@ class TestCheckedIndices:
         """Each entry point that checks an index list, with the name its messages use."""
         return (("indices", lambda: checked_indices(indices, 9, "indices")),
                 ("perm", lambda: permuted(cls.DEC, indices)),
-                ("sigma", lambda: verify(cls.DEC, 0.5, indices)),
-                ("sigma", lambda: SelectionState.of(cls.DEC, indices, 1.0)))
+                ("sigma", lambda: verify(cls.DEC, 0.5, indices)))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.integers(0, 8), max_size=12))

@@ -1,12 +1,9 @@
-"""The low-rank selector against a reference walk from the scalar primitives.
-
-The reference forms the dense A, recomputes (A - bI)^{-1} with shifted_inverse
-and the potentials with potential and potential_split (each its own eigh of A)
-at every step, and tests one candidate at a time with candidate_feasible, the
-way the walk is written in the paper. The selector must choose the same sigma
-and record the same traces, within tol.sm_consistency. array_select_next keeps
-the scan over arrays of all the candidates left, which select_next's in-place
-blocks must match bit for bit.
+"""The low-rank selector against walk_reference.reference_walk, the walk
+from the scalar primitives as the paper writes it: a dense A, an eigh of it
+per potential and one candidate_feasible call per candidate. The selector
+must choose the same sigma and record the same traces, within
+tol.sm_consistency. array_select_next keeps the scan over arrays of all the
+candidates left, which select_next's in-place blocks must match bit for bit.
 """
 
 import json
@@ -34,95 +31,23 @@ from rinv.selector import (
     candidate_feasible,
     check_step_preconditions,
     potential,
-    potential_split,
     select_next,
     shifted_inverse,
 )
 from rinv.errors import InfeasibilityError, InvariantViolation
 from test_acceptance import EPS_GRID, build_grid
+from walk_reference import (
+    dense_gram,
+    grams_of,
+    reference_preconditions,
+    reference_scan,
+    reference_walk,
+    shift_values,
+    state_of,
+)
 
 PIVOTS = ("first", "greedy")
 TOL = default_tolerances()
-
-
-def shift_values(state, schedule):
-    """state.spectrum at the barrier b and at b' = b - delta, and the
-    resolvent at b': the values a walk step hands to check_step_preconditions
-    and select_next."""
-    spec = state.spectrum
-    at_bp = spec.at(state.barrier_b - schedule.delta)
-    return spec.at(state.barrier_b), at_bp, spec.resolvent_at(at_bp)
-
-
-def _gram(dec, sigma):
-    """A = sum_{i in sigma} (L v_i)(L v_i)^T, formed densely."""
-    W = (dec.V @ dec.L.T)[list(sigma)]
-    return W.T @ W
-
-
-def _reference_scan(A, M, L, W, taken, phi_b, phi_bp, pivot):
-    """One pass of candidate_feasible calls in index order: (index, record,
-    scanned, best margins)."""
-    best, scanned, margins = None, 0, (-np.inf, -np.inf)
-    for j in range(len(W)):
-        if j in taken:
-            continue
-        scanned += 1
-        rec = candidate_feasible(A, M, L, W[j], phi_b, phi_bp)
-        if rec.reason != "zero-vector":
-            qm, pm = -1.0 - rec.quadform, phi_b - rec.potential_after_add
-            if min(qm, pm) > min(margins):
-                margins = (qm, pm)
-        if rec.feasible and (best is None or rec.potential_after_add < best[1].potential_after_add):
-            best = (j, rec)
-            if pivot == "first":
-                break
-    return (*(best or (None, None)), scanned, margins)
-
-
-def _reference_preconditions(A, b, sched, L):
-    b_prime = b - sched.delta
-    M = shifted_inverse(A, b_prime)
-    phi_b, phi_bp = potential(A, b, L), potential(A, b_prime, L)
-    _, _, qL = potential_split(A, b_prime, L)
-    slack = TOL.precondition_slack
-    target = -sched.m - sched.spec_sq / sched.delta
-    rhs_kernel = sched.delta * qL / sched.spec_sq
-    T = L.T @ M @ L
-    rhs = (phi_b - phi_bp) * (-sched.m - phi_bp)
-    return {
-        "potential_ok": phi_b <= target + slack * abs(target),
-        "barrier_window_ok": 0.0 < sched.delta < b,
-        "kernel_mass_ok": b <= rhs_kernel + slack * abs(rhs_kernel),
-        "averaging_ok": float(np.sum(T * T)) <= rhs + slack * abs(rhs),
-    }
-
-
-def reference_walk(dec, epsilon, pivot):
-    """Selected indices and trace dicts of the scalar barrier walk."""
-    L, W = dec.L, dec.V @ dec.L.T
-    sched = compute_schedule(L, dec.m, epsilon)
-    A, b, sigma, traces = np.zeros((dec.n, dec.n)), sched.b0, [], []
-    for k in range(sched.steps_t):
-        b_prime = b - sched.delta
-        M = shifted_inverse(A, b_prime)
-        phi_b, phi_bp = potential(A, b, L), potential(A, b_prime, L)
-        phi_P, phi_Q, qL = potential_split(A, b_prime, L)
-        chosen, rec, scanned, _ = _reference_scan(A, M, L, W, sigma, phi_b, phi_bp, pivot)
-        traces.append({
-            "step": k + 1, "chosen_index": chosen + 1,
-            "barrier_before": b, "barrier_after": b_prime,
-            "phi_before": phi_b, "phi_after": rec.potential_after_add,
-            "phi_image": phi_P, "phi_kernel": phi_Q, "kernel_frob_sq": qL,
-            "candidates_scanned": scanned,
-            "quadform_margin": -1.0 - rec.quadform,
-            "potential_margin": phi_b - rec.potential_after_add,
-            "preconditions": _reference_preconditions(A, b, sched, L),
-        })
-        A = A + np.outer(W[chosen], W[chosen])
-        b = b_prime
-        sigma.append(chosen)
-    return sigma, traces
 
 
 def _assert_plain(value, expected):
@@ -242,7 +167,7 @@ def test_state_of_prefix_replays_each_step(pivot):
     result = run_selection(dec, 0.5, pivot_rule=pivot)
     assert len(result.traces) > 1
     for k, tr in enumerate(result.traces):
-        state = SelectionState.of(dec, result.sigma[:k], tr.barrier_before)
+        state = state_of(dec, result.sigma[:k], tr.barrier_before)
         values = shift_values(state, result.schedule)
         assert check_step_preconditions(state, result.schedule, *values) == tr.preconditions
         chosen, _, _ = select_next(state, result.schedule, *values, pivot)
@@ -324,9 +249,7 @@ def _padded_scan_state(k, positions=(2, 5, 8), front_zeros=12):
                      + np.random.default_rng(4).permutation(rest).tolist())
     sched = compute_schedule(dec.L, dec.m, 0.5)
     dec, sigma = permuted(dec, order), np.argsort(order)[sigma].tolist()
-    grams = Grams.of(dec, sigma)
-    state = SelectionState(sigma, sched.b0 - k * sched.delta, Spectrum.of(grams, TOL), grams)
-    return dec, sched, state
+    return dec, sched, state_of(dec, sigma, sched.b0 - k * sched.delta)
 
 
 HARD_STATES = {
@@ -370,11 +293,11 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
     quad[:scan_read] = np.concatenate([p[0] for p in blocks])
     after[:scan_read] = np.concatenate([p[1] for p in blocks])
 
-    A, b_prime = _gram(dec, state.sigma), state.barrier_b - sched.delta
+    A, b_prime = dense_gram(dec, state.sigma), state.barrier_b - sched.delta
     M, W = shifted_inverse(A, b_prime), dec.V @ dec.L.T
     phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, b_prime, dec.L)
     pos, scanned = pick(quad, after, phi_before, first)
-    want, rec, want_scanned, _ = _reference_scan(A, M, dec.L, W, state.sigma, phi_b, phi_bp, pivot)
+    want, rec, want_scanned, _ = reference_scan(A, M, dec.L, W, state.sigma, phi_b, phi_bp, pivot)
     assert want is not None and (int(left[pos]), scanned) == (want, want_scanned)
     assert chosen == want
     np.testing.assert_allclose([quad[pos], after[pos]],
@@ -449,9 +372,9 @@ def test_scan_skips_taken_indices_that_pass(pivot, make_state):
     outcomes = []
     for scan in (select_next, array_select_next):
         dec, sched, state = SCAN_STATES[make_state]()
-        A = _gram(dec, state.sigma)
+        A = dense_gram(dec, state.sigma)
         b_prime = 1.1 * np.linalg.eigvalsh(A)[-1]
-        sched, state = sched._replace(delta=1.0), SelectionState.of(dec, state.sigma, b_prime + 1.0)
+        sched, state = sched._replace(delta=1.0), state_of(dec, state.sigma, b_prime + 1.0)
         outcomes.append(_scan_outcome(scan, state, sched, pivot))
     assert outcomes[0] == outcomes[1]
     (chosen, rec, _), _ = outcomes[0]
@@ -466,7 +389,7 @@ def test_scan_with_no_candidate_left_matches_array_scan(pivot):
     # Every index taken: both scans raise with -inf margins.
     dec = Decomposition(L=np.eye(2), V=np.eye(2))
     sched = compute_schedule(dec.L, dec.m, 0.5)
-    outcomes = [_scan_outcome(scan, SelectionState.of(dec, [1, 0], 0.75), sched, pivot)
+    outcomes = [_scan_outcome(scan, state_of(dec, [1, 0], 0.75), sched, pivot)
                 for scan in (select_next, array_select_next)]
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0][1:] == ((-np.inf).hex(),) * 2
@@ -484,7 +407,7 @@ def test_grams_taken_is_the_chosen_set(pivot, monkeypatch):
 
     monkeypatch.setattr(Grams, "append", spy)
     dec = _ramp_instance(64, 128, 3)
-    grams = Grams.of(dec, [70, 3, 127, 0, 64])
+    grams = grams_of(dec, [70, 3, 127, 0, 64])
     assert grams.cols == [70, 3, 127, 0, 64] and seen == [True] * 5
     seen.clear()
     result = run_selection(permuted(dec, np.random.default_rng(5).permutation(dec.m)), 0.5,
@@ -637,7 +560,7 @@ def test_append_fills_rows_in_place():
 
 @pytest.mark.parametrize("pivot", PIVOTS)
 def test_state_of_matches_walk_under_scan_order(pivot, monkeypatch):
-    # The walk scans dec permuted by order; SelectionState.of reads sigma's
+    # The walk scans dec permuted by order; state_of reads sigma's
     # rows of dec, mapped back through order, in their own order. Both must
     # see the same spectrum and J.
     dec = _ramp_instance(64, 256, 7)
@@ -645,7 +568,7 @@ def test_state_of_matches_walk_under_scan_order(pivot, monkeypatch):
     result, steps = _recorded_walk(permuted(dec, order), 0.5, pivot, monkeypatch)
     assert sorted(order[result.sigma]) != order[result.sigma].tolist()
     for state, *_ in steps:
-        fresh = SelectionState.of(dec, order[state.sigma], state.barrier_b)
+        fresh = state_of(dec, order[state.sigma], state.barrier_b)
         k = len(state.sigma)
         pairs = [(fresh.spectrum.lam, state.spectrum.lam), (fresh.spectrum.M, state.spectrum.M),
                  (fresh.grams.J[:k, :k], state.grams.J[:k, :k])]
@@ -711,14 +634,14 @@ def test_averaging_lhs_from_grams_matches_dense_T(case):
     assert max(ks) < len(result.sigma)
     for k in ks:
         b = result.traces[k].barrier_before
-        state = SelectionState.of(dec, result.sigma[:k], b)
+        state = state_of(dec, result.sigma[:k], b)
         b_prime = b - result.schedule.delta
-        A = _gram(dec, state.sigma)
+        A = dense_gram(dec, state.sigma)
         T = dec.L.T @ shifted_inverse(A, b_prime) @ dec.L
         values = shift_values(state, result.schedule)
         lhs = rinv.selector._t_frob_sq(state, *values[1:])
         assert lhs == pytest.approx(float(np.sum(T * T)), rel=1e-10)
-        expected = _reference_preconditions(A, b, result.schedule, dec.L)
+        expected = reference_preconditions(A, b, result.schedule, dec.L)
         assert check_step_preconditions(state, result.schedule, *values)._asdict() == expected
 
 
@@ -745,9 +668,9 @@ def _raised_barrier(dec, sigma, eps):
     candidate fails the rank test."""
     W = dec.V @ dec.L.T
     sched = compute_schedule(dec.L, dec.m, eps)
-    b_prime = (np.linalg.eigvalsh(_gram(dec, sigma))[-1]
+    b_prime = (np.linalg.eigvalsh(dense_gram(dec, sigma))[-1]
                + 2.0 * float(np.max(np.sum(W * W, axis=1))))
-    return sched, SelectionState.of(dec, sigma, b_prime + sched.delta)
+    return sched, state_of(dec, sigma, b_prime + sched.delta)
 
 
 def _raised_barrier_state():
@@ -764,7 +687,7 @@ def _split_failure_state():
     the larger of its two margins, the second the larger smaller one."""
     dec = Decomposition(L=np.eye(2), V=np.diag(np.sqrt([3.0, 0.5])))
     sched = compute_schedule(dec.L, dec.m, 0.5)
-    return dec, sched, SelectionState.of(dec, [], 1.0 + sched.delta)
+    return dec, sched, state_of(dec, [], 1.0 + sched.delta)
 
 
 def _potential_failure_state():
@@ -773,7 +696,7 @@ def _potential_failure_state():
     inequality fails (16 > 32/3) where it would hold at b (64/9)."""
     dec = Decomposition(L=np.eye(4), V=np.eye(4))
     sched = compute_schedule(dec.L, dec.m, 0.5)
-    return dec, sched, SelectionState.of(dec, [], 0.5 + sched.delta)
+    return dec, sched, state_of(dec, [], 0.5 + sched.delta)
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
@@ -787,17 +710,17 @@ def test_infeasible_step_reports_reference_margins(pivot, make_state):
 def _check_infeasible_state(pivot, dec, sched, state):
     """No candidate passes: select_next raises with the reference scan's
     margins."""
-    A = _gram(dec, state.sigma)
+    A = dense_gram(dec, state.sigma)
     values = shift_values(state, sched)
     diag = check_step_preconditions(state, sched, *values)
-    expected = _reference_preconditions(A, state.barrier_b, sched, dec.L)
+    expected = reference_preconditions(A, state.barrier_b, sched, dec.L)
     assert diag._asdict() == expected
     with pytest.raises(InfeasibilityError, match=f"at step {len(state.sigma) + 1} ") as err:
         select_next(state, sched, *values, pivot)
     b_prime = state.barrier_b - sched.delta
     M = shifted_inverse(A, b_prime)
     phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, b_prime, dec.L)
-    chosen, _, scanned, margins = _reference_scan(A, M, dec.L, dec.V @ dec.L.T, state.sigma,
+    chosen, _, scanned, margins = reference_scan(A, M, dec.L, dec.V @ dec.L.T, state.sigma,
                                                   phi_b, phi_bp, pivot)
     assert chosen is None and scanned == dec.m - len(state.sigma)
     assert err.value.best_quadform_margin == pytest.approx(margins[0], rel=1e-9)

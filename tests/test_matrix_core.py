@@ -1,13 +1,15 @@
-"""Matrix primitive tests, checked against numpy/scipy oracles."""
+"""Matrix primitive tests, checked against numpy/scipy oracles: the walk's
+shifted spectrum and interlacing check, the dense shifted_inverse reference
+and the certificate's gram_min_eigenvalue."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rinv.matrix_core import (check_interlacing, gram_min_eigenvalue, shifted_inverse,
-                              shifted_spectrum)
+from rinv.certificate import gram_min_eigenvalue
 from rinv.errors import InvariantViolation, SingularShiftError
-from rinv.selector import candidate_feasible, potential
+from rinv.selector import (candidate_feasible, check_interlacing, potential, shifted_inverse,
+                           shifted_spectrum)
 from rinv.tolerances import default_tolerances
 
 

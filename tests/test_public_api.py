@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rinv
-import rinv.matrix_core
+import rinv.certificate
 import rinv.selector
 
 PUBLIC = [
@@ -42,9 +42,9 @@ def test_every_public_name_resolves():
 
 def _functions():
     """Each function, and each method of a class, bound to a name in
-    rinv.__all__, rinv.selector or rinv.matrix_core."""
+    rinv.__all__, rinv.selector or rinv.certificate."""
     objects = [getattr(rinv, name) for name in rinv.__all__]
-    objects += [*vars(rinv.selector).values(), *vars(rinv.matrix_core).values()]
+    objects += [*vars(rinv.selector).values(), *vars(rinv.certificate).values()]
     for obj in objects:
         for member in vars(obj).values() if inspect.isclass(obj) else [obj]:
             member = getattr(member, "__func__", member)  # classmethod, staticmethod
@@ -57,8 +57,8 @@ def test_no_function_takes_an_optional_tol():
     # the walk's slacks on take them as a required argument.
     functions = list(_functions())
     names = {f.__qualname__ for f in functions}
-    assert {"run_selection", "SelectionState.of", "Spectrum.of", "shifted_spectrum",
-            "exhaustive_best_subset", "validate", "verify"} <= names
+    assert {"run_selection", "Grams.of", "Spectrum.of", "shifted_spectrum",
+            "gram_min_eigenvalue", "exhaustive_best_subset", "validate", "verify"} <= names
     optional = [
         f.__qualname__ for f in functions
         if "tol" in (params := inspect.signature(f).parameters)

@@ -28,12 +28,11 @@ from rinv.errors import (
     ParameterError,
     ZeroOperatorError,
 )
-from rinv.matrix_core import gram_min_eigenvalue
+from rinv.certificate import gram_min_eigenvalue
 from rinv.selector import (
     FROB_SQ_RANGE,
     FeasibilityRecord,
     Schedule,
-    SelectionState,
     _check_post_step,
     candidate_feasible,
     check_step_preconditions,
@@ -42,7 +41,7 @@ from rinv.selector import (
     select_next,
     shifted_inverse,
 )
-from test_fast_path import shift_values
+from walk_reference import shift_values, state_of
 
 
 def frame_120():
@@ -293,7 +292,7 @@ class TestSelectNext:
     def test_first_feasible_is_smallest_index(self):
         dec = from_standard_basis(np.eye(4))
         schedule = compute_schedule(dec.L, 4, 0.5)
-        state = SelectionState.of(dec, [], schedule.b0)
+        state = state_of(dec, [], schedule.b0)
         chosen, rec, scanned = select_next(state, schedule, *shift_values(state, schedule))
         assert chosen == 0
         assert rec.feasible
@@ -302,7 +301,7 @@ class TestSelectNext:
     def test_matches_exhaustive_scan(self):
         dec = Decomposition(L=np.eye(2), V=frame_120())
         schedule = compute_schedule(dec.L, 3, 0.75)
-        state = SelectionState.of(dec, [], schedule.b0)
+        state = state_of(dec, [], schedule.b0)
         chosen, rec, _ = select_next(state, schedule, *shift_values(state, schedule))
         # verify against an independent scan of all three candidates
         A = np.zeros((2, 2))
@@ -321,13 +320,13 @@ class TestSelectNext:
         dec = from_standard_basis(np.eye(4))
         for sigma in ([0.7, 2.9], [True], ["1"], [1, 1]):
             with pytest.raises(IndexRangeError):
-                SelectionState.of(dec, sigma, 0.5)
+                state_of(dec, sigma, 0.5)
 
     def test_shift_zero_with_no_zero_block(self):
         # k = n leaves no zero block (n0 = 0): at shift 0 its kernel term is
         # 0, not -mass0 / 0, and the scan (delta = 0.5, so b' = 0) has no
         # candidate left and reports it as infeasible.
-        state = SelectionState.of(Decomposition(L=np.eye(2), V=np.eye(2)), [1, 0], 0.5)
+        state = state_of(Decomposition(L=np.eye(2), V=np.eye(2)), [1, 0], 0.5)
         assert state.spectrum.n0 == 0
         at = state.spectrum.at(0.0)
         assert (at.phi, at.phi_image, at.phi_kernel, at.d0) == (2.0, 2.0, 0.0, 0.0)
@@ -507,7 +506,7 @@ class TestRunSelection:
 
 class TestPostStepChecks:
     """Each InvariantViolation raised after a step, from the spectra of
-    SelectionState.of before and after a walk's second step and a hand-set
+    state_of before and after a walk's second step and a hand-set
     FeasibilityRecord."""
 
     @staticmethod
@@ -516,8 +515,8 @@ class TestPostStepChecks:
         res = run_selection(dec, 0.8)
         assert len(res.sigma) == 2
         tr = res.traces[1]
-        old = SelectionState.of(dec, res.sigma[:1], tr.barrier_before).spectrum
-        new = SelectionState.of(dec, res.sigma, tr.barrier_after).spectrum
+        old = state_of(dec, res.sigma[:1], tr.barrier_before).spectrum
+        new = state_of(dec, res.sigma, tr.barrier_after).spectrum
         return old, new, tr, FeasibilityRecord(-1.0 - tr.quadform_margin, tr.phi_after, True)
 
     def test_recorded_step_passes(self):
@@ -575,7 +574,7 @@ class TestStepPreconditions:
     def test_initial_state_all_true(self):
         dec = from_standard_basis(np.eye(4))
         schedule = compute_schedule(dec.L, 4, 0.5)
-        state = SelectionState.of(dec, [], schedule.b0)
+        state = state_of(dec, [], schedule.b0)
         diag = check_step_preconditions(state, schedule, *shift_values(state, schedule))
         assert all(diag._asdict().values())
 
@@ -588,6 +587,6 @@ class TestStepPreconditions:
         dec = from_standard_basis(np.eye(4))
         schedule = compute_schedule(dec.L, 4, 0.5)
         # a barrier below delta violates the window
-        state = SelectionState.of(dec, [], schedule.delta / 2)
+        state = state_of(dec, [], schedule.delta / 2)
         diag = check_step_preconditions(state, schedule, *shift_values(state, schedule))
         assert not diag.barrier_window_ok

@@ -16,9 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from rinv import Decomposition, compute_schedule, default_tolerances, run_selection
 from rinv.errors import InvariantViolation, SingularShiftError
-from rinv.matrix_core import check_interlacing
-from rinv.selector import SelectionState, Spectrum
+from rinv.selector import Spectrum, check_interlacing
 from test_fast_path import LOW_RANK_CASES, _ramp_instance
+from walk_reference import state_of
 
 TOL = default_tolerances()
 
@@ -66,7 +66,7 @@ def _assert_same_bits(spec, grams_args, shifts):
         d, d0, phi, K = reference_at(ref, shift)
         at = spec.at(shift)
         assert np.array_equal(at.d, d) and (at.d0, at.phi) == (d0, phi)
-        assert np.array_equal(spec.resolvent(shift), K)
+        assert np.array_equal(spec.resolvent_at(spec.at(shift)), K)
 
 
 def _recorded_spectra(dec, eps, pivot, monkeypatch):
@@ -114,13 +114,13 @@ def test_kernel_band_state_raises(case):
     dec = Decomposition(L=dec.L, V=np.vstack([dec.V, dec.V[sigma[0]]]))
     sched = compute_schedule(dec.L, dec.m, 0.5)
     with pytest.raises(InvariantViolation, match="the Gram of the 3 chosen vectors has eigenvalue"):
-        SelectionState.of(dec, sigma + [dec.m - 1], sched.b0 - 3 * sched.delta)
+        state_of(dec, sigma + [dec.m - 1], sched.b0 - 3 * sched.delta)
 
 
 def test_empty_state_matches_reference_bits():
     dec = _ramp_instance(64, 128, 3)
     sched = compute_schedule(dec.L, dec.m, 0.5)
-    state = SelectionState.of(dec, [], sched.b0)
+    state = state_of(dec, [], sched.b0)
     assert len(state.spectrum.lam) == 0 and state.spectrum.n0 == dec.n
     _assert_same_bits(state.spectrum, _grams_of(state.grams), [sched.b0, sched.b0 - sched.delta])
 
