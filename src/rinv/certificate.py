@@ -15,16 +15,25 @@ from typing import List, NamedTuple, Sequence
 import numpy as np
 
 from .decomposition import Decomposition, checked_arrays, checked_indices, from_standard_basis
+from .errors import NormRangeError
 from .selector import compute_schedule
 from .tolerances import default_tolerances
 
 
-def gram_min_eigenvalue(vectors: Sequence[np.ndarray]) -> float:
+def gram_min_eigenvalue(vectors: Sequence[np.ndarray]):
     """Smallest eigenvalue of the Gram matrix W W^T of one or more
     equal-length rows: the least eigenvalue of sum_i w_i w_i^T on span{w_i},
-    strictly positive iff the rows are linearly independent."""
+    strictly positive iff the rows are linearly independent. A stack of B
+    such W, shape (B, t, n), gives the B values as an array. NormRangeError
+    if a Gram entry overflows, checked on the Gram alone before eigvalsh."""
     W = np.asarray(vectors, dtype=float)
-    return float(np.linalg.eigvalsh(W @ W.T)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = W @ np.swapaxes(W, -1, -2)
+    if not np.isfinite(G).all():
+        raise NormRangeError("the Gram matrix W W^T of the selected rows w = L v "
+                             "overflows the float range")
+    lam = np.linalg.eigvalsh(G)[..., 0]
+    return float(lam) if W.ndim == 2 else lam
 
 
 class Certificate(NamedTuple):
@@ -74,7 +83,8 @@ def verify(dec: Decomposition, epsilon: float, sigma: Sequence[int]) -> Certific
     or DimensionError; the frame identity is not checked. t, the bound, b0
     and delta come from compute_schedule, so an all-zero L raises
     ZeroOperatorError and an epsilon outside (0, 1) ParameterError; sigma
-    must hold distinct integers in [0, m), or IndexRangeError.
+    must hold distinct integers in [0, m), or IndexRangeError. A Gram of
+    the selected rows that overflows raises NormRangeError.
     """
     tol = default_tolerances()
     L, V = checked_arrays(dec)
@@ -82,7 +92,8 @@ def verify(dec: Decomposition, epsilon: float, sigma: Sequence[int]) -> Certific
     schedule = compute_schedule(L, len(V), epsilon)
 
     if sigma:
-        W = V[sigma] @ L.T
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the Gram check
+            W = V[sigma] @ L.T
         lam_min = gram_min_eigenvalue(W)
         row_sq = float(np.max(np.sum(W * W, axis=1)))
         independent = lam_min > tol.independence * row_sq

@@ -166,8 +166,10 @@ def checked_indices(indices, m: int, name: str) -> np.ndarray:
 
 def permuted(dec: Decomposition, perm) -> Decomposition:
     """Decomposition with rows of V reordered: new row j is old row perm[j].
-    IndexRangeError for a bad or repeated entry, DimensionError for a length other than m."""
-    perm = checked_indices(perm, dec.m, "perm")
-    if len(perm) != dec.m:
-        raise DimensionError(f"perm must have m = {dec.m} entries, got {len(perm)}")
-    return dec._replace(V=np.asarray(dec.V)[perm])
+    DimensionError unless L and V pass checked_arrays, or for a length
+    other than m; IndexRangeError for a bad or repeated entry."""
+    _, V = checked_arrays(dec)
+    perm = checked_indices(perm, len(V), "perm")
+    if len(perm) != len(V):
+        raise DimensionError(f"perm must have m = {len(V)} entries, got {len(perm)}")
+    return dec._replace(V=V[perm])

@@ -25,7 +25,8 @@ class ZeroOperatorError(RinvError):
 
 
 class NormRangeError(RinvError):
-    """||L||_F^2 is outside the float range the barrier walk can compute in."""
+    """A value is outside the float range rinv can compute in: ||L||_F^2 for
+    the barrier walk, or an entry of a Gram matrix W W^T for verify and the oracle."""
 
 
 class DecompositionError(RinvError):

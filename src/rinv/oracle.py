@@ -11,6 +11,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
+from .certificate import gram_min_eigenvalue
 from .decomposition import Decomposition, checked_arrays
 from .errors import InvariantViolation, ParameterError, SubsetTooLargeError
 from .tolerances import default_tolerances
@@ -40,7 +41,8 @@ def exhaustive_best_subset(dec: Decomposition, t: int) -> Tuple[List[int], float
     Enumeration order is lexicographic and the merge keeps the earliest
     maximizer, so the result is independent of _BATCH. L and V pass
     validate's shape and finiteness checks, or DimensionError; ParameterError
-    unless t is an integer (not a bool) in [0, m].
+    unless t is an integer (not a bool) in [0, m]; NormRangeError if a
+    subset's Gram overflows.
     """
     tol = default_tolerances()
     L, V = checked_arrays(dec)
@@ -54,13 +56,12 @@ def exhaustive_best_subset(dec: Decomposition, t: int) -> Tuple[List[int], float
         raise SubsetTooLargeError(
             f"C({m},{t}) = {count} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
-    W = V @ L.T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the Gram check
+        W = V @ L.T
     best_val = -math.inf
     best_sigma: List[int] = []
     for idx in _batches(m, t):
-        sub = W[idx]                               # (B, t, n)
-        grams = sub @ sub.transpose(0, 2, 1)       # (B, t, t)
-        vals = np.linalg.eigvalsh(grams)[:, 0]
+        vals = gram_min_eigenvalue(W[idx])         # W[idx] is (B, t, n)
         vmax = float(vals.max())
         tie_band = tol.oracle_tie * max(1.0, abs(vmax))
         pos = int(np.nonzero(vals >= vmax - tie_band)[0][0])  # earliest near-max

@@ -13,7 +13,13 @@ from rinv import (
     verify,
     verify_classical,
 )
-from rinv.errors import DimensionError, IndexRangeError, ModeError, ZeroOperatorError
+from rinv.errors import (
+    DimensionError,
+    IndexRangeError,
+    ModeError,
+    NormRangeError,
+    ZeroOperatorError,
+)
 
 
 class TestVerify:
@@ -65,6 +71,16 @@ class TestVerify:
         V[2] = np.nan
         with pytest.raises(DimensionError, match="non-finite"):
             verify(Decomposition(L=np.eye(4), V=V), 0.5, [0, 2])
+
+    @pytest.mark.parametrize("scale, big, sigma", [(1.0, 1e200, [0]), (1.0, 1e200, [0, 1]),
+                                                   (1e50, 1e300, [0])],
+                             ids=["gram-row", "gram-pair", "w-row"])
+    def test_overflowing_gram_is_typed(self, scale, big, sigma):
+        # Not overflow warnings and lambda_min = inf or nan. In the last case
+        # w = L v itself overflows, while ||L||_F^2 is in range.
+        dec = Decomposition(L=scale * np.eye(2), V=np.array([[big, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NormRangeError, match="Gram matrix W W\\^T"):
+            verify(dec, 0.5, sigma)
 
     def test_zero_operator_is_typed(self):
         dec = Decomposition(L=np.zeros((3, 3)), V=np.eye(3))

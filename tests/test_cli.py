@@ -34,6 +34,14 @@ def read_json(path):
         return json.load(fh)
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestSelect:
     def test_identity_instance(self, id4, tmp_path, capsys):
         out = tmp_path / "cert.json"
@@ -57,6 +65,42 @@ class TestSelect:
         assert [l["step"] for l in lines] == [1, 2, 3]
         assert all(l["preconditions"]["averaging_ok"] for l in lines)
 
+    @pytest.mark.parametrize("pivot", ["first", "greedy"])
+    def test_trace_has_one_line_per_step(self, ramp24, tmp_path, capsys, pivot):
+        # Each of the t >= 1 steps writes one strict JSON line, and each step
+        # scans at least one candidate.
+        trace = tmp_path / "trace.jsonl"
+        assert main(["select", *ramp24, "--epsilon", "0.5", "--pivot", pivot,
+                     "--trace", str(trace)]) == 0
+        t = strict_json(capsys.readouterr().out)["t"]
+        lines = [strict_json(line) for line in trace.read_text().splitlines()]
+        assert t >= 1 and len(lines) == t
+        assert min(line["candidates_scanned"] for line in lines) >= 1
+
+    def test_greedy_appends_in_three_row_blocks(self, tmp_path, capsys, monkeypatch):
+        # At n = 256 append's row block of V is 2^20 bytes / (8 n) = 512 rows,
+        # so greedy, which reads all 1300 rows at its first step, forms each
+        # new Gram row in blocks of 512, 512 and 276. The select exits 0 and
+        # verify of its certificate matches.
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((256, 256)))
+        L, V, cert = tmp_path / "L.mtx", tmp_path / "V.mtx", tmp_path / "cert.json"
+        rinv.cli.mmwrite(L, Q * np.linspace(1.0, 2.0, 256))
+        assert main(["gen", "--n", "256", "--m", "1300", "--output", str(V)]) == 0
+        blocks, append = [], rinv.selector.Grams.append
+
+        def spy(grams, index):
+            blocks.append(divmod(grams.reach, len(grams.out)))
+            append(grams, index)
+
+        monkeypatch.setattr(rinv.selector.Grams, "append", spy)
+        instance = ["--L", str(L), "--V", str(V)]
+        assert main(["select", *instance, "--epsilon", "0.5", "--pivot", "greedy",
+                     "--output", str(cert)]) == 0
+        assert len(blocks) == read_json(cert)["t"] > 1 and set(blocks) == {(2, 276)}
+        capsys.readouterr()
+        assert main(["verify", *instance, "--certificate", str(cert)]) == 0
+        assert strict_json(capsys.readouterr().out)["match"] is True
+
     @pytest.mark.parametrize("unwritable", ["--output", "--trace"])
     def test_unwritable_file_leaves_the_other_empty(self, id4, tmp_path, capsys, unwritable):
         # A select that cannot open one of its files exits 1 with one i/o
@@ -72,15 +116,11 @@ class TestSelect:
         written = next(path for flag, path in paths.items() if flag != unwritable)
         assert not written.exists() or written.read_text() == ""
 
-    def test_failed_walk_keeps_the_completed_steps(self, tmp_path, capsys, monkeypatch):
-        # At RI_TOLERANCE_SCALE = 3e7 the walk on the CI's 24 x 24 ramp
-        # instance fails at step 5: --trace keeps the 4 steps before it, as
-        # chosen at scale 1, one error line is printed and --output is not made.
-        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((24, 24)))
-        L, V = tmp_path / "L.mtx", tmp_path / "V.mtx"
-        rinv.cli.mmwrite(L, Q * np.linspace(1.0, 2.0, 24))
-        assert main(["gen", "--n", "24", "--m", "48", "--output", str(V)]) == 0
-        flags = ["select", "--L", str(L), "--V", str(V), "--epsilon", "0.8"]
+    def test_failed_walk_keeps_the_completed_steps(self, ramp24, tmp_path, capsys, monkeypatch):
+        # At RI_TOLERANCE_SCALE = 3e7 the walk on the 24 x 24 ramp instance
+        # fails at step 5: --trace keeps the 4 steps before it, as chosen at
+        # scale 1, one error line is printed and --output is not made.
+        flags = ["select", *ramp24, "--epsilon", "0.8"]
         full, partial, cert = (tmp_path / f for f in ("full.jsonl", "partial.jsonl", "cert.json"))
         assert main([*flags, "--trace", str(full)]) == 0
         capsys.readouterr()
@@ -401,21 +441,14 @@ class TestVerify:
 
     def test_overflowed_delta_is_null(self, id4, tmp_path, capsys):
         # At epsilon = 1e-310 the run is vacuous and delta = (1 - eps) / (4 eps)
-        # overflows; select and verify print it as null, not as Infinity,
-        # which RFC 8259 JSON does not have.
-        def strict(text):
-            def reject(constant):
-                raise ValueError(f"not JSON: {constant}")
-
-            return json.loads(text, parse_constant=reject)
-
+        # overflows; select and verify print it as null, not as Infinity.
         cert_path = tmp_path / "cert.json"
         assert main(["select", "--L", id4, "--epsilon", "1e-310", "--output", str(cert_path)]) == 0
-        cert = strict(capsys.readouterr().out)
+        cert = strict_json(capsys.readouterr().out)
         assert (cert["delta"], cert["vacuous"], cert["passes"]) == (None, True, True)
-        assert strict(cert_path.read_text()) == cert
+        assert strict_json(cert_path.read_text()) == cert
         assert main(["verify", "--L", id4, "--certificate", str(cert_path)]) == 0
-        assert strict(capsys.readouterr().out)["recomputed"] == cert
+        assert strict_json(capsys.readouterr().out)["recomputed"] == cert
 
     def test_failing_certificate_exits_2(self, tmp_path, capsys):
         # two columns mapping to the same direction: dependent selection
@@ -701,12 +734,9 @@ class TestUsage:
 
 
 @pytest.fixture(scope="module")
-def fuzz_instance(tmp_path_factory):
-    """A 24 x 24 L (V the standard basis, so m = 24) and the certificate path."""
-    folder = tmp_path_factory.mktemp("fuzz")
-    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((24, 24)))
-    rinv.cli.mmwrite(str(folder / "L.mtx"), Q * np.linspace(1.0, 2.0, 24))
-    return str(folder / "L.mtx"), folder / "cert.json"
+def fuzz_instance(ramp24, tmp_path_factory):
+    """The 24 x 24 ramp L (V the standard basis, so m = 24) and the certificate path."""
+    return ramp24[1], tmp_path_factory.mktemp("fuzz") / "cert.json"
 
 
 # Strings from a fixed alphabet (quote, backslash, NUL, non-ASCII, a lone

@@ -172,6 +172,17 @@ class TestPermuted:
         with pytest.raises(DimensionError, match="m = 3 entries, got 2"):
             permuted(dec, [0, 1])
 
+    @pytest.mark.parametrize("V, message", [
+        (5.0, r"V rows must live in R\^2, got V shape \(\)"),
+        ([[1.0, 0.0], [0.0]], "V must be a rectangular array of real numbers"),
+        ([1.0, 0.0], r"V rows must live in R\^2, got V shape \(2,\)"),
+    ], ids=["scalar", "ragged", "1-D"])
+    def test_rejects_malformed_V(self, V, message):
+        # checked_arrays' DimensionError, not numpy's IndexError or ValueError,
+        # and a 1-D V is not permuted as if its entries were rows.
+        with pytest.raises(DimensionError, match=message):
+            permuted(Decomposition(L=np.eye(2), V=V), [0, 1])
+
     def test_rejects_float_perm(self):
         # Not cast to int: [0.2, 1, 2] is not the identity.
         dec = Decomposition(L=np.eye(2), V=frame_120())

@@ -1,6 +1,7 @@
 """What `import rinv.cli` costs beyond numpy: no generated record code
 (dataclasses), no oracle and no numpy.ma, each checked in a fresh
-interpreter; the oracle's names still resolve on first use."""
+interpreter, and neither of the first two once select and verify have run;
+the oracle's names still resolve on first use."""
 
 import json
 import os
@@ -30,6 +31,23 @@ def test_cli_import_loads_no_dataclasses_oracle_or_numpy_ma():
     out = _fresh("import sys, rinv.cli; "
                  "print([k for k in ('dataclasses', 'rinv.oracle', 'numpy.ma') if k in sys.modules])")
     assert out == "[]\n"
+
+
+def test_select_and_verify_load_no_dataclasses_or_oracle(ramp24, tmp_path):
+    # Running the commands, not only importing rinv.cli: select under both
+    # pivots with --trace and --output, then verify of the certificate.
+    files = [str(tmp_path / "cert.json"), str(tmp_path / "trace.jsonl")]
+    out = _fresh(
+        "import contextlib, io, sys\n"
+        "from rinv.cli import main\n"
+        f"instance, (cert, trace) = {ramp24!r}, {files!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['select', *instance, '--epsilon', '0.5', '--pivot', pivot,\n"
+        "                   '--trace', trace, '--output', cert]) for pivot in ('greedy', 'first')]\n"
+        "    codes.append(main(['verify', *instance, '--certificate', cert]))\n"
+        "print(codes, [k for k in ('dataclasses', 'rinv.oracle') if k in sys.modules])\n"
+    )
+    assert out == "[0, 0, 0] []\n"
 
 
 def test_oracle_names_resolve_on_first_use():

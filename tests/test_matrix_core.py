@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rinv.certificate import gram_min_eigenvalue
-from rinv.errors import InvariantViolation, SingularShiftError
+from rinv.errors import InvariantViolation, NormRangeError, SingularShiftError
 from rinv.selector import (candidate_feasible, check_interlacing, potential, shifted_inverse,
                            shifted_spectrum)
 from rinv.tolerances import default_tolerances
@@ -138,6 +138,19 @@ class TestGramMinEigenvalue:
         rng = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(rng.standard_normal((6, 4)))
         assert gram_min_eigenvalue(list(Q.T)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_stack_gives_each_value(self):
+        # The oracle's batch: one float per (t, n) slice, bit for bit.
+        W = np.random.default_rng(0).standard_normal((5, 3, 4))
+        vals = gram_min_eigenvalue(W)
+        assert vals.shape == (5,)
+        assert vals.tolist() == [gram_min_eigenvalue(w) for w in W]
+
+    @pytest.mark.parametrize("W", [[[1e200, 0.0]], [[[1.0, 0.0]], [[1e200, 0.0]]]],
+                             ids=["rows", "stack"])
+    def test_overflow_is_typed(self, W):
+        with pytest.raises(NormRangeError, match="overflows the float range"):
+            gram_min_eigenvalue(W)
 
 
 class TestInterlacing:

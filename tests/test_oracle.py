@@ -14,7 +14,7 @@ from rinv import (
     random_tight_frame,
 )
 import rinv.oracle
-from rinv.errors import DimensionError, ParameterError, SubsetTooLargeError
+from rinv.errors import DimensionError, NormRangeError, ParameterError, SubsetTooLargeError
 
 
 def frame_120():
@@ -61,6 +61,14 @@ class TestExhaustiveBestSubset:
     def test_malformed_instance(self, L, V):
         with pytest.raises(DimensionError):
             exhaustive_best_subset(Decomposition(L=L, V=V), 1)
+
+    @pytest.mark.parametrize("scale, big", [(1.0, 1e200), (1e50, 1e300)], ids=["gram", "w"])
+    def test_overflowing_gram_is_typed(self, scale, big):
+        # Not an IndexError from the tie band of a batch with an inf value.
+        # In the second case w = L v itself overflows.
+        dec = Decomposition(L=scale * np.eye(2), V=np.array([[big, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NormRangeError, match="Gram matrix W W\\^T"):
+            exhaustive_best_subset(dec, 1)
 
     def test_batch_size_irrelevant(self, monkeypatch):
         dec = Decomposition(L=np.eye(4), V=random_tight_frame(4, 9, 5))

@@ -1,5 +1,6 @@
 """Tolerance configuration and the RI_TOLERANCE_SCALE knob."""
 
+import json
 import re
 
 import numpy as np
@@ -13,7 +14,7 @@ from rinv import (
     validate,
     verify,
 )
-from rinv.cli import main, mmwrite
+from rinv.cli import main
 from rinv.errors import ParameterError, RinvError
 from rinv.tolerances import Tolerances, default_tolerances
 
@@ -46,19 +47,36 @@ def test_env_scale_not_finite_positive(monkeypatch, text):
 
 
 @pytest.mark.parametrize("text", BAD_SCALES)
-def test_env_scale_not_finite_positive_exits_1(monkeypatch, tmp_path, capsys, text):
-    # A 24 x 48 ramp instance the walk solves at the default scale.
-    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((24, 24)))
-    lpath, vpath = tmp_path / "L.mtx", tmp_path / "V.mtx"
-    mmwrite(str(lpath), Q * np.linspace(1.0, 2.0, 24))
-    mmwrite(str(vpath), random_tight_frame(24, 48, 0))
-    args = ["select", "--L", str(lpath), "--V", str(vpath), "--epsilon", "0.5"]
+def test_env_scale_not_finite_positive_exits_1(ramp24, monkeypatch, capsys, text):
+    # An instance the walk solves at the default scale.
     monkeypatch.setenv("RI_TOLERANCE_SCALE", text)
-    assert main(args) == 1
+    assert main(["select", *ramp24, "--epsilon", "0.5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("rinv: error: RI_TOLERANCE_SCALE")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("scale", ["1e-3", "1", "1e3"])
+def test_scale_keeps_the_cli_results(ramp24, monkeypatch, tmp_path, capsys, scale):
+    # The slacks move over six decades and the 24 x 24 ramp's results do
+    # not: both pivots' sigma, the verify of a certificate written at scale
+    # 1 and the oracle's two subsets.
+    walk, cert = [*ramp24, "--epsilon", "0.5"], tmp_path / "cert.json"
+    monkeypatch.delenv("RI_TOLERANCE_SCALE", raising=False)
+    assert main(["select", *walk, "--output", str(cert)]) == 0
+    monkeypatch.setenv("RI_TOLERANCE_SCALE", scale)
+    capsys.readouterr()
+    got = []
+    for argv in (["select", *walk], ["select", *walk, "--pivot", "greedy"],
+                 ["verify", *ramp24, "--certificate", str(cert)], ["oracle", *walk]):
+        assert main(argv) == 0
+        got.append(json.loads(capsys.readouterr().out))
+    first, greedy, report, oracle = got
+    assert [first["sigma"], first["passes"]] == [[1, 2, 3], True]
+    assert [greedy["sigma"], greedy["passes"]] == [[13, 33, 44], True]
+    assert [report["match"], report["recomputed_passes"]] == [True, True]
+    assert [oracle["sigma"], oracle["oracle_sigma"]] == [[1, 2, 3], [17, 33, 44]]
 
 
 def _ramp():
