@@ -243,8 +243,9 @@ def _cmd_gen(args):
 
 def _cmd_bench(args):
     """The selection's lambda_min against that of args.trials random
-    t-subsets. Their median is statistics.median's float, taken from the
-    sorted values without np.median, which would import numpy.ma."""
+    t-subsets."""
+    import statistics
+
     dec = _load_decomposition(args)
     result = run_selection(dec, args.epsilon, pivot_rule=args.pivot)
     cert = verify(dec, args.epsilon, result.sigma)
@@ -255,15 +256,13 @@ def _cmd_bench(args):
         # The Gram of the same rows verify forms, without verify's schedule per trial.
         subset = sorted(rng.choice(dec.m, size=t, replace=False).tolist())
         random_vals.append(gram_min_eigenvalue(dec.V[subset] @ dec.L.T))
-    ranked, mid = sorted(random_vals), len(random_vals) // 2
-    median = ranked[mid] if len(ranked) % 2 else (ranked[mid - 1] + ranked[mid]) / 2 if ranked else None
     payload = {
         "t": t,
         "bound": cert.guarantee_bound,
         "barrier_lambda": None if t == 0 else cert.lambda_min,
         "random_trials": len(random_vals),
         "random_lambda_min": min(random_vals) if random_vals else None,
-        "random_lambda_median": median,
+        "random_lambda_median": statistics.median(random_vals) if random_vals else None,
         "random_lambda_max": max(random_vals) if random_vals else None,
         "random_above_bound": sum(v > cert.guarantee_bound for v in random_vals),
         "vacuous": result.vacuous,

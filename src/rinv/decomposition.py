@@ -45,14 +45,15 @@ class Decomposition(NamedTuple):
 
 
 def _real_array(X, name: str) -> np.ndarray:
-    """X as a float array; DimensionError if it is complex, text, objects or ragged."""
+    """X as a C-ordered float array, so that results follow X's values and
+    not its layout; DimensionError if it is complex, text, objects or ragged."""
     try:
         X = np.asarray(X)
     except ValueError:  # ragged nesting
         X = np.empty(0, dtype=object)
     if X.dtype.kind not in "biuf":
         raise DimensionError(f"{name} must be a rectangular array of real numbers")
-    return X.astype(float, copy=False)
+    return X.astype(float, order="C", copy=False)
 
 
 def square_operator(L) -> np.ndarray:

@@ -30,7 +30,6 @@ of a dense A; shifted_spectrum and check_interlacing serve the walk.
 import math
 import numbers
 import sys
-from bisect import bisect_right, insort
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -166,8 +165,8 @@ class Grams:
     index, CV[j] = VG[c], G[j, p] = V[p] VG[c]^T and H[j, p] = VG[p]
     VG[c]^T, entries of the Grams W W^T (rows w) and VG VG^T. The k x k
     blocks Gss = G[:, cols], Hss = H[:, cols] and J = CV LtL CV^T are
-    bordered once per chosen index, taken[p] is set once p is chosen and
-    ranked holds the chosen indices in increasing order.
+    bordered once per chosen index and taken[p] is set once p is chosen:
+    cols and taken are the chosen set, in choice order and as the scan's mask.
     read(e) fills columns [reach, e) of every chosen row and append the new
     row on columns [0, reach), up to `capacity` rows, so each entry is
     computed once and every block a step reads is a view. A read of at most
@@ -177,14 +176,14 @@ class Grams:
     """
 
     __slots__ = ("V", "LtL", "VG", "LV", "has_lv", "taken", "g", "h", "tr_ltl", "ltl_sq",
-                 "G", "H", "CV", "Gss", "Hss", "J", "cols", "ranked", "reach", "pair", "out")
+                 "G", "H", "CV", "Gss", "Hss", "J", "cols", "reach", "pair", "out")
 
     @classmethod
     def of(cls, dec: Decomposition, capacity: int, LtL: Optional[np.ndarray] = None) -> "Grams":
         """The empty store of dec, with room for `capacity` chosen rows; LtL,
         if given, is L^T L."""
         grams = cls()
-        V, L = np.asarray(dec.V, dtype=float), np.asarray(dec.L, dtype=float)
+        V, L = (np.asarray(X, dtype=float, order="C") for X in (dec.V, dec.L))
         m, n = V.shape
         LtL = L.T @ L if LtL is None else LtL
         grams.V, grams.LtL, grams.VG, grams.LV = V, LtL, np.empty((m, n)), np.empty((m, n))
@@ -193,7 +192,7 @@ class Grams:
         grams.tr_ltl, grams.ltl_sq = float(np.trace(LtL)), float(np.sum(LtL * LtL))
         grams.G, grams.H, grams.CV = (np.empty((capacity, size)) for size in (m, m, n))
         grams.Gss, grams.Hss, grams.J = (np.empty((capacity, capacity)) for _ in range(3))
-        grams.cols, grams.ranked, grams.reach = [], [], 0
+        grams.cols, grams.reach = [], 0
         rows = min(m, max(1, APPEND_BLOCK_BYTES // max(1, 8 * n)))  # append's row block of V
         grams.pair, grams.out = np.empty((n, 2)), np.empty((rows, 2))  # [vg, lv], a block of V pair
         return grams
@@ -227,7 +226,6 @@ class Grams:
         over V, a block of rows at a time, forms both."""
         k, c, reach, pair, out = len(self.cols), int(index), self.reach, self.pair, self.out
         self.cols.append(c)
-        insort(self.ranked, c)
         self.taken[c] = True
         vg = self.CV[k] = self.VG[c]
         lv = self.LV[c] if self.has_lv[c] else self.LtL @ vg
@@ -303,10 +301,9 @@ class Spectrum(NamedTuple):
 
 
 class SelectionState(NamedTuple):
-    """Running state: chosen indices, current barrier, the spectrum of
-    A = sum_{i in sigma} (L v_i)(L v_i)^T and the Grams it was read from."""
+    """Running state: the barrier, the spectrum of A = sum_{i in sigma} (L v_i)(L v_i)^T
+    and the Grams it was read from, whose cols are sigma in the order chosen."""
 
-    sigma: List[int]
     barrier_b: float
     spectrum: Spectrum
     grams: Grams
@@ -390,7 +387,7 @@ def _schedule(L, m: int, epsilon: float):
     # outside it is rejected before float() could overflow.
     if not (0.0 < epsilon < 1.0 and 0.0 < float(epsilon) < 1.0):
         raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-    epsilon, L = float(epsilon), np.asarray(L, dtype=float)
+    epsilon, L = float(epsilon), np.asarray(L, dtype=float, order="C")
     with np.errstate(over="ignore"):
         frob_sq = float(np.sum(L * L))
     if frob_sq == 0.0 and not L.any():
@@ -494,7 +491,7 @@ def _t_frob_sq(state: SelectionState, at: AtShift, K: np.ndarray) -> float:
     with at and K the spectrum's values at shift and D = diag(d - d0):
     tr(DMDM) + 2 d0 sum(J o K) + d0^2 ||LtL||_F^2, since
     tr(VG_sigma^T K VG_sigma LtL) = tr(K J)."""
-    spec, grams, k = state.spectrum, state.grams, len(state.grams.cols)
+    spec, grams, k = state.spectrum, state.grams, len(state.spectrum.lam)
     DM = (at.d - at.d0)[:, None] * spec.M
     return float((DM * DM.T).sum() + 2.0 * at.d0 * (grams.J[:k, :k] * K).sum()
                  + at.d0 * at.d0 * grams.ltl_sq)
@@ -559,34 +556,29 @@ def select_next(state: SelectionState, schedule: Schedule, at_b: AtShift, at_bp:
     preconditions hold. When none does, InfeasibilityError names the step
     and the best margins.
 
-    Blocks of candidates are tested at once, each O(k^2) once its Gram rows
-    are read: FirstFeasible tests blocks of 1, 2, 4, ... of the candidates
-    left, in index order, and stops at the first block with a hit, so it reads
-    rows only up to that block; GreedyMinPotential reads all rows and tests
-    one block. A block is one k x B slice of columns of the k-major G and
-    H, tested in place: its arrays have the slice's width, and one masked
-    pick skips the columns grams.taken marks. With K the resolvent at b',
-    (A - b'I)^{-1} = W_sigma^T K W_sigma + d0 I, so for w = L v with columns
-    G_p, H_p and Z = K G_p: quadform = G_p^T Z + d0 ||w||^2, and
-    y = L^T (A - b'I)^{-1} w has ||y||^2 = Z^T H[sigma, sigma] Z
-    + 2 d0 H_p^T Z + d0^2 ||L^T w||^2, two m x k x k products for greedy.
+    Blocks of indices are tested at once, each O(k^2) per candidate once its
+    Gram rows are read. From the first index not taken, f, FirstFeasible
+    tests [f, f + 1), [f + 1, f + 3), [f + 3, f + 7), ... and stops at the
+    first block with a hit, so it reads rows only up to that block;
+    GreedyMinPotential reads all rows and tests the one block [f, m). A
+    block is one k x B slice of columns of the k-major G and H, tested in
+    place, and one masked pick skips the columns grams.taken marks. The
+    candidates scanned are the free ones up to the hit, m - k for greedy.
+    With K the resolvent at b', (A - b'I)^{-1} = W_sigma^T K W_sigma + d0 I,
+    so for w = L v with columns G_p, H_p and Z = K G_p: quadform = G_p^T Z
+    + d0 ||w||^2, and y = L^T (A - b'I)^{-1} w has ||y||^2 = Z^T H[sigma,
+    sigma] Z + 2 d0 H_p^T Z + d0^2 ||L^T w||^2, two m x k x k products for greedy.
     The blocks' free columns are gathered only when no block has a hit, for
     the error's margins.
     """
-    first, grams, k = pivot_rule == PIVOT_FIRST, state.grams, len(state.sigma)
-    phi_before, d0, H_ss = at_b.phi, at_bp.d0, grams.Hss[:k, :k]
-    # The candidates left below the j-th smallest taken index number gaps[j],
-    # so the p-th candidate left is index p + bisect_right(gaps, p).
-    gaps = [c - j for j, c in enumerate(grams.ranked)]
-    n_left = len(grams.V) - k
+    first, grams, k = pivot_rule == PIVOT_FIRST, state.grams, len(state.spectrum.lam)
+    m, phi_before, d0, H_ss = len(grams.V), at_b.phi, at_bp.d0, grams.Hss[:k, :k]
 
     # NaN marks a zero vector: it passes no test.
-    blocks, start, size = [], 0, 1 if first else n_left
+    blocks, start, size = [], int(grams.taken.argmin()), 1 if first else m
     with np.errstate(divide="ignore", invalid="ignore"):
-        while start < n_left:
-            end = min(start + size, n_left)
-            lo = start + bisect_right(gaps, start)
-            rows = slice(lo, end + bisect_right(gaps, end - 1))
+        while start < m:
+            rows = slice(start, min(start + size, m))
             grams.read(rows.stop)
             G, H, w_sq, free = grams.G[:k, rows], grams.H[:k, rows], grams.g[rows], ~grams.taken[rows]
             Z = K @ G
@@ -595,10 +587,11 @@ def select_next(state: SelectionState, schedule: Schedule, at_b: AtShift, at_bp:
             after = at_bp.phi - y_sq / (1.0 + q)
             hit = _pick(q, after, phi_before, first, free)
             if hit is not None:
-                scanned = start + int(np.count_nonzero(free[:hit])) + 1 if first else n_left
-                return lo + hit, FeasibilityRecord(float(q[hit]), float(after[hit]), True), scanned
+                p = start + hit
+                scanned = p + 1 - int(np.count_nonzero(grams.taken[:p])) if first else m - k
+                return p, FeasibilityRecord(float(q[hit]), float(after[hit]), True), scanned
             blocks.append((q, after, free))
-            start, size = end, 2 * size
+            start, size = rows.stop, 2 * size
 
     quad, after = (np.concatenate([b[i][b[2]] for b in blocks] or [np.empty(0)]) for i in (0, 1))
     qm, pm = -1.0 - quad, phi_before - after
@@ -606,7 +599,7 @@ def select_next(state: SelectionState, schedule: Schedule, at_b: AtShift, at_bp:
     j = int(np.argmax(score)) if score.max(initial=-np.inf) > -np.inf else None
     margins = (-math.inf, -math.inf) if j is None else (float(qm[j]), float(pm[j]))
     raise InfeasibilityError(
-        f"no feasible candidate at step {len(state.sigma) + 1} (best quadform margin "
+        f"no feasible candidate at step {k + 1} (best quadform margin "
         f"{margins[0]:.3e}, best potential margin {margins[1]:.3e})",
         best_quadform_margin=margins[0], best_potential_margin=margins[1],
     )
@@ -645,12 +638,12 @@ def _step(state: SelectionState, at_b: AtShift, schedule: Schedule, pivot_rule: 
     diag = check_step_preconditions(state, schedule, at_b, at_bp, K)
     chosen, rec, scanned = select_next(state, schedule, at_b, at_bp, K, pivot_rule)
     state.grams.append(chosen)
-    sigma, new = state.sigma + [chosen], Spectrum.of(state.grams, spec.tol)
-    at_next = _check_post_step(spec, new, len(sigma), b_prime, rec)
-    trace = StepTrace(len(sigma), chosen, b, b_prime, at_b.phi, rec.potential_after_add,
+    step, new = len(state.grams.cols), Spectrum.of(state.grams, spec.tol)
+    at_next = _check_post_step(spec, new, step, b_prime, rec)
+    trace = StepTrace(step, chosen, b, b_prime, at_b.phi, rec.potential_after_add,
                       at_bp.phi_image, at_bp.phi_kernel, spec.mass0, scanned,
                       -1.0 - rec.quadform, at_b.phi - rec.potential_after_add, diag)
-    return SelectionState(sigma, b_prime, new, state.grams), at_next, trace
+    return SelectionState(b_prime, new, state.grams), at_next, trace
 
 
 def run_selection(
@@ -677,7 +670,7 @@ def run_selection(
         return SelectionResult(sigma=[], schedule=schedule, traces=[])
 
     grams = Grams.of(dec, capacity=schedule.steps_t, LtL=LtL)
-    state = SelectionState([], schedule.b0, Spectrum.of(grams, tol), grams)
+    state = SelectionState(schedule.b0, Spectrum.of(grams, tol), grams)
     at_b, traces = state.spectrum.at(schedule.b0), []
     try:
         for _ in range(schedule.steps_t):
@@ -686,4 +679,4 @@ def run_selection(
     except RinvError as err:
         err.traces = traces
         raise
-    return SelectionResult(sigma=state.sigma, schedule=schedule, traces=traces)
+    return SelectionResult(sigma=list(grams.cols), schedule=schedule, traces=traces)

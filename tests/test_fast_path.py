@@ -190,33 +190,34 @@ def array_select_next(state, schedule, at_b, at_bp, K, pivot_rule):
     """select_next written over arrays of all the candidates left: a mask of
     them, their indices in order and NaN-filled quad and after, into which
     each block's columns are gathered through the mask before one pick over
-    all of them. The reference for select_next's in-place blocks, which must
+    all of them. The blocks are select_next's index ranges from the first
+    index left. The reference for select_next's in-place blocks, which must
     match it bit for bit."""
     first = pivot_rule == "first"
-    grams, k = state.grams, len(state.sigma)
+    grams, k, m = state.grams, len(state.grams.cols), len(state.grams.V)
     phi_before, d0, H_ss = at_b.phi, at_bp.d0, grams.Hss[:k, :k]
-    left = np.ones(len(grams.V), dtype=bool)
+    left = np.ones(m, dtype=bool)
     left[grams.cols] = False
     order = left.nonzero()[0]
     quad, after = np.full(len(order), np.nan), np.full(len(order), np.nan)
     pos, scanned = None, len(order)
-    start, size = 0, 1 if first else len(order)
+    start, size = (int(order[0]) if len(order) else m), 1 if first else m
     with np.errstate(divide="ignore", invalid="ignore"):
-        while start < len(order):
-            end = min(start + size, len(order))
-            rows = slice(order[start], order[end - 1] + 1)
+        while start < m:
+            rows = slice(start, min(start + size, m))
+            lo, hi = np.searchsorted(order, [rows.start, rows.stop])  # places among those left
             grams.read(rows.stop)
             G, H, w_sq, keep = grams.G[:k, rows], grams.H[:k, rows], grams.g[rows], left[rows]
             Z = K @ G
             y_sq = (rinv.selector._col_dots(H_ss @ Z, Z) + 2.0 * d0 * rinv.selector._col_dots(Z, H)
                     + d0 * d0 * grams.h[rows])
             q = np.where(w_sq > 0, rinv.selector._col_dots(Z, G) + d0 * w_sq, np.nan)[keep]
-            quad[start:end], after[start:end] = q, at_bp.phi - y_sq[keep] / (1.0 + q)
-            hit = _array_pick(q, after[start:end], phi_before, first)[0] if first else None
+            quad[lo:hi], after[lo:hi] = q, at_bp.phi - y_sq[keep] / (1.0 + q)
+            hit = _array_pick(q, after[lo:hi], phi_before, first)[0] if first else None
             if hit is not None:
-                pos, scanned = start + hit, start + hit + 1
+                pos, scanned = lo + hit, lo + hit + 1
                 break
-            start, size = end, 2 * size
+            start, size = rows.stop, 2 * size
     if not first:
         pos, scanned = _array_pick(quad, after, phi_before, first)
     if pos is None:
@@ -225,7 +226,7 @@ def array_select_next(state, schedule, at_b, at_bp, K, pivot_rule):
         j = int(np.argmax(score)) if score.max(initial=-np.inf) > -np.inf else None
         margins = (-np.inf, -np.inf) if j is None else (float(qm[j]), float(pm[j]))
         raise InfeasibilityError(
-            f"no feasible candidate at step {len(state.sigma) + 1} (best quadform margin "
+            f"no feasible candidate at step {k + 1} (best quadform margin "
             f"{margins[0]:.3e}, best potential margin {margins[1]:.3e})",
             best_quadform_margin=margins[0], best_potential_margin=margins[1],
         )
@@ -236,9 +237,8 @@ def array_select_next(state, schedule, at_b, at_bp, K, pivot_rule):
 def _padded_scan_state(k, positions=(2, 5, 8), front_zeros=12):
     """The padded frame instance with the first k indices of its walk taken,
     permuted into an order that starts with front_zeros zero rows and puts
-    the taken ones at the given positions. With the defaults, first-feasible
-    reads the candidates left at positions 1 and 3 as the slice 1-3, and
-    those at 4, 6, 7 and 9 as the slice 4-9, so both slices hold taken rows."""
+    the taken ones at the given positions. With the defaults, first-feasible's
+    index blocks 1-2, 3-6 and 7-14 each hold one taken row: 2, 5 and 8."""
     dec, failing = _padded_frame_instance(32)
     sigma = run_selection(dec, 0.5).sigma[:k]
     rest = np.setdiff1d(np.arange(dec.m), np.concatenate([failing, sigma]))
@@ -256,14 +256,15 @@ HARD_STATES = {
     "zero-rows-first": lambda: _padded_scan_state(0),
     "taken-in-blocks": lambda: _padded_scan_state(3),
 }
-# All 160 failing vectors come first, 45 zero rows in front. Index 3 is
-# taken between first-feasible's blocks of left positions 1-2 and 3-6, so no
-# block reads it; index 20 falls inside the block 15-30 and 40 inside 31-62.
-# The first hit, left position 160, is in the last block, 127-252.
+# All 160 failing vectors come first, 45 zero rows in front. The taken
+# index 3 is the first of first-feasible's index block 3-6, 30 the last of
+# 15-30 and 40 inside 31-62. The first hit, index 163 (left position 160),
+# is in the block 127-254, which ends one index short of m = 256.
 SCAN_STATES = {
     **HARD_STATES,
-    "taken-in-later-blocks": lambda: _padded_scan_state(3, (3, 20, 40), 45),
+    "taken-in-later-blocks": lambda: _padded_scan_state(3, (3, 30, 40), 45),
 }
+TAKEN = {"zero-rows-first": [], "taken-in-blocks": [2, 5, 8], "taken-in-later-blocks": [3, 30, 40]}
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
@@ -272,9 +273,8 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
     # select_next's arrays against one candidate_feasible call per candidate
     # in index order.
     dec, sched, state = SCAN_STATES[make_state]()
-    grams, first = state.grams, pivot == "first"
-    if make_state == "taken-in-blocks":
-        assert grams.cols == [2, 5, 8]
+    grams, sigma, first = state.grams, state.grams.cols, pivot == "first"
+    assert sigma == TAKEN[make_state]
     blocks, pick, masked_pick = [], _array_pick, rinv.selector._pick
 
     def spy(quad, after, phi_before, first, free):
@@ -293,26 +293,30 @@ def test_resolvent_scan_matches_reference_on_hard_states(pivot, make_state, monk
     quad[:scan_read] = np.concatenate([p[0] for p in blocks])
     after[:scan_read] = np.concatenate([p[1] for p in blocks])
 
-    A, b_prime = dense_gram(dec, state.sigma), state.barrier_b - sched.delta
+    A, b_prime = dense_gram(dec, sigma), state.barrier_b - sched.delta
     M, W = shifted_inverse(A, b_prime), dec.V @ dec.L.T
     phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, b_prime, dec.L)
     pos, scanned = pick(quad, after, phi_before, first)
-    want, rec, want_scanned, _ = reference_scan(A, M, dec.L, W, state.sigma, phi_b, phi_bp, pivot)
+    want, rec, want_scanned, _ = reference_scan(A, M, dec.L, W, sigma, phi_b, phi_bp, pivot)
     assert want is not None and (int(left[pos]), scanned) == (want, want_scanned)
     assert chosen == want
     np.testing.assert_allclose([quad[pos], after[pos]],
                                [rec.quadform, rec.potential_after_add], rtol=1e-10)
 
-    # Every candidate of the blocks read (blocks of 1, 2, 4, ... for
-    # first-feasible, as in test_grams_filled_on_read_match_dense) is tested:
+    # Each block is a range of indices, taken ones included, from the first
+    # index left, f: [f, f + 1), [f + 1, f + 3), ... up to the block of the
+    # hit for first-feasible (as in test_grams_filled_on_read_match_dense),
+    # [f, m) for greedy. Every free candidate of the blocks read is tested:
     # zero vectors are NaN, the rest match the reference.
-    read = min(2 ** scanned.bit_length() - 1, len(left)) if first else len(left)
-    assert scan_read == read
-    # Each block is the slice of indices from its first candidate left to its
-    # last, taken ones between them included.
-    ends = np.cumsum([len(p[0]) for p in blocks])
-    starts = np.concatenate([[0], ends[:-1]])
-    assert [p[3] for p in blocks] == (left[ends - 1] + 1 - left[starts]).tolist()
+    f, widths = int(left[0]), [p[3] for p in blocks]
+    if first:
+        assert widths == [min(2 ** j, dec.m + 1 - f - 2 ** j) for j in range(len(blocks))]
+        stop = min(f + 2 ** (want + 1 - f).bit_length() - 1, dec.m)
+    else:
+        assert widths == [dec.m - f]
+        stop = dec.m
+    read = int(np.searchsorted(left, stop))
+    assert f + sum(widths) == stop and scan_read == read
     tested, zero = np.flatnonzero(np.isfinite(after)), ~W[left].any(axis=1)
     assert np.isnan(quad[zero]).all() and np.isnan(after[zero]).all()
     assert tested.tolist() == np.flatnonzero(~zero[:read]).tolist()
@@ -346,21 +350,21 @@ def test_in_place_scan_matches_array_scan_bits(pivot, make_state, barrier):
     for scan in (select_next, array_select_next):
         dec, sched, state = SCAN_STATES[make_state]()
         if barrier != "walk":
-            sched, state = _raised_barrier(dec, state.sigma, 0.5)
+            sched, state = _raised_barrier(dec, state.grams.cols, 0.5)
         outcomes.append(_scan_outcome(scan, state, sched, pivot))
     assert outcomes[0] == outcomes[1]
-    (outcome, reach), n_left = outcomes[0], dec.m - len(state.sigma)
+    (outcome, reach), n_left = outcomes[0], dec.m - len(state.grams.cols)
     if barrier == "raised":
         assert outcome[0].startswith("no feasible candidate")
         return
     chosen, rec, scanned = outcome
-    assert rec[2:] == (True, "") and chosen not in state.sigma
+    assert rec[2:] == (True, "") and chosen not in state.grams.cols
     if pivot == "greedy":
         assert scanned == n_left and reach == dec.m
     elif make_state == "taken-in-later-blocks":
-        # The hit at left position 160 is read in the last block, 127-252,
-        # which ends at index m - 1.
-        assert scanned == 161 and reach == dec.m
+        # The hit at index 163, left position 160, is read in the block
+        # 127-254, so the read stops one index short of m.
+        assert (chosen, scanned, reach) == (163, 161, dec.m - 1)
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
@@ -372,16 +376,17 @@ def test_scan_skips_taken_indices_that_pass(pivot, make_state):
     outcomes = []
     for scan in (select_next, array_select_next):
         dec, sched, state = SCAN_STATES[make_state]()
-        A = dense_gram(dec, state.sigma)
+        A = dense_gram(dec, state.grams.cols)
         b_prime = 1.1 * np.linalg.eigvalsh(A)[-1]
-        sched, state = sched._replace(delta=1.0), state_of(dec, state.sigma, b_prime + 1.0)
+        sched, state = sched._replace(delta=1.0), state_of(dec, state.grams.cols, b_prime + 1.0)
         outcomes.append(_scan_outcome(scan, state, sched, pivot))
     assert outcomes[0] == outcomes[1]
     (chosen, rec, _), _ = outcomes[0]
-    assert chosen not in state.sigma and rec[2] is True
+    sigma = state.grams.cols
+    assert chosen not in sigma and rec[2] is True
     M, W = shifted_inverse(A, b_prime), dec.V @ dec.L.T
     phi_b, phi_bp = potential(A, b_prime + 1.0, dec.L), potential(A, b_prime, dec.L)
-    assert all(candidate_feasible(A, M, dec.L, W[c], phi_b, phi_bp).feasible for c in state.sigma)
+    assert all(candidate_feasible(A, M, dec.L, W[c], phi_b, phi_bp).feasible for c in sigma)
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
@@ -472,29 +477,32 @@ def test_grams_filled_on_read_match_dense(pivot, n, m, blocks, monkeypatch):
         # One scan of every candidate at step 0.
         assert [reach for *_, reach in steps] == [dec.m] * k
         return
-    # First-feasible reads blocks of 1, 2, 4, ... of the positions left and
-    # stops after the block of its hit: s scanned means 2^b - 1 read, with b
-    # the bit length of s. A read of at most READ_AHEAD positions fills
-    # READ_AHEAD from the reach before it, so reach passes the last position
-    # read by less than READ_AHEAD, capped at m, or stays where it was.
+    # First-feasible reads the index blocks [f, f + 1), [f + 1, f + 3), ...
+    # from the first index left, f, and stops after the block of its hit, the
+    # scanned-th index left: it reads up to f + 2^b - 1, capped at m, with b
+    # the bit length of hit - f + 1. A read of at most READ_AHEAD positions
+    # fills READ_AHEAD from the reach before it, so reach passes the last
+    # position read by less than READ_AHEAD, capped at m, or stays where it was.
     reach = 0
     for _, left, scanned, after in steps:
-        last = left[min(2 ** scanned.bit_length() - 1, len(left)) - 1]
+        f, hit = int(left[0]), int(left[scanned - 1])
+        last = min(f + 2 ** (hit - f + 1).bit_length() - 1, dec.m) - 1
         assert last < after <= max(reach, min(dec.m, last + READ_AHEAD))
         reach = after
     assert grams.reach < k + READ_AHEAD < dec.m // 8  # about t, where greedy reads all m
 
 
 def test_first_feasible_takes_both_lv_paths(monkeypatch):
-    # 60 failing vectors come first. Step 0 reads positions 0-15, with LV
-    # rows, ahead of its first block, and 16-31 with the 15-position block
-    # 15-30, extended to READ_AHEAD and given LV rows too. It reads 32-62 in
-    # the 31-position block 31-62, which is longer than READ_AHEAD: its hit
-    # at 60, and the next steps' 61 and 62, take lv = LtL vg. Position 63
-    # and on are read ahead one READ_AHEAD block at a time, with LV rows.
+    # Three frame vectors, then 60 failing ones. Steps 0-2 take indices 0, 1
+    # and 2, whose first block read 0-15 ahead, with LV rows. From step 3 the
+    # blocks start at index 3, a failing one that stays free: the blocks
+    # 10-17 and 18-33 read 16-31 and 32-47 ahead, with LV rows, and the
+    # 32-index block 34-65, longer than READ_AHEAD, reads 48-65 without them.
+    # Its hit at 63, the next steps' 64 and 65, and 66 and 67 of the block
+    # 66-129, take lv = LtL vg.
     dec, failing = _padded_frame_instance(24)
-    rng = np.random.default_rng(25)
-    order = np.concatenate([failing[:60], rng.permutation(3 * 24), failing[60:]])
+    frame = np.random.default_rng(25).permutation(3 * 24)
+    order = np.concatenate([frame[:3], failing[:60], frame[3:], failing[60:]])
     dec = permuted(dec, order)
     calls, append = [], Grams.append
 
@@ -504,12 +512,12 @@ def test_first_feasible_takes_both_lv_paths(monkeypatch):
 
     monkeypatch.setattr(Grams, "append", spy)
     result = _check_against_reference(dec, 0.8, "first")
-    assert result.sigma[:4] == [60, 61, 62, 63]
-    assert [had for _, had in calls] == [False] * 3 + [True] * (len(result.sigma) - 3)
+    assert result.sigma[:4] == [0, 1, 2, 63]
+    assert [had for _, had in calls] == [True] * 3 + [False] * (len(result.sigma) - 3)
     grams = calls[-1][0]
     LtL = dec.L.T @ dec.L
     rows = np.flatnonzero(grams.has_lv)
-    assert rows.tolist() == list(range(32)) + list(range(63, grams.reach))
+    assert rows.tolist() == list(range(48)) and grams.reach == 130
     want = (dec.V @ LtL @ LtL)[rows]
     np.testing.assert_allclose(grams.LV[rows], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -567,9 +575,8 @@ def test_state_of_matches_walk_under_scan_order(pivot, monkeypatch):
     order = np.random.default_rng(9).permutation(dec.m)
     result, steps = _recorded_walk(permuted(dec, order), 0.5, pivot, monkeypatch)
     assert sorted(order[result.sigma]) != order[result.sigma].tolist()
-    for state, *_ in steps:
-        fresh = state_of(dec, order[state.sigma], state.barrier_b)
-        k = len(state.sigma)
+    for k, (state, *_) in enumerate(steps):
+        fresh = state_of(dec, order[result.sigma[:k]], state.barrier_b)
         pairs = [(fresh.spectrum.lam, state.spectrum.lam), (fresh.spectrum.M, state.spectrum.M),
                  (fresh.grams.J[:k, :k], state.grams.J[:k, :k])]
         for got, want in pairs:
@@ -636,7 +643,7 @@ def test_averaging_lhs_from_grams_matches_dense_T(case):
         b = result.traces[k].barrier_before
         state = state_of(dec, result.sigma[:k], b)
         b_prime = b - result.schedule.delta
-        A = dense_gram(dec, state.sigma)
+        A = dense_gram(dec, state.grams.cols)
         T = dec.L.T @ shifted_inverse(A, b_prime) @ dec.L
         values = shift_values(state, result.schedule)
         lhs = rinv.selector._t_frob_sq(state, *values[1:])
@@ -710,19 +717,20 @@ def test_infeasible_step_reports_reference_margins(pivot, make_state):
 def _check_infeasible_state(pivot, dec, sched, state):
     """No candidate passes: select_next raises with the reference scan's
     margins."""
-    A = dense_gram(dec, state.sigma)
+    sigma = state.grams.cols
+    A = dense_gram(dec, sigma)
     values = shift_values(state, sched)
     diag = check_step_preconditions(state, sched, *values)
     expected = reference_preconditions(A, state.barrier_b, sched, dec.L)
     assert diag._asdict() == expected
-    with pytest.raises(InfeasibilityError, match=f"at step {len(state.sigma) + 1} ") as err:
+    with pytest.raises(InfeasibilityError, match=f"at step {len(sigma) + 1} ") as err:
         select_next(state, sched, *values, pivot)
     b_prime = state.barrier_b - sched.delta
     M = shifted_inverse(A, b_prime)
     phi_b, phi_bp = potential(A, state.barrier_b, dec.L), potential(A, b_prime, dec.L)
-    chosen, _, scanned, margins = reference_scan(A, M, dec.L, dec.V @ dec.L.T, state.sigma,
+    chosen, _, scanned, margins = reference_scan(A, M, dec.L, dec.V @ dec.L.T, sigma,
                                                   phi_b, phi_bp, pivot)
-    assert chosen is None and scanned == dec.m - len(state.sigma)
+    assert chosen is None and scanned == dec.m - len(sigma)
     assert err.value.best_quadform_margin == pytest.approx(margins[0], rel=1e-9)
     assert err.value.best_potential_margin == pytest.approx(margins[1], rel=1e-9)
     assert min(margins) < 0 < max(margins)
@@ -741,7 +749,7 @@ def _near_miss_state(potential_miss):
     else:
         b = 1.0 / (1.0 - 1e-10) + sched.delta
     grams = Grams.of(dec, capacity=1)  # room to append a candidate anyway
-    return dec, sched, SelectionState([], b, Spectrum.of(grams, TOL), grams)
+    return dec, sched, SelectionState(b, Spectrum.of(grams, TOL), grams)
 
 
 @pytest.mark.parametrize("pivot", PIVOTS)
@@ -754,7 +762,7 @@ def test_near_miss_is_infeasible(pivot, potential_miss):
     dec, sched, state = _near_miss_state(potential_miss)
     values = shift_values(state, sched)
     assert not check_step_preconditions(state, sched, *values).potential_ok
-    step = len(state.sigma) + 1
+    step = len(state.grams.cols) + 1
     with pytest.raises(InfeasibilityError, match=f"at step {step} ") as err:
         select_next(state, sched, *values, pivot)
     qm, pm = err.value.best_quadform_margin, err.value.best_potential_margin

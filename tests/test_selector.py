@@ -393,7 +393,7 @@ class TestRunSelection:
         select_next = rinv.selector.select_next
 
         def third_fails(state, *args):
-            if len(state.sigma) == 2:
+            if len(state.grams.cols) == 2:
                 raise InfeasibilityError("no feasible candidate at step 3")
             return select_next(state, *args)
 

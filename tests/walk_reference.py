@@ -40,7 +40,7 @@ def state_of(dec, sigma, barrier_b):
     such as [0.7, 2.9] is not read as [0, 2]."""
     sigma = checked_indices(sigma, dec.m, "sigma").tolist()
     grams = grams_of(dec, sigma)
-    return SelectionState(sigma, barrier_b, Spectrum.of(grams, TOL), grams)
+    return SelectionState(barrier_b, Spectrum.of(grams, TOL), grams)
 
 
 def shift_values(state, schedule):
